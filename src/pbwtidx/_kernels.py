@@ -79,7 +79,7 @@ def occ_tables_numpy(cols, sigma):
     width, n = cols.shape
     occ = np.zeros((width, sigma, n + 1), np.int32)
     hits = cols[:, None, :] == np.arange(sigma, dtype=cols.dtype)[None, :, None]
-    occ[:, :, 1:] = np.cumsum(hits, axis=2)
+    np.cumsum(hits, axis=2, dtype=np.int32, out=occ[:, :, 1:])
     return occ
 
 

@@ -23,6 +23,7 @@ class Alphabet:
     sentinel: str = DEFAULT_SENTINEL
     _rank_of: dict = field(init=False, repr=False, compare=False)
     _code_table: np.ndarray = field(init=False, repr=False, compare=False)
+    _symbol_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -41,6 +42,8 @@ class Alphabet:
         for a, c in enumerate(self.symbols):
             table[ord(c)] = a
         object.__setattr__(self, "_code_table", table)
+        # rank -> byte lookup for bulk decoding
+        object.__setattr__(self, "_symbol_table", np.frombuffer(self.symbols.encode("latin-1"), np.uint8))
 
     @property
     def sigma(self) -> int:
@@ -77,8 +80,8 @@ class Alphabet:
         return codes.astype(np.uint8)
 
     def decode(self, codes) -> str:
-        """Turn an iterable of ranks back into a string."""
-        return "".join(self.symbols[int(a)] for a in codes)
+        """Turn a sequence (or matrix, row by row) of ranks back into one string."""
+        return self._symbol_table[np.asarray(codes, dtype=np.intp)].tobytes().decode("latin-1")
 
 
 def alph_rank(alphabet: Alphabet, c: str) -> int:

@@ -185,7 +185,7 @@ def cmd_dump(args) -> int:
             # LF image is a sampled row, mirroring the highlighted figures
             chars = []
             for row, c in enumerate(index.bwt):
-                if lf_step(index, row) in index.sa_samples:
+                if index.sampled_pos[lf_step(index, row)] >= 0:
                     chars.append(f"{_RED}{c}{_RESET}")
                 else:
                     chars.append(c)

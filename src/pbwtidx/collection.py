@@ -1,6 +1,7 @@
 """The input string collection: parsing, validation, suffix access."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -8,30 +9,36 @@ from .alphabet import Alphabet
 from .errors import EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, UnknownCharacterError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StringCollection:
-    """``n`` equal-length strings over a shared alphabet.
+    """``n`` equal-length strings over a shared alphabet, held as a dense
+    (n, length) uint8 rank matrix ``codes``; the strings are decoded from it
+    on first use."""
 
-    ``codes`` holds the same data as a dense (n, length) rank matrix; all
-    index construction works on it, while queries that compare suffixes use
-    the original strings.
-    """
-
-    strings: tuple[str, ...]
     alphabet: Alphabet
-    codes: np.ndarray = field(repr=False, compare=False)
+    codes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not self.strings:
-            raise EmptyInputError("collection has no strings")
+        if self.codes.size == 0:
+            raise EmptyInputError("collection is empty")
+
+    def __eq__(self, other):
+        if not isinstance(other, StringCollection):
+            return NotImplemented
+        return self.alphabet == other.alphabet and np.array_equal(self.codes, other.codes)
 
     @property
     def n(self) -> int:
-        return len(self.strings)
+        return self.codes.shape[0]
 
     @property
     def length(self) -> int:
-        return len(self.strings[0])
+        return self.codes.shape[1]
+
+    @cached_property
+    def strings(self) -> tuple[str, ...]:
+        flat = self.alphabet.decode(self.codes)
+        return tuple(flat[at : at + self.length] for at in range(0, len(flat), self.length))
 
 
 def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
@@ -53,8 +60,7 @@ def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
             rows.append(alphabet.encode(s))
         except UnknownCharacterError as exc:
             raise UnknownCharacterError(f"line {lineno}: {exc}") from None
-    codes = np.vstack(rows)
-    return StringCollection(strings=strings, alphabet=alphabet, codes=codes)
+    return StringCollection(alphabet=alphabet, codes=np.vstack(rows))
 
 
 def parse_collection(text: str | bytes, alphabet: Alphabet | None = None) -> StringCollection:

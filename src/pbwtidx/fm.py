@@ -9,13 +9,14 @@ one stride.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .alphabet import Alphabet
-from .errors import EmptyInputError, IndexOutOfRangeError, UnknownCharacterError
-from .pbwt import EMPTY, Interval, RankTable
+from .errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
+from .pbwt import EMPTY, Interval, RankTable, c_arrays_from_occ
 
 
 @dataclass(frozen=True)
@@ -85,24 +86,49 @@ def verify_column_collapse(st: SentinelText) -> bool:
     first = _kernels.radix_sweep(rot, np.arange(size, dtype=np.int32), sigma)
     second = _kernels.radix_sweep(rot, first[0], sigma)
     cols = rot[second[1:], np.arange(size, dtype=np.intp)[:, None]]
-    expected = np.array([0 if c == st.alphabet.sentinel else st.alphabet.rank(c) + 1
-                         for c in bwt_build(st)], dtype=np.uint8)
+    expected = ext[(np.array(sorted_rotations(st)) - 1) % size]
     return bool(np.all(cols == expected[None, :]))
 
 
 @dataclass(frozen=True)
 class FmIndex:
-    """BWT string, global C-array, rank table, and diagonal suffix-array samples."""
+    """The text and its BWT as rank codes, with everything else derived from them.
+
+    ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
+    one.  The global C-array and the rank table ``occ`` are counted from the
+    BWT codes.  One LF walk from row 0 (the rotation at text position n)
+    visits the rows in decreasing text position; it checks that the BWT
+    spells the text and fills ``sampled_pos[r]``, the text position of row
+    ``r`` when it lies on the sampling grid and -1 otherwise.
+    """
 
     text: str
     alphabet: Alphabet
-    bwt: str
     bwt_codes: np.ndarray = field(repr=False, compare=False)
-    c_array: np.ndarray = field(repr=False, compare=False)
-    rank_table: RankTable = field(repr=False, compare=False)
-    sa_samples: dict[int, int] = field(repr=False, compare=False)
-    sampled_pos: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
+    c_array: np.ndarray = field(init=False, repr=False, compare=False)
+    occ: np.ndarray = field(init=False, repr=False, compare=False)
+    sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        bwt, rows = self.bwt_codes, self.bwt_codes.shape[0]
+        occ = _kernels.occ_tables(bwt[None, :], self.alphabet.sigma + 1)[0]
+        c_array = c_arrays_from_occ(occ)
+        lf = (c_array[bwt] + occ[bwt, np.arange(rows)]).tolist()
+        row_of = [0] * rows
+        for p in range(rows - 1, 0, -1):
+            row_of[p - 1] = lf[row_of[p]]
+        row_of = np.array(row_of)
+        # LF is a permutation and the text holds one sentinel, so a walk that
+        # spells the text visits every row once
+        ext = _ext_encode(SentinelText(self.text, self.alphabet))
+        if not np.array_equal(bwt[row_of], np.roll(ext, 1)):
+            raise PbwtIndexError("the BWT codes are not the BWT of the text")
+        sampled_pos = np.full(rows, -1, dtype=np.int64)
+        sampled_pos[row_of[:: self.stride]] = np.arange(0, rows, self.stride)
+        object.__setattr__(self, "occ", occ)
+        object.__setattr__(self, "c_array", c_array)
+        object.__setattr__(self, "sampled_pos", sampled_pos)
 
     @property
     def n(self) -> int:
@@ -110,33 +136,33 @@ class FmIndex:
 
     @property
     def rows(self) -> int:
-        return len(self.bwt)
+        return self.bwt_codes.shape[0]
 
+    @cached_property
+    def rank_table(self) -> RankTable:
+        return RankTable(self.occ)
 
-def _assemble(text: str, alphabet: Alphabet, bwt: str, samples: dict[int, int], stride: int) -> FmIndex:
-    bwt_codes = np.array([0 if c == alphabet.sentinel else alphabet.rank(c) + 1 for c in bwt],
-                         dtype=np.uint8)
-    sigma = alphabet.sigma + 1
-    freq = np.bincount(bwt_codes, minlength=sigma).astype(np.int64)
-    c_array = np.zeros(sigma, dtype=np.int64)
-    np.cumsum(freq[:-1], out=c_array[1:])
-    rank_table = RankTable(bwt_codes, sigma)
-    sampled_pos = np.full(len(bwt), -1, dtype=np.int64)
-    for row, pos in samples.items():
-        sampled_pos[row] = pos
-    return FmIndex(text=text, alphabet=alphabet, bwt=bwt, bwt_codes=bwt_codes,
-                   c_array=c_array, rank_table=rank_table, sa_samples=dict(samples),
-                   sampled_pos=sampled_pos, stride=stride)
+    @property
+    def bwt(self) -> str:
+        """The BWT as a string, sentinel included."""
+        ext = (self.alphabet.sentinel + self.alphabet.symbols).encode("latin-1")
+        return np.frombuffer(ext, np.uint8)[self.bwt_codes].tobytes().decode("latin-1")
+
+    @property
+    def sa_samples(self) -> dict[int, int]:
+        """Sampled rows mapped to their text positions."""
+        rows = np.flatnonzero(self.sampled_pos >= 0)
+        return dict(zip(rows.tolist(), self.sampled_pos[rows].tolist()))
 
 
 def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     """Index the text for substring search, sampling text positions p with p % stride == 0."""
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    order = sorted_rotations(st)
-    bwt = "".join(st.terminated[(p - 1) % len(st.terminated)] for p in order)
-    samples = {row: p for row, p in enumerate(order) if p % stride == 0}
-    return _assemble(st.text, st.alphabet, bwt, samples, stride)
+    ext = _ext_encode(st)
+    order = np.array(sorted_rotations(st))
+    return FmIndex(text=st.text, alphabet=st.alphabet, bwt_codes=ext[(order - 1) % ext.shape[0]],
+                   stride=stride)
 
 
 def lf_step(index: FmIndex, row: int) -> int:
@@ -157,14 +183,15 @@ def count_trace(index: FmIndex, pattern: str) -> list[tuple[int, Interval]]:
     """Backward-search trace: (characters consumed, interval) per step, widest first."""
     interval = Interval(0, index.rows - 1)
     trace = [(0, interval)]
+    table = index.rank_table
     for step, c in enumerate(reversed(pattern), start=1):
         a = _ext_rank(index, c)
         if interval.is_empty:
             trace.append((step, EMPTY))
             continue
         base = int(index.c_array[a])
-        f = base + index.rank_table.rank(a, interval.f)
-        l = base + index.rank_table.rank(a, interval.l + 1) - 1
+        f = base + table.rank(a, interval.f)
+        l = base + table.rank(a, interval.l + 1) - 1
         interval = Interval(f, l)
         trace.append((step, interval))
     return trace
@@ -180,8 +207,7 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
     if interval.is_empty:
         return [], []
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
-    occ = index.rank_table._occ
-    pos, steps = _kernels.lf_walk(rows, index.bwt_codes, index.c_array, occ, index.sampled_pos)
+    pos, steps = _kernels.lf_walk(rows, index.bwt_codes, index.c_array, index.occ, index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]
 
 

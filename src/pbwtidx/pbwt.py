@@ -8,6 +8,7 @@ rank queries.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -15,9 +16,7 @@ from . import _kernels
 from .alphabet import Alphabet
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError
-from .permutations import ColumnCounts, PermutationTable, counts_for_column
-
-BLOCK = 64
+from .permutations import ColumnCounts, PermutationTable
 
 
 @dataclass(frozen=True)
@@ -47,29 +46,14 @@ EMPTY = Interval(0, -1)
 class RankTable:
     """occ(a, i) = occurrences of symbol rank ``a`` among the first ``i`` characters.
 
-    The default representation is an exact (sigma, n+1) prefix-count table
-    with O(1) queries.  ``blocked=True`` keeps one checkpoint row per 64
-    characters and scans inside the block, trading query time for space.
+    An argument-checking view over one exact (sigma, n+1) prefix-count table;
+    nothing is copied.
     """
 
-    def __init__(self, codes: np.ndarray, sigma: int, blocked: bool = False, _occ: np.ndarray | None = None):
-        self._codes = codes
-        self.sigma = sigma
-        self.n = codes.shape[0]
-        self.blocked = blocked
-        if blocked:
-            n_blocks = self.n // BLOCK + 1
-            chk = np.zeros((sigma, n_blocks), np.int32)
-            for b in range(1, n_blocks):
-                seg = codes[(b - 1) * BLOCK : b * BLOCK]
-                chk[:, b] = chk[:, b - 1] + np.bincount(seg, minlength=sigma).astype(np.int32)
-            self._chk = chk
-            self._occ = None
-        else:
-            if _occ is None:
-                _occ = _kernels.occ_tables(codes[None, :], sigma)[0]
-            self._occ = _occ
-            self._chk = None
+    def __init__(self, occ: np.ndarray):
+        self._occ = occ
+        self.sigma = occ.shape[0]
+        self.n = occ.shape[1] - 1
 
     def rank(self, a: int, i: int) -> int:
         """Exact occurrence count of symbol ``a`` in the first ``i`` characters."""
@@ -77,13 +61,14 @@ class RankTable:
             raise IndexOutOfRangeError(f"symbol rank {a} not in [0, {self.sigma})")
         if not 0 <= i <= self.n:
             raise IndexOutOfRangeError(f"prefix length {i} not in [0, {self.n}]")
-        if self._occ is not None:
-            return int(self._occ[a, i])
-        b = i // BLOCK
-        base = int(self._chk[a, b])
-        if i % BLOCK:
-            base += int(np.count_nonzero(self._codes[b * BLOCK : i] == a))
-        return base
+        return int(self._occ[a, i])
+
+
+def c_arrays_from_occ(occ: np.ndarray) -> np.ndarray:
+    """C-array(s) of rank table(s) ``occ``: exclusive prefix sums of the symbol totals."""
+    c_arrays = np.zeros(occ.shape[:-1], np.int64)
+    np.cumsum(occ[..., :-1, -1], axis=-1, out=c_arrays[..., 1:])
+    return c_arrays
 
 
 def rank_query(table: RankTable, a: int, i: int) -> int:
@@ -93,14 +78,21 @@ def rank_query(table: RankTable, a: int, i: int) -> int:
 
 @dataclass(frozen=True)
 class PbwtMatrix:
-    """PBWT columns as a (length, n) rank-code matrix plus per-column counts and rank tables."""
+    """PBWT columns as a (length, n) rank-code matrix.
+
+    The (length, sigma, n+1) rank table ``occ`` is counted from the columns
+    and the per-column C-arrays from its totals.
+    """
 
     cols: np.ndarray = field(repr=False, compare=False)
-    c_arrays: np.ndarray = field(repr=False, compare=False)
-    freqs: np.ndarray = field(repr=False, compare=False)
-    ranks: list = field(repr=False, compare=False)
     alphabet: Alphabet = field(compare=False)
-    occ: np.ndarray | None = field(default=None, repr=False, compare=False)
+    occ: np.ndarray = field(init=False, repr=False, compare=False)
+    c_arrays: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        occ = _kernels.occ_tables(self.cols, self.alphabet.sigma)
+        object.__setattr__(self, "occ", occ)
+        object.__setattr__(self, "c_arrays", c_arrays_from_occ(occ))
 
     @property
     def length(self) -> int:
@@ -110,6 +102,10 @@ class PbwtMatrix:
     def n(self) -> int:
         return self.cols.shape[1]
 
+    @cached_property
+    def ranks(self) -> list[RankTable]:
+        return [RankTable(occ) for occ in self.occ]
+
     def column_string(self, j: int) -> str:
         if not 0 <= j < self.length:
             raise IndexOutOfRangeError(f"column {j} not in [0, {self.length})")
@@ -118,35 +114,14 @@ class PbwtMatrix:
     def counts(self, j: int) -> ColumnCounts:
         if not 0 <= j < self.length:
             raise IndexOutOfRangeError(f"column {j} not in [0, {self.length})")
-        return ColumnCounts(freq=self.freqs[j], c_array=self.c_arrays[j])
+        c_array = self.c_arrays[j]
+        return ColumnCounts(freq=np.diff(c_array, append=self.n), c_array=c_array)
 
 
-def matrix_from_codes(codes: np.ndarray, perm_table: np.ndarray, sigma: int, alphabet: Alphabet,
-                      blocked: bool = False) -> PbwtMatrix:
-    """Assemble the PBWT from a code matrix and its full permutation table."""
-    width = codes.shape[1]
-    cols = codes[perm_table[1:], np.arange(width, dtype=np.intp)[:, None]]
-    cols = np.ascontiguousarray(cols, dtype=np.uint8)
-    freqs = np.empty((width, sigma), np.int64)
-    c_arrays = np.zeros((width, sigma), np.int64)
-    for j in range(width):
-        cc = counts_for_column(codes[:, j], sigma)
-        freqs[j] = cc.freq
-        c_arrays[j] = cc.c_array
-    if blocked:
-        occ = None
-        ranks = [RankTable(cols[j], sigma, blocked=True) for j in range(width)]
-    else:
-        occ = _kernels.occ_tables(cols, sigma)
-        ranks = [RankTable(cols[j], sigma, _occ=occ[j]) for j in range(width)]
-    return PbwtMatrix(cols=cols, c_arrays=c_arrays, freqs=freqs, ranks=ranks,
-                      alphabet=alphabet, occ=occ)
-
-
-def build_pbwt(collection: StringCollection, perms: PermutationTable, blocked: bool = False) -> PbwtMatrix:
+def build_pbwt(collection: StringCollection, perms: PermutationTable) -> PbwtMatrix:
     """Materialize the PBWT of a collection from its permutation table."""
-    return matrix_from_codes(collection.codes, perms.table, collection.alphabet.sigma,
-                             collection.alphabet, blocked=blocked)
+    cols = collection.codes[perms.table[1:], np.arange(collection.length, dtype=np.intp)[:, None]]
+    return PbwtMatrix(cols=np.ascontiguousarray(cols, dtype=np.uint8), alphabet=collection.alphabet)
 
 
 def backward_step(matrix: PbwtMatrix, j: int, interval: Interval, c: str) -> Interval:

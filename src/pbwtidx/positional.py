@@ -89,13 +89,12 @@ class PositionalIndex:
         return self.collection.length
 
 
-def build_index(collection: StringCollection, policy: StoragePolicy | None = None,
-                blocked_ranks: bool = False) -> PositionalIndex:
+def build_index(collection: StringCollection, policy: StoragePolicy | None = None) -> PositionalIndex:
     """Build the PBWT and retain only the permutation columns the policy keeps."""
     if policy is None:
         policy = StoragePolicy.sampled(default_stride(collection.n))
     perms = build_permutations(collection)
-    matrix = build_pbwt(collection, perms, blocked=blocked_ranks)
+    matrix = build_pbwt(collection, perms)
     keep = policy.stored_columns(collection.length)
     stored = {j: perms.table[j].copy() for j in keep}
     return PositionalIndex(collection=collection, matrix=matrix, policy=policy, stored_perms=stored)
@@ -111,17 +110,21 @@ def _check_query(index: PositionalIndex, pattern: str, k: int):
 
 
 def _bisect_interval(index: PositionalIndex, perm: np.ndarray, pattern: str, k: int) -> Interval:
-    """Two binary searches over the suffixes starting at ``k``, ordered by ``perm``."""
-    strings = index.collection.strings
-    m = len(pattern)
+    """Two binary searches over the suffixes starting at ``k``, ordered by ``perm``.
 
-    def prefix(i: int) -> str:
-        return strings[int(perm[i])][k : k + m]
+    Compares rank-code bytes: symbols are strictly increasing, so rank order
+    is string order.
+    """
+    window = index.collection.codes[:, k : k + len(pattern)]
+    key = index.collection.alphabet.encode(pattern).tobytes()
+
+    def prefix(i: int) -> bytes:
+        return window[perm[i]].tobytes()
 
     lo, hi = 0, index.n
     while lo < hi:
         mid = (lo + hi) // 2
-        if prefix(mid) < pattern:
+        if prefix(mid) < key:
             lo = mid + 1
         else:
             hi = mid
@@ -129,12 +132,12 @@ def _bisect_interval(index: PositionalIndex, perm: np.ndarray, pattern: str, k: 
     lo, hi = first, index.n
     while lo < hi:
         mid = (lo + hi) // 2
-        if prefix(mid) <= pattern:
+        if prefix(mid) <= key:
             lo = mid + 1
         else:
             hi = mid
     last = lo - 1
-    if first > last or prefix(first) != pattern:
+    if first > last or prefix(first) != key:
         return EMPTY
     return Interval(first, last)
 
@@ -199,16 +202,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
         return [int(perm[i]) for i in range(interval.f, interval.l + 1)]
     h = max(below)
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
-    if index.matrix.occ is not None:
-        rows = _kernels.locate_walk(rows, k, h, index.matrix.cols, index.matrix.c_arrays, index.matrix.occ)
-    else:
-        # blocked rank tables: walk through the query-time rank interface
-        rows = rows.copy()
-        for j in range(k - 1, h - 1, -1):
-            table = index.matrix.ranks[j]
-            for t in range(rows.shape[0]):
-                a = int(index.matrix.cols[j, rows[t]])
-                rows[t] = int(index.matrix.c_arrays[j, a]) + table.rank(a, int(rows[t]))
+    rows = _kernels.locate_walk(rows, k, h, index.matrix.cols, index.matrix.c_arrays, index.matrix.occ)
     perm = index.stored_perms[h]
     return [int(perm[r]) for r in rows]
 

@@ -21,12 +21,23 @@ def _same_positional_answers(a, b, rng):
             assert (iv_a, got_a) == (iv_b, got_b)
 
 
+# edge shapes: n=1, L=1, a one-symbol alphabet, all-equal strings, periodic strings
+EDGE_COLLECTIONS = [
+    (["GATTACA"], "ACGT"),
+    (["A", "C", "G", "T", "A"], "ACGT"),
+    (["AAA", "AAA"], "A"),
+    (["GATA"] * 6, "ACGT"),
+    (["GATGATGAT", "ATGATGATG", "TGATGATGA"], "ACGT"),
+]
+EDGE_TEXTS = [("G", "ACGT"), ("AAAA", "A"), ("TTTTTTTT", "ACGT"), ("GATAGATAGATAGATA", "ACGT")]
+
+
 def test_positional_round_trip(tmp_path):
     rng = random.Random(88)
+    edges = [px.from_strings(strings, px.Alphabet(symbols)) for strings, symbols in EDGE_COLLECTIONS]
     for policy_maker in (px.StoragePolicy.full, px.StoragePolicy.no_perms,
                          lambda: px.StoragePolicy.sampled(2)):
-        for _ in range(5):
-            col = random_collection(rng)
+        for col in [random_collection(rng) for _ in range(5)] + edges:
             index = px.build_index(col, policy_maker())
             path = tmp_path / "case.idx"
             written = px.save_index(index, str(path))
@@ -35,24 +46,15 @@ def test_positional_round_trip(tmp_path):
             assert isinstance(loaded, px.PositionalIndex)
             assert loaded.policy == index.policy
             assert loaded.collection.strings == col.strings
+            assert loaded.collection == col
             assert sorted(loaded.stored_perms) == sorted(index.stored_perms)
             _same_positional_answers(index, loaded, rng)
 
 
-def test_blocked_round_trip(tmp_path):
-    col = px.from_strings(["GATTACAT", "TAGAGATA", "CATCACAT"])
-    index = px.build_index(col, px.StoragePolicy.sampled(2), blocked_ranks=True)
-    path = tmp_path / "blocked.idx"
-    px.save_index(index, str(path))
-    loaded = px.load_index(str(path))
-    assert loaded.matrix.occ is None
-    _same_positional_answers(index, loaded, random.Random(5))
-
-
 def test_substring_round_trip(tmp_path):
     rng = random.Random(99)
-    for _ in range(10):
-        st = random_text(rng, max_len=96)
+    edges = [px.SentinelText(text, px.Alphabet(symbols)) for text, symbols in EDGE_TEXTS]
+    for st in [random_text(rng, max_len=96) for _ in range(10)] + edges:
         index = px.fm_build(st, rng.choice([1, 2, 4, 8]))
         blob = px.to_bytes(index)
         loaded = px.from_bytes(blob)
@@ -79,3 +81,52 @@ def test_truncated_file():
     blob = px.to_bytes(px.build_index(col))
     with pytest.raises(PbwtIndexError, match="truncated"):
         px.from_bytes(blob[: len(blob) // 2])
+
+
+def _patched(blob: bytes, at: int, new: bytes) -> bytes:
+    return blob[:at] + new + blob[at + len(new):]
+
+
+# 3 strings of length 8 over ACGT; sampled(2) keeps pi_0, pi_2, pi_4, pi_6, pi_8
+POSITIONAL = px.to_bytes(px.build_index(px.from_strings(["GATTACAT", "TAGAGATA", "CATCACAT"]),
+                                        px.StoragePolicy.sampled(2)))
+SUBSTRING = px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5))
+# header: magic (8), mode (1), u16 symbol count, "ACGT", "$"; payloads start at 16
+HEADER = 16
+POLICY_TAG = HEADER + 8
+COLLECTION = HEADER + 13
+PBWT_COLUMNS = len(POSITIONAL) - 8 * 3  # the PBWT columns end the file
+TEXT = HEADER + 8
+BWT = TEXT + 12
+
+
+@pytest.mark.parametrize("blob, message", [
+    pytest.param(_patched(POSITIONAL, POLICY_TAG, b"\x07"), "policy tag 7", id="policy-tag"),
+    pytest.param(_patched(POSITIONAL, 11, b"CAGT"), "alphabet", id="unsorted-alphabet"),
+    pytest.param(_patched(POSITIONAL, 11, b"\xff"), "alphabet", id="non-ascii-alphabet"),
+    pytest.param(_patched(POSITIONAL, POLICY_TAG + 1, bytes(4)), "stride 0", id="sampled-stride-0"),
+    pytest.param(_patched(POSITIONAL, COLLECTION, b"\x09"), "collection holds rank code 9",
+                 id="collection-code"),
+    pytest.param(_patched(POSITIONAL, PBWT_COLUMNS, b"\x04"), "PBWT columns holds rank code 4",
+                 id="pbwt-column-code"),
+    pytest.param(_patched(POSITIONAL, PBWT_COLUMNS, bytes([(POSITIONAL[PBWT_COLUMNS] + 1) % 4])),
+                 "do not hold the characters",
+                 id="pbwt-column-content"),
+    pytest.param(_patched(POSITIONAL, COLLECTION + 24 + 4, b"\x09"), "not those of policy",
+                 id="stored-column-index"),
+    pytest.param(_patched(POSITIONAL, COLLECTION + 24 + 8, b"\x09"), "not a permutation",
+                 id="stored-permutation"),
+    pytest.param(POSITIONAL + b"\x00", "1 trailing bytes", id="positional-trailing"),
+    pytest.param(_patched(SUBSTRING, TEXT, b"N"), "'N' at column 1 is not in alphabet", id="text-byte"),
+    pytest.param(_patched(SUBSTRING, HEADER + 4, bytes(4)), "stride 0", id="sa-stride-0"),
+    pytest.param(_patched(SUBSTRING, BWT, b"\x05"), "BWT holds rank code 5", id="bwt-code"),
+    pytest.param(_patched(SUBSTRING, BWT, b"\x01"), "not the BWT of the text", id="bwt-counts"),
+    # swapping BWT rows 8 and 9 splits the LF cycle; a locate walk never reached a sample
+    pytest.param(_patched(SUBSTRING, BWT + 8, SUBSTRING[BWT + 9 : BWT + 7 : -1]), "not the BWT of the text",
+                 id="bwt-swap"),
+    pytest.param(SUBSTRING + b"\x00", "1 trailing bytes", id="substring-trailing"),
+    pytest.param(b"PBWTIDX1" + POSITIONAL[8:], "PBWTIDX1.*rebuild", id="version-1"),
+])
+def test_corrupt_file_raises_index_error(blob, message):
+    with pytest.raises(PbwtIndexError, match=message):
+        px.from_bytes(blob)

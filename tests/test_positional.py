@@ -135,13 +135,6 @@ def test_nine_strategy_policy_combinations(fig1):
             assert interval.width == 3
 
 
-def test_blocked_rank_tables_agree(fig1):
-    blocked = px.build_index(fig1, px.StoragePolicy.sampled(2), blocked_ranks=True)
-    assert blocked.matrix.occ is None
-    assert px.search_backward(blocked, "AGA", 3) == Interval(1, 3)
-    assert px.locate(blocked, Interval(1, 3), 3) == [5, 1, 4]
-
-
 def test_strategy_agreement_on_random_collections():
     rng = random.Random(44)
     for _ in range(30):
