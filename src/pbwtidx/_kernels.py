@@ -12,8 +12,8 @@ numba-compilable loop form, ``*_numpy`` for the vectorized form) so the
 benchmark and the agreement tests can compare them directly.
 
 Conventions: string/rotation matrices are (n, L) uint8 rank codes,
-permutations are int32, occupancy (rank) tables are int32 with shape
-(sigma, n+1), exclusive prefix-count C-arrays are int64.
+permutations are int32, ``occ_tables`` returns int32 rank tables of shape
+(width, sigma, n+1), exclusive prefix-count C-arrays are int64.
 """
 
 import os

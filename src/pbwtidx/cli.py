@@ -203,8 +203,10 @@ def cmd_dump(args) -> int:
         for i in range(index.n):
             print("\t".join(str(int(index.stored_perms[j][i])) for j in range(index.length)))
         return 0
-    for i in range(index.n):
-        print("\t".join(index.matrix.column_string(j)[i] for j in range(index.length)))
+    # decode the matrix once; row i of the transpose is PBWT row i
+    rows = index.matrix.alphabet.decode(index.matrix.cols.T)
+    for i in range(0, len(rows), index.length):
+        print("\t".join(rows[i : i + index.length]))
     return 0
 
 

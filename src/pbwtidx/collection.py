@@ -50,17 +50,21 @@ def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
     width = len(strings[0])
     if width == 0:
         raise EmptyInputError("strings must be non-empty")
-    rows = []
-    for lineno, s in enumerate(strings, start=1):
-        if len(s) != width:
-            raise RaggedCollectionError(
-                f"line {lineno}: length {len(s)} differs from length {width} of line 1"
-            )
-        try:
-            rows.append(alphabet.encode(s))
-        except UnknownCharacterError as exc:
-            raise UnknownCharacterError(f"line {lineno}: {exc}") from None
-    return StringCollection(alphabet=alphabet, codes=np.vstack(rows))
+    ragged = next((i for i, s in enumerate(strings) if len(s) != width), len(strings))
+    try:
+        codes = alphabet.encode("".join(strings[:ragged]))
+    except UnknownCharacterError:
+        # the first line that fails alone names the line and column
+        for lineno, s in enumerate(strings, start=1):
+            try:
+                alphabet.encode(s)
+            except UnknownCharacterError as exc:
+                raise UnknownCharacterError(f"line {lineno}: {exc}") from None
+    if ragged < len(strings):
+        raise RaggedCollectionError(
+            f"line {ragged + 1}: length {len(strings[ragged])} differs from length {width} of line 1"
+        )
+    return StringCollection(alphabet=alphabet, codes=codes.reshape(len(strings), width))
 
 
 def parse_collection(text: str | bytes, alphabet: Alphabet | None = None) -> StringCollection:

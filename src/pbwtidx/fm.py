@@ -92,26 +92,28 @@ def verify_column_collapse(st: SentinelText) -> bool:
 
 @dataclass(frozen=True)
 class FmIndex:
-    """The text and its BWT as rank codes, with everything else derived from them.
+    """The BWT as rank codes, with the text and everything else derived from it.
 
     ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
     one.  The global C-array and the rank table ``occ`` are counted from the
     BWT codes.  One LF walk from row 0 (the rotation at text position n)
-    visits the rows in decreasing text position; it checks that the BWT
-    spells the text and fills ``sampled_pos[r]``, the text position of row
-    ``r`` when it lies on the sampling grid and -1 otherwise.
+    visits the rows in decreasing text position; it spells the text, checks
+    that the codes are a BWT and fills ``sampled_pos[r]``, the text position
+    of row ``r`` when it lies on the sampling grid and -1 otherwise.
     """
 
-    text: str
     alphabet: Alphabet
     bwt_codes: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
+    text: str = field(init=False)
     c_array: np.ndarray = field(init=False, repr=False, compare=False)
     occ: np.ndarray = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         bwt, rows = self.bwt_codes, self.bwt_codes.shape[0]
+        if rows < 2:
+            raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
         occ = _kernels.occ_tables(bwt[None, :], self.alphabet.sigma + 1)[0]
         c_array = c_arrays_from_occ(occ)
         lf = (c_array[bwt] + occ[bwt, np.arange(rows)]).tolist()
@@ -119,20 +121,22 @@ class FmIndex:
         for p in range(rows - 1, 0, -1):
             row_of[p - 1] = lf[row_of[p]]
         row_of = np.array(row_of)
-        # LF is a permutation and the text holds one sentinel, so a walk that
-        # spells the text visits every row once
-        ext = _ext_encode(SentinelText(self.text, self.alphabet))
-        if not np.array_equal(bwt[row_of], np.roll(ext, 1)):
-            raise PbwtIndexError("the BWT codes are not the BWT of the text")
+        # bwt[row_of[p]] is the character before text position p.  LF is a
+        # permutation, so the codes are a BWT exactly when the walk meets the
+        # sentinel only at its last step: the cycle through row 0 covers every row
+        ext = np.roll(bwt[row_of], -1)
+        if ext[-1] != 0 or not ext[:-1].all():
+            raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
         sampled_pos = np.full(rows, -1, dtype=np.int64)
         sampled_pos[row_of[:: self.stride]] = np.arange(0, rows, self.stride)
+        object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "c_array", c_array)
         object.__setattr__(self, "sampled_pos", sampled_pos)
 
     @property
     def n(self) -> int:
-        return len(self.text)
+        return self.rows - 1
 
     @property
     def rows(self) -> int:
@@ -161,8 +165,7 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
         raise ValueError("stride must be >= 1")
     ext = _ext_encode(st)
     order = np.array(sorted_rotations(st))
-    return FmIndex(text=st.text, alphabet=st.alphabet, bwt_codes=ext[(order - 1) % ext.shape[0]],
-                   stride=stride)
+    return FmIndex(st.alphabet, ext[(order - 1) % ext.shape[0]], stride)
 
 
 def lf_step(index: FmIndex, row: int) -> int:

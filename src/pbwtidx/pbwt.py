@@ -124,6 +124,26 @@ def build_pbwt(collection: StringCollection, perms: PermutationTable) -> PbwtMat
     return PbwtMatrix(cols=np.ascontiguousarray(cols, dtype=np.uint8), alphabet=collection.alphabet)
 
 
+def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The (n, length) codes whose PBWT is ``cols``, and pi_j for each ``j`` in ``keep``.
+
+    The radix sweep of :func:`build_permutations` with the columns as keys:
+    column ``j`` lists the column-``j`` codes in pi_{j+1} order, and its
+    stable sort turns pi_{j+1} into pi_j.  Any code matrix is the PBWT of its inverse.
+    """
+    length, n = cols.shape
+    codes = np.empty((length, n), np.uint8)
+    pi = np.arange(n, dtype=np.int32)
+    perms = {}
+    for j in range(length, -1, -1):
+        if j < length:
+            codes[j, pi] = cols[j]
+            pi = pi[np.argsort(cols[j], kind="stable")]
+        if j in keep:
+            perms[j] = pi
+    return np.ascontiguousarray(codes.T), {j: perms[j] for j in keep}
+
+
 def backward_step(matrix: PbwtMatrix, j: int, interval: Interval, c: str) -> Interval:
     """Extend the matched pattern one character to the left.
 

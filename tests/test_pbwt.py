@@ -6,7 +6,7 @@ import pytest
 import pbwtidx as px
 from pbwtidx import _kernels
 from pbwtidx.errors import IndexOutOfRangeError, UnknownCharacterError
-from pbwtidx.pbwt import EMPTY, Interval, RankTable
+from pbwtidx.pbwt import EMPTY, Interval, RankTable, invert_pbwt
 
 from conftest import PBWT_MATRIX, random_collection
 
@@ -43,6 +43,35 @@ def test_column_content_property():
         mat = px.build_pbwt(col, px.build_permutations(col))
         for j in range(col.length):
             assert sorted(mat.column_string(j)) == sorted(s[j] for s in col.strings)
+
+
+def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
+    keep = list(range(fig1.length + 1))
+    codes, perms = invert_pbwt(fig1_matrix.cols, keep)
+    assert np.array_equal(codes, fig1.codes)
+    assert list(perms) == keep
+    for j in keep:
+        assert np.array_equal(perms[j], fig1_perms.column(j))
+
+
+def test_every_column_matrix_inverts_to_its_collection():
+    """Every in-range column matrix is the PBWT of the collection it inverts
+    to, with the permutations the inversion passes through."""
+    rng = np.random.default_rng(44)
+    # edge shapes first: n=1, L=1, sigma=1, then random shapes
+    shapes = [(1, 1, 1), (1, 6, 4), (7, 1, 3), (5, 4, 1)]
+    shapes += [tuple(int(x) for x in rng.integers(1, (31, 13, 5))) for _ in range(150)]
+    for n, length, sigma in shapes:
+        random_cols = rng.integers(0, sigma, (length, n), dtype=np.uint8)
+        equal_cols = np.repeat(rng.integers(0, sigma, (length, 1), dtype=np.uint8), n, axis=1)
+        for cols in (random_cols, equal_cols):
+            keep = list(range(length + 1))
+            codes, perms = invert_pbwt(cols, keep)
+            collection = px.StringCollection(alphabet=px.Alphabet("ACGT"[:sigma]), codes=codes)
+            index = px.build_index(collection, px.StoragePolicy.full())
+            assert np.array_equal(index.matrix.cols, cols)
+            for j in keep:
+                assert np.array_equal(perms[j], index.stored_perms[j])
 
 
 def test_rank_query_examples(fig1_matrix, alphabet):
