@@ -17,7 +17,7 @@ from .fm import (
     verify_column_collapse,
 )
 from .indexfile import from_bytes, load_index, save_index, to_bytes
-from .oracle import naive_positional, naive_substring
+from .oracle import naive_positional, naive_sorted_rotations, naive_substring
 from .pbwt import EMPTY, Interval, PbwtMatrix, RankTable, backward_step, build_pbwt, rank_query
 from .permutations import ColumnCounts, PermutationTable, build_permutations, column_counts
 from .positional import (
@@ -67,6 +67,7 @@ __all__ = [
     "load_index",
     "locate",
     "naive_positional",
+    "naive_sorted_rotations",
     "naive_substring",
     "parse_collection",
     "query",

@@ -34,6 +34,8 @@ class Alphabet:
             raise ValueError("symbols must be strictly increasing and distinct")
         if len(self.sentinel) != 1:
             raise ValueError("sentinel must be a single character")
+        if not (self.symbols + self.sentinel).isascii():
+            raise ValueError("symbols and sentinel must be ASCII characters")
         if self.sentinel >= self.symbols[0]:
             raise ValueError("sentinel must sort strictly below every symbol")
         object.__setattr__(self, "_rank_of", {c: a for a, c in enumerate(self.symbols)})

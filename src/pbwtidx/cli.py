@@ -12,7 +12,7 @@ from .alphabet import Alphabet
 from .collection import parse_collection
 from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError
 from .fm import FmIndex, SentinelText, fm_build, count_trace, lf_step, locate_with_steps
-from .indexfile import load_index, save_index
+from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
 from .positional import PositionalIndex, StoragePolicy, build_index, default_stride, query
 
@@ -76,7 +76,13 @@ def _read_input(path: str) -> str:
 
 
 def cmd_build(args) -> int:
-    alphabet = Alphabet(symbols=args.alphabet)
+    try:
+        alphabet = Alphabet(symbols=args.alphabet)
+    except ValueError as exc:
+        raise PbwtIndexError(f"invalid --alphabet {args.alphabet!r}: {exc}") from None
+    for flag, value in (("--stride", args.stride), ("--sa-stride", args.sa_stride)):
+        if value is not None and not 1 <= value <= U32_MAX:
+            raise PbwtIndexError(f"{flag} must be between 1 and {U32_MAX}, not {value}")
     if args.mode == "positional":
         if not args.input:
             raise PbwtIndexError("positional build needs --input")

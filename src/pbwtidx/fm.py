@@ -6,6 +6,12 @@ Substring search becomes prefix search over that one column, and locate uses
 suffix-array samples taken at regularly spaced text positions (sampling
 diagonals of the unsorted shift matrix), so every backward walk ends within
 one stride.
+
+Building and loading take O(n) memory and O(lg n) rounds of whole-array
+numpy operations: the shifts are sorted by prefix doubling over integer ranks
+(one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
+jumping (two O(n) gathers per round).  Each locate step is one gather from
+the stored LF mapping.
 """
 
 from dataclasses import dataclass, field
@@ -53,14 +59,30 @@ def _ext_encode(st: SentinelText) -> np.ndarray:
 def sorted_rotations(st: SentinelText) -> list[int]:
     """Start positions of the cyclic shifts of the terminated text, in lexicographic order.
 
-    Plain comparison sort over materialized rotations; the radix-based
-    cyclic-shift PBWT in :func:`verify_column_collapse` is the independent
-    cross-check of this construction.
+    Prefix doubling over integer ranks (Manber & Myers 1993): each round sorts
+    the shifts by the pair (rank of the first k symbols, rank of the next k)
+    and re-ranks them, so the ranks order ever longer prefixes.  The sentinel
+    is unique and smallest, so cyclic order equals suffix order, and the loop
+    stops once every rank is distinct: after the sort by single symbols, at
+    most ceil(lg(n+1)) doubling rounds (an all-equal text is the worst case).
+    The radix-based cyclic-shift PBWT in :func:`verify_column_collapse` is an
+    independent cross-check, and :func:`pbwtidx.oracle.naive_sorted_rotations`
+    the brute-force reference.
     """
-    term = st.terminated
-    doubled = term + term
-    size = len(term)
-    return sorted(range(size), key=lambda p: doubled[p : p + size])
+    key = _ext_encode(st).astype(np.int64)
+    size, shift = key.shape[0], 1
+    while True:
+        # ties may land in any order: they share a rank, and the last round has none
+        order = np.argsort(key)
+        ordered = key[order]
+        rank = np.empty(size, np.int64)
+        rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+        if rank[order[-1]] == size - 1:
+            return order.tolist()
+        # ranks are below size, so the pair key stays below size**2, which fits
+        # int64 for any text shorter than 3e9 characters
+        key = rank * size + np.roll(rank, -shift)
+        shift *= 2
 
 
 def bwt_build(st: SentinelText) -> str:
@@ -95,11 +117,13 @@ class FmIndex:
     """The BWT as rank codes, with the text and everything else derived from it.
 
     ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
-    one.  The global C-array and the rank table ``occ`` are counted from the
-    BWT codes.  One LF walk from row 0 (the rotation at text position n)
-    visits the rows in decreasing text position; it spells the text, checks
-    that the codes are a BWT and fills ``sampled_pos[r]``, the text position
-    of row ``r`` when it lies on the sampling grid and -1 otherwise.
+    one.  The global C-array, the rank table ``occ`` and the LF mapping
+    ``lf`` are counted from the BWT codes.  Pointer jumping over ``lf`` ranks
+    every row by its distance from row 0 (the rotation at text position n)
+    along the LF cycle, which is its text position; from those positions come
+    the text, the check that the codes are a BWT, and ``sampled_pos[r]``, the
+    text position of row ``r`` when it lies on the sampling grid and -1
+    otherwise.
     """
 
     alphabet: Alphabet
@@ -108,6 +132,7 @@ class FmIndex:
     text: str = field(init=False)
     c_array: np.ndarray = field(init=False, repr=False, compare=False)
     occ: np.ndarray = field(init=False, repr=False, compare=False)
+    lf: np.ndarray = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -116,23 +141,28 @@ class FmIndex:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
         occ = _kernels.occ_tables(bwt[None, :], self.alphabet.sigma + 1)[0]
         c_array = c_arrays_from_occ(occ)
-        lf = (c_array[bwt] + occ[bwt, np.arange(rows)]).tolist()
-        row_of = [0] * rows
-        for p in range(rows - 1, 0, -1):
-            row_of[p - 1] = lf[row_of[p]]
-        row_of = np.array(row_of)
-        # bwt[row_of[p]] is the character before text position p.  LF is a
-        # permutation, so the codes are a BWT exactly when the walk meets the
-        # sentinel only at its last step: the cycle through row 0 covers every row
-        ext = np.roll(bwt[row_of], -1)
-        if ext[-1] != 0 or not ext[:-1].all():
+        lf = c_array[bwt] + occ[bwt, np.arange(rows)]
+        # list ranking: after round t, nxt[r] is 2**t LF steps on from r, or
+        # row 0 if the walk met it first, and dist[r] counts the steps taken
+        nxt, dist = lf.copy(), np.ones(rows, np.int64)
+        nxt[0], dist[0] = 0, 0
+        for _ in range((rows - 1).bit_length()):
+            dist += dist[nxt]
+            nxt = nxt[nxt]
+        # LF is a permutation, so the codes are a BWT exactly when the cycle
+        # through row 0 covers every row and meets the sentinel only at its
+        # last step.  A row on that cycle at text position p takes p + 1 steps
+        # to reach row 0, and row 0 itself is position n.
+        pos = (dist - 1) % rows
+        ext = np.empty_like(bwt)
+        ext[pos - 1] = bwt
+        if nxt.any() or ext[-1] != 0 or not ext[:-1].all():
             raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
-        sampled_pos = np.full(rows, -1, dtype=np.int64)
-        sampled_pos[row_of[:: self.stride]] = np.arange(0, rows, self.stride)
         object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
         object.__setattr__(self, "occ", occ)
         object.__setattr__(self, "c_array", c_array)
-        object.__setattr__(self, "sampled_pos", sampled_pos)
+        object.__setattr__(self, "lf", lf)
+        object.__setattr__(self, "sampled_pos", np.where(pos % self.stride == 0, pos, -1))
 
     @property
     def n(self) -> int:
@@ -172,8 +202,7 @@ def lf_step(index: FmIndex, row: int) -> int:
     """Row of the cyclic shift one position earlier in the text (the LF mapping)."""
     if not 0 <= row < index.rows:
         raise IndexOutOfRangeError(f"row {row} not in [0, {index.rows})")
-    a = int(index.bwt_codes[row])
-    return int(index.c_array[a]) + index.rank_table.rank(a, row)
+    return int(index.lf[row])
 
 
 def _ext_rank(index: FmIndex, c: str) -> int:
@@ -210,7 +239,7 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
     if interval.is_empty:
         return [], []
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
-    pos, steps = _kernels.lf_walk(rows, index.bwt_codes, index.c_array, index.occ, index.sampled_pos)
+    pos, steps = _kernels.lf_walk(rows, index.lf, index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]
 
 

@@ -18,8 +18,8 @@ Layout (common header, then one payload per mode, then a checksum):
     crc32           u32      zlib.crc32 of every preceding byte
 
 A file holds only the transform, and the loader inverts it: the radix sweep
-over the PBWT columns yields the collection and the kept permutations, one
-LF walk over the BWT the text and the suffix-array samples.  No section can
+over the PBWT columns yields the collection and the kept permutations,
+ranking the BWT's LF cycle the text and the suffix-array samples.  No section can
 contradict another, so the checksum is what catches an edit that decodes to
 another valid index.  Loading checks the magic, the checksum, section sizes,
 tags, the alphabet, code ranges, the BWT's LF cycle and trailing bytes, and
@@ -43,6 +43,7 @@ MAGIC = b"PBWTIDX3"
 OLD_MAGICS = (b"PBWTIDX1", b"PBWTIDX2")
 MODE_POSITIONAL = 1
 MODE_SUBSTRING = 2
+U32_MAX = 0xFFFFFFFF
 
 _POLICY_TAGS = {"full": 0, "sampled": 1, "none": 2}
 _POLICY_NAMES = {v: k for k, v in _POLICY_TAGS.items()}
@@ -74,15 +75,23 @@ class _Reader:
 def to_bytes(index) -> bytes:
     if isinstance(index, PositionalIndex):
         policy = index.policy
+        _check_u32(n=index.n, length=index.length, stride=policy.stride or 0)
         body = (_header(MODE_POSITIONAL, index.collection.alphabet)
                 + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0)
                 + index.matrix.cols.astype(np.uint8, copy=False).tobytes())
     elif isinstance(index, FmIndex):
+        _check_u32(n=index.n, stride=index.stride)
         body = (_header(MODE_SUBSTRING, index.alphabet) + struct.pack("<II", index.n, index.stride)
                 + index.bwt_codes.astype(np.uint8, copy=False).tobytes())
     else:
         raise TypeError(f"cannot serialize {type(index).__name__}")
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _check_u32(**fields):
+    for name, value in fields.items():
+        if not 0 <= value <= U32_MAX:
+            raise PbwtIndexError(f"{name} = {value} does not fit the index file's u32 field")
 
 
 def _header(mode: int, alphabet: Alphabet) -> bytes:

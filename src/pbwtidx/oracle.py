@@ -28,3 +28,15 @@ def naive_substring(text: str, pattern: str) -> list[int]:
     if m == 0:
         return list(range(len(text) + 1))
     return [p for p in range(len(text) - m + 1) if text[p : p + m] == pattern]
+
+
+def naive_sorted_rotations(terminated: str) -> list[int]:
+    """Start positions of the cyclic shifts of ``terminated``, in lexicographic order.
+
+    A comparison sort over materialized rotations: O(n^2) memory, and at
+    least as much time.
+    The sentinel must be the last character and sort below every other one.
+    """
+    doubled = terminated + terminated
+    size = len(terminated)
+    return sorted(range(size), key=lambda p: doubled[p : p + size])

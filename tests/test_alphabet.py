@@ -50,6 +50,8 @@ def test_invalid_construction():
         px.Alphabet(symbols="ACGT", sentinel="Z")  # sentinel must sort below symbols
     with pytest.raises(ValueError):
         px.Alphabet(symbols="ACGT", sentinel="$$")
+    with pytest.raises(ValueError):
+        px.Alphabet(symbols="AC\u20ac")  # the index file stores ASCII symbols
 
 
 def test_encode_decode(alphabet):

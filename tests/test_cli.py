@@ -62,6 +62,33 @@ def test_build_stride_rejected_outside_sampled(fig1_file, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode, option, value, message", [
+    pytest.param("positional", "--stride", "-3", "--stride must be between 1 and 4294967295, not -3",
+                 id="stride-negative"),
+    pytest.param("positional", "--stride", "0", "--stride must be between 1 and 4294967295, not 0",
+                 id="stride-zero"),
+    pytest.param("positional", "--stride", "4294967296", "--stride must be between 1 and 4294967295",
+                 id="stride-beyond-u32"),
+    pytest.param("substring", "--sa-stride", "-3", "--sa-stride must be between 1 and 4294967295, not -3",
+                 id="sa-stride-negative"),
+    pytest.param("substring", "--sa-stride", "0", "--sa-stride must be between 1 and 4294967295, not 0",
+                 id="sa-stride-zero"),
+    pytest.param("substring", "--sa-stride", "4294967296", "--sa-stride must be between 1 and 4294967295",
+                 id="sa-stride-beyond-u32"),
+    pytest.param("substring", "--alphabet", "CA",
+                 "invalid --alphabet 'CA': symbols must be strictly increasing", id="alphabet-unordered"),
+    pytest.param("positional", "--alphabet", "AC\u20ac", "symbols and sentinel must be ASCII",
+                 id="alphabet-non-ascii"),
+])
+def test_build_rejects_bad_stride_or_alphabet(mode, option, value, message, fig1_file, tmp_path, capsys):
+    out = tmp_path / "x.idx"
+    source = ["--input", fig1_file] if mode == "positional" else ["--text", DEMO_TEXT]
+    code = main(["build", "--mode", mode, *source, option, value, "--output", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_pi_golden(fig1_idx, capsys):
     assert main(["dump", "pi", "--index", fig1_idx]) == 0
     got = capsys.readouterr().out.splitlines()

@@ -1,13 +1,14 @@
 import random
+import tracemalloc
 
 import pytest
 
 import pbwtidx as px
-from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, UnknownCharacterError
+from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import EMPTY, Interval
 
-from conftest import DEMO_BWT, DEMO_TEXT
+from conftest import DEMO_BWT, DEMO_TEXT, random_text
 
 
 def brute_bwt(text: str, sentinel: str = "$") -> str:
@@ -48,6 +49,76 @@ def test_bwt_matches_brute_force_on_random_texts(alphabet):
     for _ in range(40):
         text = "".join(rng.choice("ACGT") for _ in range(rng.randint(1, 48)))
         assert px.bwt_build(px.SentinelText(text, alphabet)) == brute_bwt(text)
+
+
+def _oracle_texts(rng):
+    """Random texts over 1-4 symbols, plus n=1, all-equal and periodic ones."""
+    texts = [("A", "A"), ("T", "ACGT"), ("AAAAAAAAAAAAAAAAA", "A"), ("CCCCCCCC", "ACGT"),
+             ("GATAGATAGATA", "AGT"), ("ACACACACA", "AC")]
+    for _ in range(120):
+        st = random_text(rng, max_len=40, sigma=rng.randint(1, 4))
+        texts.append((st.text, st.alphabet.symbols))
+    return [px.SentinelText(text, px.Alphabet(symbols)) for text, symbols in texts]
+
+
+def test_sorted_rotations_match_oracle():
+    for st in _oracle_texts(random.Random(88)):
+        assert sorted_rotations(st) == px.naive_sorted_rotations(st.terminated)
+
+
+def test_sa_samples_match_oracle_suffix_array():
+    for st in _oracle_texts(random.Random(89))[:40]:
+        sa = px.naive_sorted_rotations(st.terminated)
+        for stride in range(1, 6):
+            index = px.fm_build(st, stride)
+            assert index.sa_samples == {row: p for row, p in enumerate(sa) if p % stride == 0}
+            assert index.text == st.text
+
+
+def _is_bwt(codes: str) -> bool:
+    """Whether ``codes`` is the BWT of some text, by the textbook inversion:
+    prepending the BWT to the sorted table n+1 times rebuilds the sorted
+    rotations, and the one ending in the sentinel is the candidate text."""
+    table = [""] * len(codes)
+    for _ in range(len(codes)):
+        table = sorted(c + row for c, row in zip(codes, table))
+    return any(row.endswith("$") and brute_bwt(row[:-1]) == codes for row in table)
+
+
+def test_fm_index_accepts_exactly_the_bwts():
+    # every swap of two BWT rows keeps the symbol counts; the loader must
+    # accept exactly the swaps that are the BWT of some text, and read that text
+    rng = random.Random(90)
+    for _ in range(12):
+        st = random_text(rng, max_len=12, sigma=rng.randint(1, 4))
+        codes = px.fm_build(st, 1).bwt_codes
+        chars = "$" + st.alphabet.symbols
+        for i in range(codes.shape[0]):
+            for j in range(i + 1, codes.shape[0]):
+                swapped = codes.copy()
+                swapped[[i, j]] = codes[[j, i]]
+                bwt = "".join(chars[c] for c in swapped)
+                try:
+                    index = px.FmIndex(st.alphabet, swapped, 3)
+                except PbwtIndexError:
+                    assert not _is_bwt(bwt)
+                    continue
+                assert _is_bwt(bwt)
+                assert index.bwt == bwt == brute_bwt(index.text)
+
+
+def test_fm_build_memory_is_linear(alphabet):
+    # a byte count, not a timer: the comparison sort over materialized
+    # rotations peaked at about 260 MB on this text
+    rng = random.Random(16384)
+    st = px.SentinelText("".join(rng.choice("ACGT") for _ in range(16384)), alphabet)
+    tracemalloc.start()
+    try:
+        px.fm_build(st, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_column_collapse_demo(alphabet):

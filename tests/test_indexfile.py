@@ -204,3 +204,11 @@ def test_resealed_bit_flips_fail_or_load_a_consistent_index(index):
         assert ok
         loaded += 1
     assert loaded > 0
+
+
+def test_to_bytes_rejects_fields_beyond_u32(fig1):
+    wide = 2**32
+    for index in (px.build_index(fig1, px.StoragePolicy.sampled(wide)),
+                  px.fm_build(px.SentinelText(DEMO_TEXT, px.Alphabet()), wide)):
+        with pytest.raises(PbwtIndexError, match=f"stride = {wide} does not fit"):
+            px.to_bytes(index)

@@ -5,9 +5,10 @@ import random
 import numpy as np
 import pytest
 
+import pbwtidx as px
 from pbwtidx import _kernels
 
-from conftest import child_env
+from conftest import child_env, random_text
 
 
 def _random_case(rng):
@@ -67,6 +68,19 @@ def test_locate_walk_impls_agree():
         # the walk composed with the stored permutations is the identity map
         # back to original string indexes
         assert np.array_equal(table[h][a], table[k][rows])
+
+
+def test_lf_walk_reaches_the_oracle_positions():
+    rng = random.Random(5)
+    for _ in range(30):
+        st = random_text(rng, max_len=64, sigma=rng.randint(1, 4))
+        sa = px.naive_sorted_rotations(st.terminated)
+        for stride in range(1, 6):
+            index = px.fm_build(st, stride)
+            rows = np.arange(index.rows, dtype=np.int64)
+            pos, steps = _kernels.lf_walk(rows, index.lf, index.sampled_pos)
+            assert pos.tolist() == sa
+            assert steps.max() < stride
 
 
 def test_compiled_kernels_match_numpy_when_active():
