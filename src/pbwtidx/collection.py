@@ -13,7 +13,11 @@ from .errors import EmptyInputError, IndexOutOfRangeError, RaggedCollectionError
 class StringCollection:
     """``n`` equal-length strings over a shared alphabet, held as a dense
     (n, length) uint8 rank matrix ``codes``; the strings are decoded from it
-    on first use."""
+    on first use.
+
+    ``codes`` is column-major (Fortran order), so each column is one
+    contiguous read for the radix passes, which gather whole columns.
+    """
 
     alphabet: Alphabet
     codes: np.ndarray = field(repr=False)
@@ -21,6 +25,7 @@ class StringCollection:
     def __post_init__(self):
         if self.codes.size == 0:
             raise EmptyInputError("collection is empty")
+        object.__setattr__(self, "codes", np.asfortranarray(self.codes))
 
     def __eq__(self, other):
         if not isinstance(other, StringCollection):

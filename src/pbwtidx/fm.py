@@ -15,14 +15,13 @@ the stored LF mapping.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 from . import _kernels
 from .alphabet import Alphabet
 from .errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
-from .pbwt import EMPTY, Interval, RankTable, c_arrays_from_occ
+from .pbwt import Interval, c_arrays_from_occ
 
 
 @dataclass(frozen=True)
@@ -56,8 +55,8 @@ def _ext_encode(st: SentinelText) -> np.ndarray:
     return np.concatenate([codes, np.zeros(1, np.uint8)])
 
 
-def sorted_rotations(st: SentinelText) -> list[int]:
-    """Start positions of the cyclic shifts of the terminated text, in lexicographic order.
+def _rotation_order(st: SentinelText) -> np.ndarray:
+    """Start positions of the cyclic shifts of the terminated text, in lexicographic order, as an array.
 
     Prefix doubling over integer ranks (Manber & Myers 1993): each round sorts
     the shifts by the pair (rank of the first k symbols, rank of the next k)
@@ -78,11 +77,16 @@ def sorted_rotations(st: SentinelText) -> list[int]:
         rank = np.empty(size, np.int64)
         rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
         if rank[order[-1]] == size - 1:
-            return order.tolist()
+            return order
         # ranks are below size, so the pair key stays below size**2, which fits
         # int64 for any text shorter than 3e9 characters
         key = rank * size + np.roll(rank, -shift)
         shift *= 2
+
+
+def sorted_rotations(st: SentinelText) -> list[int]:
+    """:func:`_rotation_order` as a list of ints."""
+    return _rotation_order(st).tolist()
 
 
 def bwt_build(st: SentinelText) -> str:
@@ -108,7 +112,7 @@ def verify_column_collapse(st: SentinelText) -> bool:
     first = _kernels.radix_sweep(rot, np.arange(size, dtype=np.int32), sigma)
     second = _kernels.radix_sweep(rot, first[0], sigma)
     cols = rot[second[1:], np.arange(size, dtype=np.intp)[:, None]]
-    expected = ext[(np.array(sorted_rotations(st)) - 1) % size]
+    expected = ext[(_rotation_order(st) - 1) % size]
     return bool(np.all(cols == expected[None, :]))
 
 
@@ -172,10 +176,6 @@ class FmIndex:
     def rows(self) -> int:
         return self.bwt_codes.shape[0]
 
-    @cached_property
-    def rank_table(self) -> RankTable:
-        return RankTable(self.occ)
-
     @property
     def bwt(self) -> str:
         """The BWT as a string, sentinel included."""
@@ -194,8 +194,7 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     ext = _ext_encode(st)
-    order = np.array(sorted_rotations(st))
-    return FmIndex(st.alphabet, ext[(order - 1) % ext.shape[0]], stride)
+    return FmIndex(st.alphabet, ext[(_rotation_order(st) - 1) % ext.shape[0]], stride)
 
 
 def lf_step(index: FmIndex, row: int) -> int:
@@ -213,19 +212,15 @@ def _ext_rank(index: FmIndex, c: str) -> int:
 
 def count_trace(index: FmIndex, pattern: str) -> list[tuple[int, Interval]]:
     """Backward-search trace: (characters consumed, interval) per step, widest first."""
-    interval = Interval(0, index.rows - 1)
-    trace = [(0, interval)]
-    table = index.rank_table
-    for step, c in enumerate(reversed(pattern), start=1):
-        a = _ext_rank(index, c)
-        if interval.is_empty:
-            trace.append((step, EMPTY))
-            continue
-        base = int(index.c_array[a])
-        f = base + table.rank(a, interval.f)
-        l = base + table.rank(a, interval.l + 1) - 1
-        interval = Interval(f, l)
-        trace.append((step, interval))
+    ranks = [_ext_rank(index, c) for c in reversed(pattern)]
+    c_array, occ = index.c_array, index.occ
+    f, l = 0, index.rows - 1
+    trace = [(0, Interval(f, l))]
+    for step, a in enumerate(ranks, start=1):
+        if f <= l:
+            base = int(c_array[a])
+            f, l = base + int(occ[a, f]), base + int(occ[a, l + 1]) - 1
+        trace.append((step, Interval(f, l)))
     return trace
 
 

@@ -16,7 +16,7 @@ from . import _kernels
 from .alphabet import Alphabet
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError
-from .permutations import ColumnCounts, PermutationTable
+from .permutations import PermutationTable
 
 
 @dataclass(frozen=True)
@@ -111,12 +111,6 @@ class PbwtMatrix:
             raise IndexOutOfRangeError(f"column {j} not in [0, {self.length})")
         return self.alphabet.decode(self.cols[j])
 
-    def counts(self, j: int) -> ColumnCounts:
-        if not 0 <= j < self.length:
-            raise IndexOutOfRangeError(f"column {j} not in [0, {self.length})")
-        c_array = self.c_arrays[j]
-        return ColumnCounts(freq=np.diff(c_array, append=self.n), c_array=c_array)
-
 
 def build_pbwt(collection: StringCollection, perms: PermutationTable) -> PbwtMatrix:
     """Materialize the PBWT of a collection from its permutation table."""
@@ -125,7 +119,7 @@ def build_pbwt(collection: StringCollection, perms: PermutationTable) -> PbwtMat
 
 
 def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The (n, length) codes whose PBWT is ``cols``, and pi_j for each ``j`` in ``keep``.
+    """The (n, length) column-major codes whose PBWT is ``cols``, and pi_j for each ``j`` in ``keep``.
 
     The radix sweep of :func:`build_permutations` with the columns as keys:
     column ``j`` lists the column-``j`` codes in pi_{j+1} order, and its
@@ -141,7 +135,7 @@ def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, dict[int, np.ndarra
             pi = pi[np.argsort(cols[j], kind="stable")]
         if j in keep:
             perms[j] = pi
-    return np.ascontiguousarray(codes.T), {j: perms[j] for j in keep}
+    return codes.T, {j: perms[j] for j in keep}
 
 
 def backward_step(matrix: PbwtMatrix, j: int, interval: Interval, c: str) -> Interval:

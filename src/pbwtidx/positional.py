@@ -178,7 +178,7 @@ def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
 
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` by rebuilding pi_k column by column, then bisecting."""
+    """Match interval at column ``k`` by rebuilding pi_k in wide-digit radix passes, then bisecting."""
     _check_query(index, pattern, k)
     return _bisect_interval(index, _rebuilt_perm(index, k), pattern, k)
 
@@ -189,7 +189,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
     Walks each row backwards through the PBWT to the greatest stored column
     h <= k and reads the stored permutation there.  When no stored column
     lies at or below ``k`` (the no-perms policy), pi_k is rebuilt from the
-    right instead, which costs one radix span but keeps every policy
+    right instead, which costs one radix rebuild but keeps every policy
     locatable.  Output order follows rows f..l, i.e. lexicographic rank.
     """
     if interval.is_empty:
@@ -198,13 +198,11 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
         raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
     below = [j for j in index.stored_perms if j <= k]
     if not below:
-        perm = _rebuilt_perm(index, k)
-        return [int(perm[i]) for i in range(interval.f, interval.l + 1)]
+        return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
     h = max(below)
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
     rows = _kernels.locate_walk(rows, k, h, index.matrix.cols, index.matrix.c_arrays, index.matrix.occ)
-    perm = index.stored_perms[h]
-    return [int(perm[r]) for r in rows]
+    return index.stored_perms[h][rows].tolist()
 
 
 def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 import pbwtidx as px
@@ -75,3 +76,16 @@ def test_serialize_round_trip():
         again = px.parse_collection(text, col.alphabet)
         assert again.strings == col.strings
         assert px.serialize_collection(again) == text
+
+
+def test_codes_are_column_major(alphabet, tmp_path):
+    text = "\n".join(FIG1_STRINGS) + "\n"
+    parsed = px.parse_collection(text, alphabet)
+    direct = px.StringCollection(alphabet=alphabet, codes=np.ascontiguousarray(parsed.codes))
+    path = str(tmp_path / "fig1.idx")
+    px.save_index(px.build_index(parsed), path)
+    loaded = px.load_index(path).collection
+    for col in (parsed, px.from_strings(FIG1_STRINGS, alphabet), direct, loaded):
+        assert col.codes.flags.f_contiguous
+        assert col.codes.shape == (8, 8)
+        assert list(col.strings) == FIG1_STRINGS

@@ -92,15 +92,44 @@ def test_fig3_tie_break(fig1_perms):
     assert [x for x in column if x in (0, 2, 6)] == [0, 2, 6]
 
 
+def _edge_collections():
+    """Collections that stress the wide-digit passes of ``rebuild_column``.
+
+    Each is built straight from C-ordered codes, as a caller holding a
+    row-major matrix would build it.
+    """
+    np_rng = np.random.default_rng(505)
+
+    def direct(symbols, codes):
+        return px.StringCollection(alphabet=px.Alphabet(symbols=symbols, sentinel="\x1b"),
+                                   codes=np.ascontiguousarray(codes, dtype=np.uint8))
+
+    yield direct("A", np.zeros((1, 1)))
+    yield direct("A", np.zeros((7, 30)))
+    yield direct("ACGT", np.full((9, 33), 2))
+    # periodic: every string repeats one period, from several phases
+    yield direct("ACG", (np.arange(40)[None, :] + np.arange(12)[:, None]) % 3)
+    yield direct("ACGT", np.tile(np_rng.integers(0, 4, (5, 6)), (3, 5)))
+    # n at and just past a power of two moves the rank field by one bit
+    for b in (1, 4, 8):
+        for n in (2**b, 2**b + 1):
+            yield direct("ACGT", np_rng.integers(0, 4, (n, 40)))
+            yield direct("AC", np_rng.integers(0, 2, (n, 70)))
+    # sigma = 100: 7 bits per symbol leave 7 columns per pass beside 9 rank bits
+    symbols = "".join(chr(c) for c in range(28, 128))
+    yield direct(symbols, np_rng.integers(0, 100, (300, 45)))
+    yield direct(symbols, np_rng.integers(0, 3, (300, 45)))
+
+
 def test_rebuild_column_matches_full_table():
-    rng = random.Random(404)
     from pbwtidx.permutations import rebuild_column
 
-    for _ in range(20):
-        col = random_collection(rng)
+    rng = random.Random(404)
+    collections = [random_collection(rng) for _ in range(20)] + list(_edge_collections())
+    for col in collections:
         perms = px.build_permutations(col)
-        starts = sorted(rng.sample(range(col.length + 1), k=min(3, col.length + 1)))
-        for j_start in starts:
+        for j_start in range(col.length + 1):
             for j_target in range(j_start + 1):
                 got = rebuild_column(col, perms.column(j_start), j_start, j_target)
-                assert np.array_equal(got, perms.column(j_target))
+                assert got.dtype == np.int32
+                assert np.array_equal(got, perms.column(j_target)), (col.n, col.length, j_start, j_target)
