@@ -18,7 +18,7 @@ from .fm import (
 )
 from .indexfile import from_bytes, load_index, save_index, to_bytes
 from .oracle import naive_positional, naive_sorted_rotations, naive_substring
-from .pbwt import EMPTY, Interval, PbwtMatrix, RankTable, backward_step, build_pbwt, rank_query
+from .pbwt import EMPTY, Interval, PbwtMatrix, RankTable, backward_step, build_pbwt
 from .permutations import ColumnCounts, PermutationTable, build_permutations, column_counts
 from .positional import (
     PositionalIndex,
@@ -71,7 +71,6 @@ __all__ = [
     "naive_substring",
     "parse_collection",
     "query",
-    "rank_query",
     "save_index",
     "search_backward",
     "search_binary",

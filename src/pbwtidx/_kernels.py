@@ -9,11 +9,16 @@ environment variable:
 
 Both implementations of every kernel stay importable (``*_loops`` for the
 numba-compilable loop form, ``*_numpy`` for the vectorized form) so the
-benchmark and the agreement tests can compare them directly.
+agreement tests can compare them directly.
+
+The kernels are the radix sweep that builds the permutations and the LF walk
+that locates substring hits.  The rank structure and the positional locate
+walk (``LfRank`` in :mod:`pbwtidx.pbwt`) are whole-column numpy operations,
+one argsort and one bincount per column built and one gather per column
+walked, and have no loop form.
 
 Conventions: string/rotation matrices are (n, L) uint8 rank codes,
-permutations are int32, ``occ_tables`` returns int32 rank tables of shape
-(width, sigma, n+1), exclusive prefix-count C-arrays are int64.
+permutations and LF mappings are int32, text positions are int64.
 """
 
 import os
@@ -62,45 +67,6 @@ def radix_sweep_numpy(codes, seed, sigma):
     return out
 
 
-def occ_tables_loops(cols, sigma):
-    """Per-column prefix counts: occ[j, a, i] = #a among the first i chars of column j."""
-    width, n = cols.shape
-    occ = np.zeros((width, sigma, n + 1), np.int32)
-    for j in range(width):
-        for i in range(n):
-            a = cols[j, i]
-            for b in range(sigma):
-                occ[j, b, i + 1] = occ[j, b, i]
-            occ[j, a, i + 1] += 1
-    return occ
-
-
-def occ_tables_numpy(cols, sigma):
-    width, n = cols.shape
-    occ = np.zeros((width, sigma, n + 1), np.int32)
-    hits = cols[:, None, :] == np.arange(sigma, dtype=cols.dtype)[None, :, None]
-    np.cumsum(hits, axis=2, dtype=np.int32, out=occ[:, :, 1:])
-    return occ
-
-
-def locate_walk_loops(rows, k, h, cols, c_arrays, occ):
-    """Walk each row from column ``k`` back to column ``h`` via single-row backward steps."""
-    out = rows.astype(np.int64)
-    for j in range(k - 1, h - 1, -1):
-        for t in range(out.shape[0]):
-            a = cols[j, out[t]]
-            out[t] = c_arrays[j, a] + occ[j, a, out[t]]
-    return out
-
-
-def locate_walk_numpy(rows, k, h, cols, c_arrays, occ):
-    out = rows.astype(np.int64)
-    for j in range(k - 1, h - 1, -1):
-        a = cols[j, out]
-        out = c_arrays[j, a] + occ[j, a, out]
-    return out
-
-
 def lf_walk_loops(rows, lf, sampled_pos):
     """Walk each BWT row backwards until a sampled row; report position and step count.
 
@@ -130,20 +96,6 @@ def lf_walk_loops(rows, lf, sampled_pos):
 # scalar steps cost less than numpy's per-call overhead.
 lf_walk_numpy = lf_walk_loops
 
-_NUMPY_IMPLS = {
-    "radix_sweep": radix_sweep_numpy,
-    "occ_tables": occ_tables_numpy,
-    "locate_walk": locate_walk_numpy,
-    "lf_walk": lf_walk_numpy,
-}
-
-_LOOP_IMPLS = {
-    "radix_sweep": radix_sweep_loops,
-    "occ_tables": occ_tables_loops,
-    "locate_walk": locate_walk_loops,
-    "lf_walk": lf_walk_loops,
-}
-
 
 def _pick_backend():
     choice = os.environ.get("PBWTIDX_BACKEND", "auto").strip().lower()
@@ -165,25 +117,21 @@ BACKEND, _numba = _pick_backend()
 if BACKEND == "numba":
     _jit = _numba.njit(cache=True)
     radix_sweep = _jit(radix_sweep_loops)
-    occ_tables = _jit(occ_tables_loops)
-    locate_walk = _jit(locate_walk_loops)
     lf_walk = _jit(lf_walk_loops)
     compiled_impls = {
         "radix_sweep": radix_sweep,
-        "occ_tables": occ_tables,
-        "locate_walk": locate_walk,
         "lf_walk": lf_walk,
     }
 else:
     radix_sweep = radix_sweep_numpy
-    occ_tables = occ_tables_numpy
-    locate_walk = locate_walk_numpy
     lf_walk = lf_walk_numpy
     compiled_impls = None
 
 
 def warmup():
-    """Trigger JIT compilation of every kernel on toy inputs.
+    """Trigger JIT compilation of both kernels, the radix sweep and the LF walk,
+    on toy inputs of the dtypes real calls pass (int32 permutations and LF
+    mapping, int64 rows and text positions).
 
     A no-op on the numpy backend.  Useful before timing, and for the CLI so
     compile time does not land inside a user-visible operation.
@@ -191,11 +139,7 @@ def warmup():
     codes = np.array([[1, 0], [0, 1]], dtype=np.uint8)
     seed = np.arange(2, dtype=np.int32)
     table = radix_sweep(codes, seed, 2)
-    occ = occ_tables(codes, 2)
-    c_arrays = np.zeros((2, 2), np.int64)
-    c_arrays[:, 1] = 1
-    locate_walk(np.arange(2, dtype=np.int64), 1, 0, codes, c_arrays, occ)
-    lf = np.array([1, 0], dtype=np.int64)
+    lf = np.array([1, 0], dtype=np.int32)
     sampled = np.array([-1, 0], dtype=np.int64)
     lf_walk(np.arange(2, dtype=np.int64), lf, sampled)
     return table.shape

@@ -10,7 +10,7 @@ import sys
 
 from .alphabet import Alphabet
 from .collection import parse_collection
-from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError
+from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError, UnknownCharacterError
 from .fm import FmIndex, SentinelText, fm_build, count_trace, lf_step, locate_with_steps
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
@@ -28,7 +28,10 @@ def _build_parser() -> argparse.ArgumentParser:
     build = sub.add_parser("build", help="build an index file")
     build.add_argument("--mode", choices=["positional", "substring"], required=True)
     build.add_argument("--input", help="collection file, one string per line; - for stdin")
-    build.add_argument("--text", help="text to index (path or literal), substring mode")
+    text = build.add_mutually_exclusive_group()
+    text.add_argument("--text", help="text to index, substring mode")
+    text.add_argument("--text-file", dest="text_file",
+                      help="file holding the text to index, substring mode")
     build.add_argument("--alphabet", default="ACGT", help="ordered symbol string (default ACGT)")
     build.add_argument("--policy", choices=["full", "sampled", "none"], default="sampled")
     build.add_argument("--stride", type=int, help="sampled-policy stride (default ceil(lg n))")
@@ -75,6 +78,16 @@ def _read_input(path: str) -> str:
         return fh.read()
 
 
+def _read_text(path: str) -> str:
+    """The text in ``path`` without surrounding whitespace."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return raw.decode("ascii").strip()
+    except UnicodeDecodeError as exc:
+        raise UnknownCharacterError(f"{path} is not ASCII text: {exc}") from None
+
+
 def cmd_build(args) -> int:
     try:
         alphabet = Alphabet(symbols=args.alphabet)
@@ -99,13 +112,17 @@ def cmd_build(args) -> int:
         print(f"n={collection.n} len={collection.length} sigma={alphabet.sigma} "
               f"policy={policy_desc} bytes={written}")
         return 0
-    if not args.text:
-        raise PbwtIndexError("substring build needs --text")
-    literal = args.text
-    if os.path.exists(literal):
-        with open(literal, "r", encoding="ascii") as fh:
-            literal = fh.read().strip()
-    st = SentinelText(text=literal, alphabet=alphabet)
+    if args.text_file is not None:
+        text = _read_text(args.text_file)
+    elif args.text:
+        text = args.text
+        if os.path.exists(text):
+            print(f"warning: reading the file {text!r} named by --text; use --text-file, "
+                  "since a later version will take --text literally", file=sys.stderr)
+            text = _read_text(text)
+    else:
+        raise PbwtIndexError("substring build needs --text or --text-file")
+    st = SentinelText(text=text, alphabet=alphabet)
     stride = args.sa_stride or default_stride(st.n)
     index = fm_build(st, stride)
     written = save_index(index, args.output)

@@ -10,8 +10,10 @@ one stride.
 Building and loading take O(n) memory and O(lg n) rounds of whole-array
 numpy operations: the shifts are sorted by prefix doubling over integer ranks
 (one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
-jumping (two O(n) gathers per round).  Each locate step is one gather from
-the stored LF mapping.
+jumping (two O(n) gathers per round).  The BWT's rank structure is the
+PBWT's :class:`~pbwtidx.pbwt.LfRank` with one column: each backward-search
+step is two checkpoint lookups plus two short byte counts, and each locate
+step one read of the int32 LF mapping.
 """
 
 from dataclasses import dataclass, field
@@ -21,7 +23,7 @@ import numpy as np
 from . import _kernels
 from .alphabet import Alphabet
 from .errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
-from .pbwt import Interval, c_arrays_from_occ
+from .pbwt import EMPTY, Interval, LfRank
 
 
 @dataclass(frozen=True)
@@ -121,8 +123,8 @@ class FmIndex:
     """The BWT as rank codes, with the text and everything else derived from it.
 
     ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
-    one.  The global C-array, the rank table ``occ`` and the LF mapping
-    ``lf`` are counted from the BWT codes.  Pointer jumping over ``lf`` ranks
+    one, and becomes a read-only view of the one column ``lf_rank`` holds;
+    ``lf`` is that structure's LF mapping.  Pointer jumping over ``lf`` ranks
     every row by its distance from row 0 (the rotation at text position n)
     along the LF cycle, which is its text position; from those positions come
     the text, the check that the codes are a BWT, and ``sampled_pos[r]``, the
@@ -134,21 +136,21 @@ class FmIndex:
     bwt_codes: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
     text: str = field(init=False)
-    c_array: np.ndarray = field(init=False, repr=False, compare=False)
-    occ: np.ndarray = field(init=False, repr=False, compare=False)
+    lf_rank: LfRank = field(init=False, repr=False, compare=False)
     lf: np.ndarray = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        bwt, rows = self.bwt_codes, self.bwt_codes.shape[0]
+        rows = self.bwt_codes.shape[0]
         if rows < 2:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
-        occ = _kernels.occ_tables(bwt[None, :], self.alphabet.sigma + 1)[0]
-        c_array = c_arrays_from_occ(occ)
-        lf = c_array[bwt] + occ[bwt, np.arange(rows)]
+        lf_rank = LfRank(self.bwt_codes[None, :], self.alphabet.sigma + 1)
+        bwt, lf = lf_rank.cols[0], lf_rank.lf[0]
         # list ranking: after round t, nxt[r] is 2**t LF steps on from r, or
-        # row 0 if the walk met it first, and dist[r] counts the steps taken
-        nxt, dist = lf.copy(), np.ones(rows, np.int64)
+        # row 0 if the walk met it first, and dist[r] counts the steps taken.
+        # nxt is intp: numpy casts any other index array on every gather,
+        # which made the rounds 1.7x slower with int32 at 1M rows.
+        nxt, dist = lf.astype(np.intp), np.ones(rows, np.int64)
         nxt[0], dist[0] = 0, 0
         for _ in range((rows - 1).bit_length()):
             dist += dist[nxt]
@@ -162,9 +164,9 @@ class FmIndex:
         ext[pos - 1] = bwt
         if nxt.any() or ext[-1] != 0 or not ext[:-1].all():
             raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
+        object.__setattr__(self, "bwt_codes", bwt)
         object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
-        object.__setattr__(self, "occ", occ)
-        object.__setattr__(self, "c_array", c_array)
+        object.__setattr__(self, "lf_rank", lf_rank)
         object.__setattr__(self, "lf", lf)
         object.__setattr__(self, "sampled_pos", np.where(pos % self.stride == 0, pos, -1))
 
@@ -213,20 +215,30 @@ def _ext_rank(index: FmIndex, c: str) -> int:
 def count_trace(index: FmIndex, pattern: str) -> list[tuple[int, Interval]]:
     """Backward-search trace: (characters consumed, interval) per step, widest first."""
     ranks = [_ext_rank(index, c) for c in reversed(pattern)]
-    c_array, occ = index.c_array, index.occ
+    step = index.lf_rank.step
     f, l = 0, index.rows - 1
     trace = [(0, Interval(f, l))]
-    for step, a in enumerate(ranks, start=1):
+    for consumed, a in enumerate(ranks, start=1):
         if f <= l:
-            base = int(c_array[a])
-            f, l = base + int(occ[a, f]), base + int(occ[a, l + 1]) - 1
-        trace.append((step, Interval(f, l)))
+            f, l = step(0, a, f), step(0, a, l + 1) - 1
+        trace.append((consumed, Interval(f, l)))
     return trace
 
 
 def fm_count(index: FmIndex, pattern: str) -> Interval:
-    """BWT-row interval of sorted shifts prefixed by ``pattern`` (equivalently, suffixes)."""
-    return count_trace(index, pattern)[-1][1]
+    """BWT-row interval of sorted shifts prefixed by ``pattern`` (equivalently, suffixes).
+
+    The loop of :func:`count_trace` on plain ints, stopping at the first
+    empty interval.
+    """
+    ranks = [_ext_rank(index, c) for c in reversed(pattern)]
+    step = index.lf_rank.step
+    f, l = 0, index.rows - 1
+    for a in ranks:
+        f, l = step(0, a, f), step(0, a, l + 1) - 1
+        if f > l:
+            return EMPTY
+    return Interval(f, l)
 
 
 def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], list[int]]:

@@ -17,13 +17,14 @@ Layout (common header, then one payload per mode, then a checksum):
 
     crc32           u32      zlib.crc32 of every preceding byte
 
-A file holds only the transform, and the loader inverts it: the radix sweep
-over the PBWT columns yields the collection and the kept permutations,
-ranking the BWT's LF cycle the text and the suffix-array samples.  No section can
-contradict another, so the checksum is what catches an edit that decodes to
-another valid index.  Loading checks the magic, the checksum, section sizes,
-tags, the alphabet, code ranges, the BWT's LF cycle and trailing bytes, and
-raises :class:`PbwtIndexError` on any failure.
+A file holds only the transform, and the loader inverts it: the LF mapping
+of the PBWT columns, walked right to left, yields the collection and the
+kept permutations, ranking the BWT's LF cycle the text and the suffix-array
+samples.  No section can contradict another, so the checksum is what
+catches an edit that decodes to another valid index.  Loading checks the magic, the checksum, section sizes,
+tags, that the row count fits the int32 LF mapping, the alphabet, code
+ranges, the BWT's LF cycle and trailing bytes, and raises
+:class:`PbwtIndexError` on any failure.
 """
 
 import math
@@ -36,7 +37,7 @@ from .alphabet import Alphabet
 from .collection import StringCollection
 from .errors import PbwtIndexError
 from .fm import FmIndex
-from .pbwt import PbwtMatrix, invert_pbwt
+from .pbwt import PbwtMatrix, check_rows, invert_pbwt
 from .positional import PositionalIndex, StoragePolicy
 
 MAGIC = b"PBWTIDX3"
@@ -138,17 +139,18 @@ def _read_positional(r: _Reader, alphabet: Alphabet) -> PositionalIndex:
         raise PbwtIndexError(f"index file has invalid policy tag {policy_tag}, stride {stride}") from None
     if n == 0 or length == 0:
         raise PbwtIndexError(f"index file holds an empty collection ({n} strings of length {length})")
-    cols = r.codes((length, n), alphabet.sigma, "PBWT columns")
-    codes, stored = invert_pbwt(cols, policy.stored_columns(length))
+    check_rows(n)
+    matrix = PbwtMatrix(cols=r.codes((length, n), alphabet.sigma, "PBWT columns"), alphabet=alphabet)
+    codes, stored = invert_pbwt(matrix, policy.stored_columns(length))
     return PositionalIndex(collection=StringCollection(alphabet=alphabet, codes=codes),
-                           matrix=PbwtMatrix(cols=cols, alphabet=alphabet), policy=policy,
-                           stored_perms=stored)
+                           matrix=matrix, policy=policy, stored_perms=stored)
 
 
 def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:
     n, stride = r.unpack("II")
     if stride < 1:
         raise PbwtIndexError("index file has suffix-array stride 0")
+    check_rows(n + 1)
     bwt_codes = r.codes((n + 1,), alphabet.sigma + 1, "BWT")
     try:
         return FmIndex(alphabet, bwt_codes, stride)

@@ -3,7 +3,7 @@
 A query asks for the strings containing pattern ``P`` starting exactly at
 position ``k``.  Strategy ``binary`` bisects the suffixes sorted by a stored
 pi_k; ``backward`` starts from the full interval at column ``k+m`` and
-applies one two-rank-query backward step per pattern character; ``rebuild``
+applies one two-lookup backward step per pattern character; ``rebuild``
 recomputes pi_k from the nearest stored column to its right and then
 bisects.  All three return the same interval of lexicographic ranks.
 """
@@ -13,14 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .collection import StringCollection
 from .errors import (
     NoStoredColumnAtOrBelowError,
     PatternOverrunError,
     PermutationNotStoredError,
 )
-from .pbwt import EMPTY, Interval, PbwtMatrix, backward_step, build_pbwt
+from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
 from .permutations import build_permutations, rebuild_column
 
 STRATEGIES = ("binary", "backward", "rebuild")
@@ -100,13 +99,13 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
     return PositionalIndex(collection=collection, matrix=matrix, policy=policy, stored_perms=stored)
 
 
-def _check_query(index: PositionalIndex, pattern: str, k: int):
+def _check_query(index: PositionalIndex, pattern: str, k: int) -> list[int]:
+    """The pattern's symbol ranks, once ``k`` and every character are checked."""
     if k < 0 or k + len(pattern) > index.length:
         raise PatternOverrunError(
             f"pattern of length {len(pattern)} at position {k} overruns strings of length {index.length}"
         )
-    for c in pattern:
-        index.collection.alphabet.rank(c)
+    return [index.collection.alphabet.rank(c) for c in pattern]
 
 
 def _bisect_interval(index: PositionalIndex, perm: np.ndarray, pattern: str, k: int) -> Interval:
@@ -151,13 +150,20 @@ def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
 
 
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
-    """Interval per column from ``k+m`` down to ``k``, starting from the full interval."""
-    _check_query(index, pattern, k)
-    interval = Interval(0, index.n - 1)
-    trace = [(k + len(pattern), interval)]
-    for t in range(len(pattern) - 1, -1, -1):
-        interval = backward_step(index.matrix, k + t, interval, pattern[t])
-        trace.append((k + t, interval))
+    """Interval per column from ``k+m`` down to ``k``, starting from the full interval.
+
+    :func:`~pbwtidx.pbwt.backward_step` per character, on plain ints; an
+    empty interval stays empty to the last column.
+    """
+    ranks = _check_query(index, pattern, k)
+    step = index.matrix.lf_rank.step
+    f, l = 0, index.n - 1
+    trace = [(k + len(ranks), Interval(f, l))]
+    for j in range(k + len(ranks) - 1, k - 1, -1):
+        if f <= l:
+            a = ranks[j - k]
+            f, l = step(j, a, f), step(j, a, l + 1) - 1
+        trace.append((j, Interval(f, l)))
     return trace
 
 
@@ -200,8 +206,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
     if not below:
         return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
     h = max(below)
-    rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
-    rows = _kernels.locate_walk(rows, k, h, index.matrix.cols, index.matrix.c_arrays, index.matrix.occ)
+    rows = index.matrix.lf_rank.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
     return index.stored_perms[h][rows].tolist()
 
 

@@ -221,6 +221,39 @@ def test_build_substring_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == DEMO_BWT
 
 
+def test_build_substring_text_file_and_deprecated_text_path(tmp_path, capsys):
+    text_file = tmp_path / "text.txt"
+    text_file.write_text(DEMO_TEXT + "\n")
+    outputs = {}
+    for flag in ("--text-file", "--text"):
+        out = str(tmp_path / f"{flag}.idx")
+        assert main(["build", "--mode", "substring", flag, str(text_file),
+                     "--sa-stride", "5", "--output", out]) == 0
+        captured = capsys.readouterr()
+        outputs[flag] = (captured.out, Path(out).read_bytes())
+        # the notice goes to stderr only, so stdout stays what it was
+        assert ("use --text-file" in captured.err) == (flag == "--text")
+    assert outputs["--text-file"] == outputs["--text"]
+    assert main(["dump", "bwt", "--index", str(tmp_path / "--text-file.idx")]) == 0
+    assert capsys.readouterr().out.strip() == DEMO_BWT
+
+
+def test_build_substring_text_flags(tmp_path, capsys):
+    out = str(tmp_path / "x.idx")
+    assert main(["build", "--mode", "substring", "--output", out]) == 2
+    assert "needs --text or --text-file" in capsys.readouterr().err
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"GAT\xffA")
+    assert main(["build", "--mode", "substring", "--text-file", str(binary), "--output", out]) == 2
+    assert "not ASCII text" in capsys.readouterr().err
+    assert main(["build", "--mode", "substring", "--text-file", str(tmp_path / "nope.txt"),
+                 "--output", out]) == 1
+    with pytest.raises(SystemExit) as exited:
+        main(["build", "--mode", "substring", "--text", "GATA", "--text-file", str(binary),
+              "--output", out])
+    assert exited.value.code == 2
+
+
 def test_custom_alphabet(tmp_path, capsys):
     coll = tmp_path / "bin.txt"
     coll.write_text("0110\n1001\n0000\n")

@@ -127,6 +127,13 @@ BWT = HEADER + 8
     pytest.param(_sealed(SUBSTRING[:-4] + b"\x00"), "1 trailing bytes", id="substring-trailing"),
     pytest.param(_sealed(SUBSTRING[:HEADER] + struct.pack("<II", 0, 5) + b"\x00"), "non-empty text",
                  id="substring-empty"),
+    # row counts the int32 LF mapping cannot hold, refused before the section is read
+    pytest.param(_patched(POSITIONAL, HEADER, struct.pack("<I", 2**31)), "2147483648 rows do not fit",
+                 id="positional-n-2**31"),
+    pytest.param(_patched(SUBSTRING, HEADER, struct.pack("<I", 2**31)), "2147483649 rows do not fit",
+                 id="substring-n-2**31"),
+    pytest.param(_patched(SUBSTRING, HEADER, struct.pack("<I", 2**31 - 1)), "2147483648 rows do not fit",
+                 id="substring-n-2**31-1"),
     pytest.param(b"PBWTIDX1" + POSITIONAL[8:], "PBWTIDX1.*rebuild", id="version-1"),
     pytest.param(b"PBWTIDX2" + POSITIONAL[8:], "PBWTIDX2.*rebuild", id="version-2"),
     # a valid edit (another PBWT column order) that was not resealed

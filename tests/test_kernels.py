@@ -35,41 +35,6 @@ def test_radix_sweep_impls_agree():
         assert np.array_equal(a, b)
 
 
-def test_occ_tables_impls_agree():
-    rng = random.Random(2)
-    for _ in range(30):
-        codes, sigma = _random_case(rng)
-        cols = np.ascontiguousarray(codes.T)
-        a = _kernels.occ_tables_loops(cols, sigma)
-        b = _kernels.occ_tables_numpy(cols, sigma)
-        assert np.array_equal(a, b)
-
-
-def test_locate_walk_impls_agree():
-    rng = random.Random(3)
-    for _ in range(30):
-        codes, sigma = _random_case(rng)
-        n, width = codes.shape
-        seed = np.arange(n, dtype=np.int32)
-        table = _kernels.radix_sweep_numpy(codes, seed, sigma)
-        cols = codes[table[1:], np.arange(width, dtype=np.intp)[:, None]]
-        cols = np.ascontiguousarray(cols, dtype=np.uint8)
-        occ = _kernels.occ_tables_numpy(cols, sigma)
-        c_arrays = np.zeros((width, sigma), np.int64)
-        for j in range(width):
-            freq = np.bincount(codes[:, j], minlength=sigma)
-            c_arrays[j, 1:] = np.cumsum(freq[:-1])
-        k = rng.randint(0, width)
-        h = rng.randint(0, k)
-        rows = np.arange(n, dtype=np.int64)
-        a = _kernels.locate_walk_loops(rows.copy(), k, h, cols, c_arrays, occ)
-        b = _kernels.locate_walk_numpy(rows.copy(), k, h, cols, c_arrays, occ)
-        assert np.array_equal(a, b)
-        # the walk composed with the stored permutations is the identity map
-        # back to original string indexes
-        assert np.array_equal(table[h][a], table[k][rows])
-
-
 def test_lf_walk_reaches_the_oracle_positions():
     rng = random.Random(5)
     for _ in range(30):
@@ -93,11 +58,6 @@ def test_compiled_kernels_match_numpy_when_active():
         assert np.array_equal(
             _kernels.compiled_impls["radix_sweep"](codes, seed, sigma),
             _kernels.radix_sweep_numpy(codes, seed, sigma),
-        )
-        cols = np.ascontiguousarray(codes.T)
-        assert np.array_equal(
-            _kernels.compiled_impls["occ_tables"](cols, sigma),
-            _kernels.occ_tables_numpy(cols, sigma),
         )
 
 

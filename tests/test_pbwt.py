@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 import pbwtidx as px
-from pbwtidx import _kernels
-from pbwtidx.errors import IndexOutOfRangeError, UnknownCharacterError
-from pbwtidx.pbwt import EMPTY, Interval, RankTable, invert_pbwt
+from pbwtidx.errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError, UnknownCharacterError
+from pbwtidx.pbwt import BLOCK, EMPTY, Interval, LfRank, RankTable, invert_pbwt
 
 from conftest import PBWT_MATRIX, random_collection
 
@@ -47,7 +46,7 @@ def test_column_content_property():
 
 def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
     keep = list(range(fig1.length + 1))
-    codes, perms = invert_pbwt(fig1_matrix.cols, keep)
+    codes, perms = invert_pbwt(fig1_matrix, keep)
     assert np.array_equal(codes, fig1.codes)
     assert list(perms) == keep
     for j in keep:
@@ -64,10 +63,11 @@ def test_every_column_matrix_inverts_to_its_collection():
     for n, length, sigma in shapes:
         random_cols = rng.integers(0, sigma, (length, n), dtype=np.uint8)
         equal_cols = np.repeat(rng.integers(0, sigma, (length, 1), dtype=np.uint8), n, axis=1)
+        alphabet = px.Alphabet("ACGT"[:sigma])
         for cols in (random_cols, equal_cols):
             keep = list(range(length + 1))
-            codes, perms = invert_pbwt(cols, keep)
-            collection = px.StringCollection(alphabet=px.Alphabet("ACGT"[:sigma]), codes=codes)
+            codes, perms = invert_pbwt(px.PbwtMatrix(cols=cols, alphabet=alphabet), keep)
+            collection = px.StringCollection(alphabet=alphabet, codes=codes)
             index = px.build_index(collection, px.StoragePolicy.full())
             assert np.array_equal(index.matrix.cols, cols)
             for j in keep:
@@ -76,11 +76,11 @@ def test_every_column_matrix_inverts_to_its_collection():
 
 def test_rank_query_examples(fig1_matrix, alphabet):
     col4 = fig1_matrix.ranks[4]
-    assert px.rank_query(col4, alphabet.rank("G"), 5) == 3
+    assert col4.rank(alphabet.rank("G"), 5) == 3
     for a in range(alphabet.sigma):
-        assert px.rank_query(col4, a, 0) == 0
+        assert col4.rank(a, 0) == 0
     col5 = fig1_matrix.ranks[5]
-    assert px.rank_query(col5, alphabet.rank("A"), 8) == 5
+    assert col5.rank(alphabet.rank("A"), 8) == 5
 
 
 def test_rank_query_bounds(fig1_matrix):
@@ -99,10 +99,80 @@ def test_rank_scan_equivalence():
         sigma = rng.randint(2, 4)
         n = rng.randint(1, 200)
         codes = [rng.randrange(sigma) for _ in range(n)]
-        table = RankTable(_kernels.occ_tables(np.array([codes], dtype=np.uint8), sigma)[0])
+        table = RankTable(LfRank(np.array([codes], dtype=np.uint8), sigma), 0)
         for a in range(sigma):
             for i in range(n + 1):
                 assert table.rank(a, i) == codes[:i].count(a)
+
+
+def _lf_rank_cases():
+    """(cols, sigma) pairs: the edge shapes, then shapes around the 64-row blocks."""
+    rng = np.random.default_rng(66)
+    cases = [(np.zeros((1, 1), np.uint8), 1)]
+    for n in (63, 64, 65, 127, 128, 129):
+        rows = np.arange(n)
+        cases += [
+            (rng.integers(0, 4, (3, n), dtype=np.uint8), 4),
+            (np.full((2, n), 2, np.uint8), 4),  # all-equal, with symbols absent
+            (np.stack([rows % 2, rows % 3, rows // 7 % 4]).astype(np.uint8), 4),  # periodic
+        ]
+    # the substring index's columns: sentinel 0 plus sigma symbols
+    for text in ("G", "ACGT" * 16, "A" * 64, "GATTACA" * 9, "TTAG" * 32 + "C"):
+        index = px.fm_build(px.SentinelText(text, px.Alphabet()))
+        cases.append((index.lf_rank.cols, index.alphabet.sigma + 1))
+    return cases
+
+
+def test_lf_rank_matches_brute_force():
+    for cols, sigma in _lf_rank_cases():
+        width, n = cols.shape
+        lf_rank = LfRank(cols, sigma)
+        assert lf_rank.lf.dtype == lf_rank.base.dtype == np.int32
+        assert lf_rank.base.shape == (width, sigma, n // BLOCK + 2)
+        for j, column in enumerate(cols.tolist()):
+            # occ[a][i] = #a among the first i characters, counted one row at a time
+            occ = [[0] * (n + 1) for _ in range(sigma)]
+            for i, c in enumerate(column):
+                for a in range(sigma):
+                    occ[a][i + 1] = occ[a][i] + (c == a)
+            c_array = [sum(occ[b][n] for b in range(a)) for a in range(sigma)]
+            assert lf_rank.lf[j].tolist() == [c_array[c] + occ[c][r] for r, c in enumerate(column)]
+            assert sorted(lf_rank.lf[j].tolist()) == list(range(n))
+            for a in range(sigma):
+                checkpoints = [c_array[a] + occ[a][min(b * BLOCK, n)] for b in range(n // BLOCK + 2)]
+                assert lf_rank.base[j, a].tolist() == checkpoints
+                assert [lf_rank.step(j, a, i) for i in range(n + 1)] == [c_array[a] + x for x in occ[a]]
+                table = RankTable(lf_rank, j)
+                assert [table.rank(a, i) for i in range(n + 1)] == occ[a]
+
+
+def test_lf_rank_walk_composed_with_perms_is_identity():
+    """Walking rows from column k to column h through the LF mapping, then
+    reading pi_h, gives the strings pi_k names for those rows."""
+    rng = random.Random(3)
+    for _ in range(30):
+        col = random_collection(rng, max_n=24, max_len=16)
+        perms = px.build_permutations(col)
+        matrix = px.build_pbwt(col, perms)
+        k = rng.randint(0, col.length)
+        h = rng.randint(0, k)
+        rows = np.arange(col.n, dtype=np.int32)
+        walked = matrix.lf_rank.walk(rows, k, h)
+        assert np.array_equal(perms.column(h)[walked], perms.column(k)[rows])
+
+
+def test_lf_rank_refuses_codes_outside_the_alphabet():
+    with pytest.raises(RankOutOfRangeError, match="rank code 5, not below 4"):
+        px.PbwtMatrix(cols=np.array([[0, 5, 1, 0]], np.uint8), alphabet=px.Alphabet())
+
+
+def test_row_counts_beyond_int32_are_refused():
+    # a zero-stride view: 2**31 rows without allocating them
+    wide = np.broadcast_to(np.uint8(0), (1, 2**31))
+    with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
+        px.PbwtMatrix(cols=wide, alphabet=px.Alphabet())
+    with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
+        px.FmIndex(px.Alphabet(), wide[0])
 
 
 def test_interval_normalization():
@@ -129,6 +199,8 @@ def test_backward_step_errors(fig1_matrix):
         px.backward_step(fig1_matrix, 3, Interval(0, 7), "N")
     with pytest.raises(IndexOutOfRangeError):
         px.backward_step(fig1_matrix, 8, Interval(0, 7), "A")
+    with pytest.raises(IndexOutOfRangeError):
+        px.backward_step(fig1_matrix, 3, Interval(0, 8), "A")
 
 
 def _binary_interval(col, perms, pattern, k):
