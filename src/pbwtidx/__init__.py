@@ -9,7 +9,6 @@ from .collection import StringCollection, from_strings, parse_collection, serial
 from .fm import (
     FmIndex,
     SentinelText,
-    bwt_build,
     fm_build,
     fm_count,
     fm_locate,
@@ -19,7 +18,7 @@ from .fm import (
 from .indexfile import from_bytes, load_index, save_index, to_bytes
 from .oracle import naive_positional, naive_sorted_rotations, naive_substring
 from .pbwt import EMPTY, Interval, PbwtMatrix, RankTable, backward_step, build_pbwt
-from .permutations import ColumnCounts, PermutationTable, build_permutations, column_counts
+from .permutations import build_permutations
 from .positional import (
     PositionalIndex,
     StoragePolicy,
@@ -36,12 +35,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "ColumnCounts",
     "EMPTY",
     "FmIndex",
     "Interval",
     "PbwtMatrix",
-    "PermutationTable",
     "PositionalIndex",
     "RankTable",
     "SentinelText",
@@ -53,8 +50,6 @@ __all__ = [
     "build_index",
     "build_pbwt",
     "build_permutations",
-    "bwt_build",
-    "column_counts",
     "default_stride",
     "errors",
     "fm_build",

@@ -7,15 +7,15 @@ environment variable:
 * ``numba``: require numba; raise if it cannot be imported.
 * ``numpy``: force the pure-numpy fallbacks.
 
-Both implementations of every kernel stay importable (``*_loops`` for the
-numba-compilable loop form, ``*_numpy`` for the vectorized form) so the
-agreement tests can compare them directly.
-
-The kernels are the radix sweep that builds the permutations and the LF walk
-that locates substring hits.  The rank structure and the positional locate
-walk (``LfRank`` in :mod:`pbwtidx.pbwt`) are whole-column numpy operations,
-one argsort and one bincount per column built and one gather per column
-walked, and have no loop form.
+The backend-selected kernels are ``radix_sweep``, the right-to-left radix
+sort that builds the permutations, and ``lf_walk``, the LF walk that locates
+substring hits.  Each is written as a loop (``*_loops``), which numba
+compiles.  The radix sweep also has a vectorized ``radix_sweep_numpy`` for the
+numpy backend, and the agreement tests compare the two forms; the LF walk runs
+its loop uncompiled there.  The rank structure and the positional locate walk
+(``LfRank`` in :mod:`pbwtidx.pbwt`) are whole-column numpy operations, one
+argsort and one bincount per column built and one gather per column walked,
+and have no loop form.
 
 Conventions: string/rotation matrices are (n, L) uint8 rank codes,
 permutations and LF mappings are int32, text positions are int64.
@@ -88,15 +88,6 @@ def lf_walk_loops(rows, lf, sampled_pos):
     return pos, steps
 
 
-# The LF walk is a data-dependent chase, so the numpy backend runs the loop
-# uncompiled.  A lockstep form (one numpy gather per step over every row still
-# unsampled) lowered the p99 of locate_with_steps on the substring benchmark's
-# queries from 311 to 147 us, but raised the median from 16 to 76 us and the
-# mean from 73 to 83 us: 74% of those queries have one to eight hits, whose few
-# scalar steps cost less than numpy's per-call overhead.
-lf_walk_numpy = lf_walk_loops
-
-
 def _pick_backend():
     choice = os.environ.get("PBWTIDX_BACKEND", "auto").strip().lower()
     if choice not in ("auto", "numba", "numpy"):
@@ -118,14 +109,16 @@ if BACKEND == "numba":
     _jit = _numba.njit(cache=True)
     radix_sweep = _jit(radix_sweep_loops)
     lf_walk = _jit(lf_walk_loops)
-    compiled_impls = {
-        "radix_sweep": radix_sweep,
-        "lf_walk": lf_walk,
-    }
 else:
     radix_sweep = radix_sweep_numpy
-    lf_walk = lf_walk_numpy
-    compiled_impls = None
+    # The LF walk is a data-dependent chase, so the numpy backend runs the
+    # loop uncompiled.  A lockstep form (one numpy gather per step over every
+    # row still unsampled) lowered the p99 of locate_with_steps on the
+    # substring benchmark's queries from 311 to 147 us, but raised the median
+    # from 16 to 76 us and the mean from 73 to 83 us: 74% of those queries
+    # have one to eight hits, whose few scalar steps cost less than numpy's
+    # per-call overhead.
+    lf_walk = lf_walk_loops
 
 
 def warmup():

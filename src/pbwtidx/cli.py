@@ -71,10 +71,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str:
+def _read_input(path: str) -> str | bytes:
+    """The collection text: stdin as text, a file as bytes, which :func:`parse_collection` decodes as ASCII."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         return fh.read()
 
 
@@ -93,6 +94,14 @@ def cmd_build(args) -> int:
         alphabet = Alphabet(symbols=args.alphabet)
     except ValueError as exc:
         raise PbwtIndexError(f"invalid --alphabet {args.alphabet!r}: {exc}") from None
+    # each mode refuses the flags that only the other mode reads
+    foreign = {
+        "positional": {"--text": args.text, "--text-file": args.text_file, "--sa-stride": args.sa_stride},
+        "substring": {"--input": args.input, "--stride": args.stride},
+    }
+    for flag, value in foreign[args.mode].items():
+        if value is not None:
+            raise PbwtIndexError(f"{flag} does not apply to {args.mode} mode")
     for flag, value in (("--stride", args.stride), ("--sa-stride", args.sa_stride)):
         if value is not None and not 1 <= value <= U32_MAX:
             raise PbwtIndexError(f"{flag} must be between 1 and {U32_MAX}, not {value}")

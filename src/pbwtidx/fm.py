@@ -57,8 +57,8 @@ def _ext_encode(st: SentinelText) -> np.ndarray:
     return np.concatenate([codes, np.zeros(1, np.uint8)])
 
 
-def _rotation_order(st: SentinelText) -> np.ndarray:
-    """Start positions of the cyclic shifts of the terminated text, in lexicographic order, as an array.
+def sorted_rotations(st: SentinelText) -> np.ndarray:
+    """Start positions of the cyclic shifts of the terminated text, in lexicographic order.
 
     Prefix doubling over integer ranks (Manber & Myers 1993): each round sorts
     the shifts by the pair (rank of the first k symbols, rank of the next k)
@@ -86,18 +86,6 @@ def _rotation_order(st: SentinelText) -> np.ndarray:
         shift *= 2
 
 
-def sorted_rotations(st: SentinelText) -> list[int]:
-    """:func:`_rotation_order` as a list of ints."""
-    return _rotation_order(st).tolist()
-
-
-def bwt_build(st: SentinelText) -> str:
-    """The character cyclically preceding each sorted shift, read top to bottom."""
-    term = st.terminated
-    size = len(term)
-    return "".join(term[(p - 1) % size] for p in sorted_rotations(st))
-
-
 def verify_column_collapse(st: SentinelText) -> bool:
     """Check that every column of the cyclic-shift PBWT equals the BWT.
 
@@ -114,7 +102,7 @@ def verify_column_collapse(st: SentinelText) -> bool:
     first = _kernels.radix_sweep(rot, np.arange(size, dtype=np.int32), sigma)
     second = _kernels.radix_sweep(rot, first[0], sigma)
     cols = rot[second[1:], np.arange(size, dtype=np.intp)[:, None]]
-    expected = ext[(_rotation_order(st) - 1) % size]
+    expected = ext[(sorted_rotations(st) - 1) % size]
     return bool(np.all(cols == expected[None, :]))
 
 
@@ -196,7 +184,7 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     if stride < 1:
         raise ValueError("stride must be >= 1")
     ext = _ext_encode(st)
-    return FmIndex(st.alphabet, ext[(_rotation_order(st) - 1) % ext.shape[0]], stride)
+    return FmIndex(st.alphabet, ext[(sorted_rotations(st) - 1) % ext.shape[0]], stride)
 
 
 def lf_step(index: FmIndex, row: int) -> int:

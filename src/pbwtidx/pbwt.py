@@ -20,7 +20,6 @@ import numpy as np
 from .alphabet import Alphabet
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError
-from .permutations import PermutationTable
 
 
 @dataclass(frozen=True)
@@ -170,9 +169,9 @@ class PbwtMatrix:
         return self.alphabet.decode(self.cols[j])
 
 
-def build_pbwt(collection: StringCollection, perms: PermutationTable) -> PbwtMatrix:
-    """Materialize the PBWT of a collection from its permutation table."""
-    cols = collection.codes[perms.table[1:], np.arange(collection.length, dtype=np.intp)[:, None]]
+def build_pbwt(collection: StringCollection, perms: np.ndarray) -> PbwtMatrix:
+    """Materialize the PBWT of a collection from its (length+1, n) permutations, row ``j`` pi_j."""
+    cols = collection.codes[perms[1:], np.arange(collection.length, dtype=np.intp)[:, None]]
     return PbwtMatrix(cols=cols, alphabet=collection.alphabet)
 
 

@@ -95,7 +95,7 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
     perms = build_permutations(collection)
     matrix = build_pbwt(collection, perms)
     keep = policy.stored_columns(collection.length)
-    stored = {j: perms.table[j].copy() for j in keep}
+    stored = {j: perms[j].copy() for j in keep}
     return PositionalIndex(collection=collection, matrix=matrix, policy=policy, stored_perms=stored)
 
 

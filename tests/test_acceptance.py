@@ -240,7 +240,7 @@ def test_criterion_9_structural_invariants(tmp_path):
         col = _random_collection(rng)
         perms = px.build_permutations(col)
         for j in range(col.length + 1):
-            column = perms.column(j).tolist()
+            column = perms[j].tolist()
             assert sorted(column) == list(range(col.n))
             suffixes = [col.strings[i][j:] for i in column]
             assert suffixes == sorted(suffixes)

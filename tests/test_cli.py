@@ -89,6 +89,32 @@ def test_build_rejects_bad_stride_or_alphabet(mode, option, value, message, fig1
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mode, option, value", [
+    pytest.param("positional", "--text", "GATTACA", id="positional-text"),
+    pytest.param("positional", "--text-file", "text.txt", id="positional-text-file"),
+    pytest.param("positional", "--sa-stride", "3", id="positional-sa-stride"),
+    pytest.param("substring", "--input", "fig1.txt", id="substring-input"),
+    pytest.param("substring", "--stride", "3", id="substring-stride"),
+])
+def test_build_rejects_flags_of_the_other_mode(mode, option, value, fig1_file, tmp_path, capsys):
+    out = tmp_path / "x.idx"
+    source = ["--input", fig1_file] if mode == "positional" else ["--text", DEMO_TEXT]
+    code = main(["build", "--mode", mode, *source, option, value, "--output", str(out)])
+    assert code == 2
+    assert f"{option} does not apply to {mode} mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_non_ascii_input_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"GAT\xc3\xa9\nACGT\n")
+    out = tmp_path / "x.idx"
+    code = main(["build", "--mode", "positional", "--input", str(bad), "--output", str(out)])
+    assert code == 2
+    assert "not ASCII text" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dump_pi_golden(fig1_idx, capsys):
     assert main(["dump", "pi", "--index", fig1_idx]) == 0
     got = capsys.readouterr().out.splitlines()

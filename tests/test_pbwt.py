@@ -23,7 +23,7 @@ def test_fig4_named_columns(fig1_matrix):
 
 def test_defining_identity(fig1, fig1_perms, fig1_matrix):
     for j in range(fig1.length):
-        pi_next = fig1_perms.column(j + 1)
+        pi_next = fig1_perms[j + 1]
         expected = "".join(fig1.strings[int(pi_next[i])][j] for i in range(fig1.n))
         assert fig1_matrix.column_string(j) == expected
 
@@ -50,7 +50,7 @@ def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
     assert np.array_equal(codes, fig1.codes)
     assert list(perms) == keep
     for j in keep:
-        assert np.array_equal(perms[j], fig1_perms.column(j))
+        assert np.array_equal(perms[j], fig1_perms[j])
 
 
 def test_every_column_matrix_inverts_to_its_collection():
@@ -158,7 +158,7 @@ def test_lf_rank_walk_composed_with_perms_is_identity():
         h = rng.randint(0, k)
         rows = np.arange(col.n, dtype=np.int32)
         walked = matrix.lf_rank.walk(rows, k, h)
-        assert np.array_equal(perms.column(h)[walked], perms.column(k)[rows])
+        assert np.array_equal(perms[h][walked], perms[k][rows])
 
 
 def test_lf_rank_refuses_codes_outside_the_alphabet():
@@ -207,7 +207,7 @@ def _binary_interval(col, perms, pattern, k):
     """Independent check: bisect over suffixes sorted by pi_k."""
     import bisect
 
-    order = perms.column(k)
+    order = perms[k]
     m = len(pattern)
     keys = [col.strings[int(i)][k : k + m] for i in order]
     lo = bisect.bisect_left(keys, pattern)

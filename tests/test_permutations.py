@@ -1,58 +1,47 @@
 import random
 
 import numpy as np
-import pytest
-
 import pbwtidx as px
-from pbwtidx.errors import IndexOutOfRangeError
 
 from conftest import PI_MATRIX, random_collection
 
 
 def test_fig1_matrix(fig1_perms):
+    assert fig1_perms.dtype == np.int32 and fig1_perms.shape == (9, 8)
     for i in range(8):
         for j in range(8):
-            assert int(fig1_perms.table[j][i]) == PI_MATRIX[i][j]
+            assert int(fig1_perms[j][i]) == PI_MATRIX[i][j]
 
 
 def test_fig1_pi5(fig1_perms):
-    assert fig1_perms.column(5).tolist() == [3, 7, 5, 1, 4, 0, 2, 6]
+    assert fig1_perms[5].tolist() == [3, 7, 5, 1, 4, 0, 2, 6]
 
 
 def test_last_column_is_identity(fig1_perms):
-    assert fig1_perms.column(8).tolist() == list(range(8))
+    assert fig1_perms[8].tolist() == list(range(8))
 
 
 def test_single_string(alphabet):
     col = px.from_strings(["A"], alphabet)
     perms = px.build_permutations(col)
-    assert perms.column(0).tolist() == [0]
-    assert perms.column(1).tolist() == [0]
+    assert perms[0].tolist() == [0]
+    assert perms[1].tolist() == [0]
 
 
-def test_column_out_of_range(fig1_perms):
-    with pytest.raises(IndexOutOfRangeError):
-        fig1_perms.column(9)
-
-
-def test_column_counts_fig1(fig1):
-    # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T
-    counts = px.column_counts(fig1, 4)
-    assert counts.freq.tolist() == [2, 1, 3, 2]
-    assert counts.c_array.tolist() == [0, 2, 3, 6]
-    assert px.column_counts(fig1, 2).c_array[fig1.alphabet.rank("T")] == 4
+def test_column_counts_fig1(fig1, fig1_matrix):
+    # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T; the C-arrays are
+    # the first checkpoint of LfRank.base and the column totals its last
+    base = fig1_matrix.lf_rank.base
+    assert (base[4, :, -1] - base[4, :, 0]).tolist() == [2, 1, 3, 2]
+    assert base[4, :, 0].tolist() == [0, 2, 3, 6]
+    assert base[2, fig1.alphabet.rank("T"), 0] == 4
 
 
 def test_column_counts_unary(alphabet):
     col = px.from_strings(["AAAA"] * 6, alphabet)
-    counts = px.column_counts(col, 2)
-    assert counts.c_array.tolist() == [0, 6, 6, 6]
-    assert counts.freq.tolist() == [6, 0, 0, 0]
-
-
-def test_column_counts_out_of_range(fig1):
-    with pytest.raises(IndexOutOfRangeError):
-        px.column_counts(fig1, 8)
+    base = px.build_pbwt(col, px.build_permutations(col)).lf_rank.base
+    assert base[2, :, 0].tolist() == [0, 6, 6, 6]
+    assert (base[2, :, -1] - base[2, :, 0]).tolist() == [6, 0, 0, 0]
 
 
 def _comparison_sorted(col, j):
@@ -66,7 +55,7 @@ def test_matches_comparison_sort_oracle():
         col = random_collection(rng, max_n=32, max_len=32)
         perms = px.build_permutations(col)
         for j in range(col.length + 1):
-            assert perms.column(j).tolist() == _comparison_sorted(col, j)
+            assert perms[j].tolist() == _comparison_sorted(col, j)
 
 
 def test_permutation_and_sortedness_properties():
@@ -75,7 +64,7 @@ def test_permutation_and_sortedness_properties():
         col = random_collection(rng)
         perms = px.build_permutations(col)
         for j in range(col.length + 1):
-            column = perms.column(j)
+            column = perms[j]
             assert sorted(column.tolist()) == list(range(col.n))
             suffixes = [px.suffix(col, int(i), j) for i in column]
             assert suffixes == sorted(suffixes)
@@ -87,7 +76,7 @@ def test_permutation_and_sortedness_properties():
 
 def test_fig3_tie_break(fig1_perms):
     # equal suffixes ATA (strings 1, 4) and CAT (0, 2, 6) keep ascending order in pi_5
-    column = fig1_perms.column(5).tolist()
+    column = fig1_perms[5].tolist()
     assert [x for x in column if x in (1, 4)] == [1, 4]
     assert [x for x in column if x in (0, 2, 6)] == [0, 2, 6]
 
@@ -130,6 +119,6 @@ def test_rebuild_column_matches_full_table():
         perms = px.build_permutations(col)
         for j_start in range(col.length + 1):
             for j_target in range(j_start + 1):
-                got = rebuild_column(col, perms.column(j_start), j_start, j_target)
+                got = rebuild_column(col, perms[j_start], j_start, j_target)
                 assert got.dtype == np.int32
-                assert np.array_equal(got, perms.column(j_target)), (col.n, col.length, j_start, j_target)
+                assert np.array_equal(got, perms[j_target]), (col.n, col.length, j_start, j_target)
