@@ -4,7 +4,7 @@ falls out of indexing its cyclic shifts."""
 
 from . import errors
 from ._kernels import BACKEND as kernel_backend
-from .alphabet import Alphabet, alph_char, alph_rank
+from .alphabet import Alphabet
 from .collection import StringCollection, from_strings, parse_collection, serialize_collection, suffix
 from .fm import (
     FmIndex,
@@ -12,16 +12,16 @@ from .fm import (
     fm_build,
     fm_count,
     fm_locate,
-    lf_step,
     verify_column_collapse,
 )
 from .indexfile import from_bytes, load_index, save_index, to_bytes
 from .oracle import naive_positional, naive_sorted_rotations, naive_substring
-from .pbwt import EMPTY, Interval, PbwtMatrix, RankTable, backward_step, build_pbwt
+from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
 from .permutations import build_permutations
 from .positional import (
     PositionalIndex,
     StoragePolicy,
+    backward_step,
     build_index,
     default_stride,
     locate,
@@ -40,12 +40,9 @@ __all__ = [
     "Interval",
     "PbwtMatrix",
     "PositionalIndex",
-    "RankTable",
     "SentinelText",
     "StoragePolicy",
     "StringCollection",
-    "alph_char",
-    "alph_rank",
     "backward_step",
     "build_index",
     "build_pbwt",
@@ -58,7 +55,6 @@ __all__ = [
     "from_bytes",
     "from_strings",
     "kernel_backend",
-    "lf_step",
     "load_index",
     "locate",
     "naive_positional",

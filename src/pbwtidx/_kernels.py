@@ -13,7 +13,7 @@ substring hits.  Each is written as a loop (``*_loops``), which numba
 compiles.  The radix sweep also has a vectorized ``radix_sweep_numpy`` for the
 numpy backend, and the agreement tests compare the two forms; the LF walk runs
 its loop uncompiled there.  The rank structure and the positional locate walk
-(``LfRank`` in :mod:`pbwtidx.pbwt`) are whole-column numpy operations, one
+(:class:`~pbwtidx.pbwt.PbwtMatrix`) are whole-column numpy operations, one
 argsort and one bincount per column built and one gather per column walked,
 and have no loop form.
 

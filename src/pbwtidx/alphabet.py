@@ -85,12 +85,3 @@ class Alphabet:
         """Turn a sequence (or matrix, row by row) of ranks back into one string."""
         return self._symbol_table[np.asarray(codes, dtype=np.intp)].tobytes().decode("latin-1")
 
-
-def alph_rank(alphabet: Alphabet, c: str) -> int:
-    """Rank of character ``c`` in the alphabet; strictly monotone in character order."""
-    return alphabet.rank(c)
-
-
-def alph_char(alphabet: Alphabet, a: int) -> str:
-    """Character with rank ``a``; inverse of :func:`alph_rank`."""
-    return alphabet.char(a)

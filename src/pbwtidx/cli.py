@@ -11,7 +11,7 @@ import sys
 from .alphabet import Alphabet
 from .collection import parse_collection
 from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError, UnknownCharacterError
-from .fm import FmIndex, SentinelText, fm_build, count_trace, lf_step, locate_with_steps
+from .fm import FmIndex, SentinelText, fm_build, count_trace, locate_with_steps
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
 from .positional import PositionalIndex, StoragePolicy, build_index, default_stride, query
@@ -123,7 +123,7 @@ def cmd_build(args) -> int:
         return 0
     if args.text_file is not None:
         text = _read_text(args.text_file)
-    elif args.text:
+    elif args.text is not None:
         text = args.text
         if os.path.exists(text):
             print(f"warning: reading the file {text!r} named by --text; use --text-file, "
@@ -215,13 +215,8 @@ def cmd_dump(args) -> int:
         if _color_enabled():
             # a BWT character sits on the sampling grid exactly when its
             # LF image is a sampled row, mirroring the highlighted figures
-            chars = []
-            for row, c in enumerate(index.bwt):
-                if index.sampled_pos[lf_step(index, row)] >= 0:
-                    chars.append(f"{_RED}{c}{_RESET}")
-                else:
-                    chars.append(c)
-            print("".join(chars))
+            sampled = (index.sampled_pos[index.matrix.lf[0]] >= 0).tolist()
+            print("".join(f"{_RED}{c}{_RESET}" if hit else c for c, hit in zip(index.bwt, sampled)))
         else:
             print(index.bwt)
         return 0
@@ -236,7 +231,7 @@ def cmd_dump(args) -> int:
             print("\t".join(str(int(index.stored_perms[j][i])) for j in range(index.length)))
         return 0
     # decode the matrix once; row i of the transpose is PBWT row i
-    rows = index.matrix.alphabet.decode(index.matrix.cols.T)
+    rows = index.collection.alphabet.decode(index.matrix.cols.T)
     for i in range(0, len(rows), index.length):
         print("\t".join(rows[i : i + index.length]))
     return 0

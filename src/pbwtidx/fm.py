@@ -10,10 +10,10 @@ one stride.
 Building and loading take O(n) memory and O(lg n) rounds of whole-array
 numpy operations: the shifts are sorted by prefix doubling over integer ranks
 (one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
-jumping (two O(n) gathers per round).  The BWT's rank structure is the
-PBWT's :class:`~pbwtidx.pbwt.LfRank` with one column: each backward-search
-step is two checkpoint lookups plus two short byte counts, and each locate
-step one read of the int32 LF mapping.
+jumping (two O(n) gathers per round).  The index holds the BWT as a
+one-column :class:`~pbwtidx.pbwt.PbwtMatrix`: each backward-search step is
+two checkpoint lookups plus two short byte counts, and each locate step one
+read of the int32 LF mapping.
 """
 
 from dataclasses import dataclass, field
@@ -22,8 +22,8 @@ import numpy as np
 
 from . import _kernels
 from .alphabet import Alphabet
-from .errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
-from .pbwt import EMPTY, Interval, LfRank
+from .errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
+from .pbwt import EMPTY, Interval, PbwtMatrix
 
 
 @dataclass(frozen=True)
@@ -111,29 +111,28 @@ class FmIndex:
     """The BWT as rank codes, with the text and everything else derived from it.
 
     ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
-    one, and becomes a read-only view of the one column ``lf_rank`` holds;
-    ``lf`` is that structure's LF mapping.  Pointer jumping over ``lf`` ranks
-    every row by its distance from row 0 (the rotation at text position n)
-    along the LF cycle, which is its text position; from those positions come
-    the text, the check that the codes are a BWT, and ``sampled_pos[r]``, the
-    text position of row ``r`` when it lies on the sampling grid and -1
-    otherwise.
+    one.  ``matrix`` holds it as a one-column PBWT over ``sigma + 1`` codes,
+    and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.
+    Pointer jumping over its LF mapping ``matrix.lf[0]`` ranks every row by
+    its distance from row 0 (the rotation at text position n) along the LF
+    cycle, which is its text position; from those positions come the text,
+    the check that the codes are a BWT, and ``sampled_pos[r]``, the text
+    position of row ``r`` when it lies on the sampling grid and -1 otherwise.
     """
 
     alphabet: Alphabet
     bwt_codes: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
     text: str = field(init=False)
-    lf_rank: LfRank = field(init=False, repr=False, compare=False)
-    lf: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rows = self.bwt_codes.shape[0]
         if rows < 2:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
-        lf_rank = LfRank(self.bwt_codes[None, :], self.alphabet.sigma + 1)
-        bwt, lf = lf_rank.cols[0], lf_rank.lf[0]
+        matrix = PbwtMatrix(self.bwt_codes[None, :], self.alphabet.sigma + 1)
+        bwt, lf = matrix.cols[0], matrix.lf[0]
         # list ranking: after round t, nxt[r] is 2**t LF steps on from r, or
         # row 0 if the walk met it first, and dist[r] counts the steps taken.
         # nxt is intp: numpy casts any other index array on every gather,
@@ -154,8 +153,7 @@ class FmIndex:
             raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
         object.__setattr__(self, "bwt_codes", bwt)
         object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
-        object.__setattr__(self, "lf_rank", lf_rank)
-        object.__setattr__(self, "lf", lf)
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "sampled_pos", np.where(pos % self.stride == 0, pos, -1))
 
     @property
@@ -172,12 +170,6 @@ class FmIndex:
         ext = (self.alphabet.sentinel + self.alphabet.symbols).encode("latin-1")
         return np.frombuffer(ext, np.uint8)[self.bwt_codes].tobytes().decode("latin-1")
 
-    @property
-    def sa_samples(self) -> dict[int, int]:
-        """Sampled rows mapped to their text positions."""
-        rows = np.flatnonzero(self.sampled_pos >= 0)
-        return dict(zip(rows.tolist(), self.sampled_pos[rows].tolist()))
-
 
 def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     """Index the text for substring search, sampling text positions p with p % stride == 0."""
@@ -185,13 +177,6 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
         raise ValueError("stride must be >= 1")
     ext = _ext_encode(st)
     return FmIndex(st.alphabet, ext[(sorted_rotations(st) - 1) % ext.shape[0]], stride)
-
-
-def lf_step(index: FmIndex, row: int) -> int:
-    """Row of the cyclic shift one position earlier in the text (the LF mapping)."""
-    if not 0 <= row < index.rows:
-        raise IndexOutOfRangeError(f"row {row} not in [0, {index.rows})")
-    return int(index.lf[row])
 
 
 def _ext_rank(index: FmIndex, c: str) -> int:
@@ -203,7 +188,7 @@ def _ext_rank(index: FmIndex, c: str) -> int:
 def count_trace(index: FmIndex, pattern: str) -> list[tuple[int, Interval]]:
     """Backward-search trace: (characters consumed, interval) per step, widest first."""
     ranks = [_ext_rank(index, c) for c in reversed(pattern)]
-    step = index.lf_rank.step
+    step = index.matrix.step
     f, l = 0, index.rows - 1
     trace = [(0, Interval(f, l))]
     for consumed, a in enumerate(ranks, start=1):
@@ -220,7 +205,7 @@ def fm_count(index: FmIndex, pattern: str) -> Interval:
     empty interval.
     """
     ranks = [_ext_rank(index, c) for c in reversed(pattern)]
-    step = index.lf_rank.step
+    step = index.matrix.step
     f, l = 0, index.rows - 1
     for a in ranks:
         f, l = step(0, a, f), step(0, a, l + 1) - 1
@@ -234,7 +219,7 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
     if interval.is_empty:
         return [], []
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
-    pos, steps = _kernels.lf_walk(rows, index.lf, index.sampled_pos)
+    pos, steps = _kernels.lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]
 
 

@@ -140,7 +140,7 @@ def _read_positional(r: _Reader, alphabet: Alphabet) -> PositionalIndex:
     if n == 0 or length == 0:
         raise PbwtIndexError(f"index file holds an empty collection ({n} strings of length {length})")
     check_rows(n)
-    matrix = PbwtMatrix(cols=r.codes((length, n), alphabet.sigma, "PBWT columns"), alphabet=alphabet)
+    matrix = PbwtMatrix(r.codes((length, n), alphabet.sigma, "PBWT columns"), alphabet.sigma)
     codes, stored = invert_pbwt(matrix, policy.stored_columns(length))
     return PositionalIndex(collection=StringCollection(alphabet=alphabet, codes=codes),
                            matrix=matrix, policy=policy, stored_perms=stored)

@@ -1,25 +1,23 @@
-"""The PBWT matrix, its LF mapping with rank checkpoints, and the backward step.
+"""The PBWT matrix with its LF mapping and rank checkpoints.
 
 Column ``j`` of the matrix lists the column-``j`` characters of the strings
 reordered by pi_{j+1}, i.e. by the lexicographic rank of the suffix that
 follows each character.  Row ``r`` of pi_{j+1} order moves to row
 ``C_j[a] + occ_j(a, r)`` of pi_j order, the BWT's LF mapping applied to one
-column, and :class:`LfRank` holds that mapping once for every column: an
+column, and :class:`PbwtMatrix` holds that mapping once for every column: an
 int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
 and int32 checkpoints every 64 rows for any other symbol (the backward step,
-two lookups per pattern character).  The substring index in :mod:`pbwtidx.fm`
-uses the same structure for its one column, the BWT.
+two lookups per pattern character).  The BWT is the PBWT of a text's cyclic
+shifts, whose columns are all equal, so the substring index in
+:mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`.
 """
 
-import operator
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import Alphabet
 from .collection import StringCollection
-from .errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError
+from .errors import PbwtIndexError, RankOutOfRangeError
 
 
 @dataclass(frozen=True)
@@ -51,13 +49,14 @@ MAX_ROWS = np.iinfo(np.int32).max
 
 
 def check_rows(rows: int):
-    """Reject a row count whose LF values would not fit the int32 arrays of :class:`LfRank`."""
+    """Reject a row count whose LF values would not fit the int32 arrays of :class:`PbwtMatrix`."""
     if rows > MAX_ROWS:
         raise PbwtIndexError(f"{rows} rows do not fit the int32 LF mapping (at most {MAX_ROWS})")
 
 
-class LfRank:
-    """The LF mapping of a (width, n) code matrix, with rank checkpoints every ``BLOCK`` rows.
+class PbwtMatrix:
+    """PBWT columns as a (width, n) rank-code matrix, with their LF mapping and
+    rank checkpoints every ``BLOCK`` rows; the BWT is a one-column matrix.
 
     Row ``r`` of column ``j`` maps, for a symbol ``a``, to ``C_j[a] + occ_j(a, r)``,
     where ``C_j[a]`` counts the column's symbols below ``a`` and ``occ_j(a, r)``
@@ -112,67 +111,10 @@ class LfRank:
         return rows
 
 
-class RankTable:
-    """occ(a, i) = occurrences of symbol rank ``a`` among the first ``i`` characters of one column.
-
-    An argument-checking view over column ``j`` of an :class:`LfRank`;
-    nothing is copied.
-    """
-
-    def __init__(self, lf_rank: LfRank, j: int):
-        if not 0 <= j < lf_rank.cols.shape[0]:
-            raise IndexOutOfRangeError(f"column {j} not in [0, {lf_rank.cols.shape[0]})")
-        self._lf_rank, self._j = lf_rank, j
-        self.sigma, self.n = lf_rank.sigma, lf_rank.n
-
-    def rank(self, a: int, i: int) -> int:
-        """Exact occurrence count of symbol ``a`` in the first ``i`` characters."""
-        a, i = operator.index(a), operator.index(i)
-        if not 0 <= a < self.sigma:
-            raise IndexOutOfRangeError(f"symbol rank {a} not in [0, {self.sigma})")
-        if not 0 <= i <= self.n:
-            raise IndexOutOfRangeError(f"prefix length {i} not in [0, {self.n}]")
-        return self._lf_rank.step(self._j, a, i) - self._lf_rank.base.item(self._j, a, 0)
-
-
-@dataclass(frozen=True)
-class PbwtMatrix:
-    """PBWT columns as a (length, n) rank-code matrix, with their :class:`LfRank`.
-
-    ``cols`` becomes a read-only view of the columns the ``lf_rank`` holds.
-    """
-
-    cols: np.ndarray = field(repr=False, compare=False)
-    alphabet: Alphabet = field(compare=False)
-    lf_rank: LfRank = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        lf_rank = LfRank(self.cols, self.alphabet.sigma)
-        object.__setattr__(self, "cols", lf_rank.cols)
-        object.__setattr__(self, "lf_rank", lf_rank)
-
-    @property
-    def length(self) -> int:
-        return self.cols.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.cols.shape[1]
-
-    @cached_property
-    def ranks(self) -> list[RankTable]:
-        return [RankTable(self.lf_rank, j) for j in range(self.length)]
-
-    def column_string(self, j: int) -> str:
-        if not 0 <= j < self.length:
-            raise IndexOutOfRangeError(f"column {j} not in [0, {self.length})")
-        return self.alphabet.decode(self.cols[j])
-
-
 def build_pbwt(collection: StringCollection, perms: np.ndarray) -> PbwtMatrix:
     """Materialize the PBWT of a collection from its (length+1, n) permutations, row ``j`` pi_j."""
     cols = collection.codes[perms[1:], np.arange(collection.length, dtype=np.intp)[:, None]]
-    return PbwtMatrix(cols=cols, alphabet=collection.alphabet)
+    return PbwtMatrix(cols, collection.alphabet.sigma)
 
 
 def invert_pbwt(matrix: PbwtMatrix, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -183,7 +125,7 @@ def invert_pbwt(matrix: PbwtMatrix, keep) -> tuple[np.ndarray, dict[int, np.ndar
     ``lf[j, r]`` of pi_j order, so one scatter per column turns pi_{j+1} into
     pi_j.  Any code matrix is the PBWT of its inverse.
     """
-    cols, lf = matrix.cols, matrix.lf_rank.lf
+    cols, lf = matrix.cols, matrix.lf
     length, n = cols.shape
     codes = np.empty((length, n), np.uint8)
     pi = np.arange(n, dtype=np.int32)
@@ -197,20 +139,3 @@ def invert_pbwt(matrix: PbwtMatrix, keep) -> tuple[np.ndarray, dict[int, np.ndar
             perms[j] = pi
     return codes.T, {j: perms[j] for j in keep}
 
-
-def backward_step(matrix: PbwtMatrix, j: int, interval: Interval, c: str) -> Interval:
-    """Extend the matched pattern one character to the left.
-
-    ``interval`` holds ranks in pi_{j+1} order; the result holds ranks in
-    pi_j order for patterns starting with ``c`` at column ``j``.  An empty
-    input is absorbing, so search loops can run unconditionally.
-    """
-    a = matrix.alphabet.rank(c)
-    if not 0 <= j < matrix.length:
-        raise IndexOutOfRangeError(f"column {j} not in [0, {matrix.length})")
-    if interval.is_empty:
-        return EMPTY
-    if interval.f < 0 or interval.l >= matrix.n:
-        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {matrix.n})")
-    step = matrix.lf_rank.step
-    return Interval(step(j, a, interval.f), step(j, a, interval.l + 1) - 1)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .collection import StringCollection
 from .errors import (
+    IndexOutOfRangeError,
     NoStoredColumnAtOrBelowError,
     PatternOverrunError,
     PermutationNotStoredError,
@@ -74,10 +75,13 @@ def default_stride(n: int) -> int:
 
 @dataclass(frozen=True)
 class PositionalIndex:
+    """A collection's PBWT and kept permutations; equality compares the
+    collection and the policy, from which the rest is derived."""
+
     collection: StringCollection
-    matrix: PbwtMatrix
+    matrix: PbwtMatrix = field(repr=False, compare=False)
     policy: StoragePolicy
-    stored_perms: dict[int, np.ndarray] = field(repr=False)
+    stored_perms: dict[int, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -149,14 +153,32 @@ def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
     return _bisect_interval(index, index.stored_perms[k], pattern, k)
 
 
+def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) -> Interval:
+    """Extend the matched pattern one character to the left.
+
+    ``interval`` holds ranks in pi_{j+1} order; the result holds ranks in
+    pi_j order for patterns starting with ``c`` at column ``j``.  An empty
+    input is absorbing, so search loops can run unconditionally.
+    """
+    a = index.collection.alphabet.rank(c)
+    if not 0 <= j < index.length:
+        raise IndexOutOfRangeError(f"column {j} not in [0, {index.length})")
+    if interval.is_empty:
+        return EMPTY
+    if interval.f < 0 or interval.l >= index.n:
+        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
+    step = index.matrix.step
+    return Interval(step(j, a, interval.f), step(j, a, interval.l + 1) - 1)
+
+
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
     """Interval per column from ``k+m`` down to ``k``, starting from the full interval.
 
-    :func:`~pbwtidx.pbwt.backward_step` per character, on plain ints; an
-    empty interval stays empty to the last column.
+    :func:`backward_step` per character, on plain ints; an empty interval
+    stays empty to the last column.
     """
     ranks = _check_query(index, pattern, k)
-    step = index.matrix.lf_rank.step
+    step = index.matrix.step
     f, l = 0, index.n - 1
     trace = [(k + len(ranks), Interval(f, l))]
     for j in range(k + len(ranks) - 1, k - 1, -1):
@@ -206,7 +228,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
     if not below:
         return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
     h = max(below)
-    rows = index.matrix.lf_rank.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
+    rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
     return index.stored_perms[h][rows].tolist()
 
 

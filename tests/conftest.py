@@ -2,6 +2,7 @@ import os
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pbwtidx as px
@@ -67,6 +68,11 @@ def fig1_matrix(fig1, fig1_perms):
 
 
 @pytest.fixture(scope="session")
+def full_index(fig1):
+    return px.build_index(fig1, px.StoragePolicy.full())
+
+
+@pytest.fixture(scope="session")
 def demo_fm(alphabet):
     return px.fm_build(px.SentinelText(DEMO_TEXT, alphabet), 5)
 
@@ -96,6 +102,17 @@ def all_patterns(symbols: str, max_len: int):
         frontier = [p + c for p in frontier for c in symbols]
         out.extend(frontier)
     return out
+
+
+def occ(matrix: px.PbwtMatrix, j: int, a: int, i: int) -> int:
+    """Occurrences of rank code ``a`` among the first ``i`` rows of column ``j``."""
+    return matrix.step(j, a, i) - int(matrix.base[j, a, 0])
+
+
+def sa_samples(index: px.FmIndex) -> dict[int, int]:
+    """Sampled BWT rows mapped to their text positions."""
+    rows = np.flatnonzero(index.sampled_pos >= 0)
+    return dict(zip(rows.tolist(), index.sampled_pos[rows].tolist()))
 
 
 def child_env(**extra):

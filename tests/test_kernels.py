@@ -43,7 +43,7 @@ def test_lf_walk_reaches_the_oracle_positions():
         for stride in range(1, 6):
             index = px.fm_build(st, stride)
             rows = np.arange(index.rows, dtype=np.int64)
-            pos, steps = _kernels.lf_walk(rows, index.lf, index.sampled_pos)
+            pos, steps = _kernels.lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
             assert pos.tolist() == sa
             assert steps.max() < stride
 

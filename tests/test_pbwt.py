@@ -5,34 +5,34 @@ import pytest
 
 import pbwtidx as px
 from pbwtidx.errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError, UnknownCharacterError
-from pbwtidx.pbwt import BLOCK, EMPTY, Interval, LfRank, RankTable, invert_pbwt
+from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
 
-from conftest import PBWT_MATRIX, random_collection
+from conftest import PBWT_MATRIX, occ, random_collection
 
 
-def test_fig4_matrix(fig1_matrix):
+def test_fig4_matrix(fig1_matrix, alphabet):
     for i in range(8):
-        row = "".join(fig1_matrix.column_string(j)[i] for j in range(8))
+        row = "".join(alphabet.decode(fig1_matrix.cols[j])[i] for j in range(8))
         assert row == PBWT_MATRIX[i]
 
 
-def test_fig4_named_columns(fig1_matrix):
-    assert fig1_matrix.column_string(4) == "TTGGGAAC"
-    assert fig1_matrix.column_string(5) == "CCCAAAAA"
+def test_fig4_named_columns(fig1_matrix, alphabet):
+    assert alphabet.decode(fig1_matrix.cols[4]) == "TTGGGAAC"
+    assert alphabet.decode(fig1_matrix.cols[5]) == "CCCAAAAA"
 
 
 def test_defining_identity(fig1, fig1_perms, fig1_matrix):
     for j in range(fig1.length):
         pi_next = fig1_perms[j + 1]
         expected = "".join(fig1.strings[int(pi_next[i])][j] for i in range(fig1.n))
-        assert fig1_matrix.column_string(j) == expected
+        assert fig1.alphabet.decode(fig1_matrix.cols[j]) == expected
 
 
 def test_unary_collection(alphabet):
     col = px.from_strings(["AAAA"] * 5, alphabet)
     mat = px.build_pbwt(col, px.build_permutations(col))
     for j in range(4):
-        assert mat.column_string(j) == "AAAAA"
+        assert alphabet.decode(mat.cols[j]) == "AAAAA"
 
 
 def test_column_content_property():
@@ -41,7 +41,7 @@ def test_column_content_property():
         col = random_collection(rng)
         mat = px.build_pbwt(col, px.build_permutations(col))
         for j in range(col.length):
-            assert sorted(mat.column_string(j)) == sorted(s[j] for s in col.strings)
+            assert sorted(col.alphabet.decode(mat.cols[j])) == sorted(s[j] for s in col.strings)
 
 
 def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
@@ -66,7 +66,7 @@ def test_every_column_matrix_inverts_to_its_collection():
         alphabet = px.Alphabet("ACGT"[:sigma])
         for cols in (random_cols, equal_cols):
             keep = list(range(length + 1))
-            codes, perms = invert_pbwt(px.PbwtMatrix(cols=cols, alphabet=alphabet), keep)
+            codes, perms = invert_pbwt(px.PbwtMatrix(cols, sigma), keep)
             collection = px.StringCollection(alphabet=alphabet, codes=codes)
             index = px.build_index(collection, px.StoragePolicy.full())
             assert np.array_equal(index.matrix.cols, cols)
@@ -75,22 +75,10 @@ def test_every_column_matrix_inverts_to_its_collection():
 
 
 def test_rank_query_examples(fig1_matrix, alphabet):
-    col4 = fig1_matrix.ranks[4]
-    assert col4.rank(alphabet.rank("G"), 5) == 3
+    assert occ(fig1_matrix, 4, alphabet.rank("G"), 5) == 3
     for a in range(alphabet.sigma):
-        assert col4.rank(a, 0) == 0
-    col5 = fig1_matrix.ranks[5]
-    assert col5.rank(alphabet.rank("A"), 8) == 5
-
-
-def test_rank_query_bounds(fig1_matrix):
-    table = fig1_matrix.ranks[0]
-    with pytest.raises(IndexOutOfRangeError):
-        table.rank(0, 9)
-    with pytest.raises(IndexOutOfRangeError):
-        table.rank(4, 1)
-    with pytest.raises(IndexOutOfRangeError):
-        table.rank(0, -1)
+        assert occ(fig1_matrix, 4, a, 0) == 0
+    assert occ(fig1_matrix, 5, alphabet.rank("A"), 8) == 5
 
 
 def test_rank_scan_equivalence():
@@ -99,10 +87,10 @@ def test_rank_scan_equivalence():
         sigma = rng.randint(2, 4)
         n = rng.randint(1, 200)
         codes = [rng.randrange(sigma) for _ in range(n)]
-        table = RankTable(LfRank(np.array([codes], dtype=np.uint8), sigma), 0)
+        matrix = px.PbwtMatrix(np.array([codes], dtype=np.uint8), sigma)
         for a in range(sigma):
             for i in range(n + 1):
-                assert table.rank(a, i) == codes[:i].count(a)
+                assert occ(matrix, 0, a, i) == codes[:i].count(a)
 
 
 def _lf_rank_cases():
@@ -119,31 +107,30 @@ def _lf_rank_cases():
     # the substring index's columns: sentinel 0 plus sigma symbols
     for text in ("G", "ACGT" * 16, "A" * 64, "GATTACA" * 9, "TTAG" * 32 + "C"):
         index = px.fm_build(px.SentinelText(text, px.Alphabet()))
-        cases.append((index.lf_rank.cols, index.alphabet.sigma + 1))
+        cases.append((index.matrix.cols, index.alphabet.sigma + 1))
     return cases
 
 
 def test_lf_rank_matches_brute_force():
     for cols, sigma in _lf_rank_cases():
         width, n = cols.shape
-        lf_rank = LfRank(cols, sigma)
-        assert lf_rank.lf.dtype == lf_rank.base.dtype == np.int32
-        assert lf_rank.base.shape == (width, sigma, n // BLOCK + 2)
+        matrix = px.PbwtMatrix(cols, sigma)
+        assert matrix.lf.dtype == matrix.base.dtype == np.int32
+        assert matrix.base.shape == (width, sigma, n // BLOCK + 2)
         for j, column in enumerate(cols.tolist()):
-            # occ[a][i] = #a among the first i characters, counted one row at a time
-            occ = [[0] * (n + 1) for _ in range(sigma)]
+            # counts[a][i] = #a among the first i characters, counted one row at a time
+            counts = [[0] * (n + 1) for _ in range(sigma)]
             for i, c in enumerate(column):
                 for a in range(sigma):
-                    occ[a][i + 1] = occ[a][i] + (c == a)
-            c_array = [sum(occ[b][n] for b in range(a)) for a in range(sigma)]
-            assert lf_rank.lf[j].tolist() == [c_array[c] + occ[c][r] for r, c in enumerate(column)]
-            assert sorted(lf_rank.lf[j].tolist()) == list(range(n))
+                    counts[a][i + 1] = counts[a][i] + (c == a)
+            c_array = [sum(counts[b][n] for b in range(a)) for a in range(sigma)]
+            assert matrix.lf[j].tolist() == [c_array[c] + counts[c][r] for r, c in enumerate(column)]
+            assert sorted(matrix.lf[j].tolist()) == list(range(n))
             for a in range(sigma):
-                checkpoints = [c_array[a] + occ[a][min(b * BLOCK, n)] for b in range(n // BLOCK + 2)]
-                assert lf_rank.base[j, a].tolist() == checkpoints
-                assert [lf_rank.step(j, a, i) for i in range(n + 1)] == [c_array[a] + x for x in occ[a]]
-                table = RankTable(lf_rank, j)
-                assert [table.rank(a, i) for i in range(n + 1)] == occ[a]
+                checkpoints = [c_array[a] + counts[a][min(b * BLOCK, n)] for b in range(n // BLOCK + 2)]
+                assert matrix.base[j, a].tolist() == checkpoints
+                assert [matrix.step(j, a, i) for i in range(n + 1)] == [c_array[a] + x for x in counts[a]]
+                assert [occ(matrix, j, a, i) for i in range(n + 1)] == counts[a]
 
 
 def test_lf_rank_walk_composed_with_perms_is_identity():
@@ -157,20 +144,20 @@ def test_lf_rank_walk_composed_with_perms_is_identity():
         k = rng.randint(0, col.length)
         h = rng.randint(0, k)
         rows = np.arange(col.n, dtype=np.int32)
-        walked = matrix.lf_rank.walk(rows, k, h)
+        walked = matrix.walk(rows, k, h)
         assert np.array_equal(perms[h][walked], perms[k][rows])
 
 
 def test_lf_rank_refuses_codes_outside_the_alphabet():
     with pytest.raises(RankOutOfRangeError, match="rank code 5, not below 4"):
-        px.PbwtMatrix(cols=np.array([[0, 5, 1, 0]], np.uint8), alphabet=px.Alphabet())
+        px.PbwtMatrix(np.array([[0, 5, 1, 0]], np.uint8), 4)
 
 
 def test_row_counts_beyond_int32_are_refused():
     # a zero-stride view: 2**31 rows without allocating them
     wide = np.broadcast_to(np.uint8(0), (1, 2**31))
     with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
-        px.PbwtMatrix(cols=wide, alphabet=px.Alphabet())
+        px.PbwtMatrix(wide, 4)
     with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
         px.FmIndex(px.Alphabet(), wide[0])
 
@@ -184,23 +171,23 @@ def test_interval_normalization():
     assert iv.width == 4
 
 
-def test_backward_step_worked_example(fig1_matrix):
-    assert px.backward_step(fig1_matrix, 5, Interval(0, 7), "A") == Interval(0, 4)
-    assert px.backward_step(fig1_matrix, 4, Interval(0, 4), "G") == Interval(3, 5)
-    assert px.backward_step(fig1_matrix, 3, Interval(3, 5), "A") == Interval(1, 3)
+def test_backward_step_worked_example(full_index):
+    assert px.backward_step(full_index, 5, Interval(0, 7), "A") == Interval(0, 4)
+    assert px.backward_step(full_index, 4, Interval(0, 4), "G") == Interval(3, 5)
+    assert px.backward_step(full_index, 3, Interval(3, 5), "A") == Interval(1, 3)
 
 
-def test_backward_step_empty_absorbing(fig1_matrix):
-    assert px.backward_step(fig1_matrix, 3, EMPTY, "A") == EMPTY
+def test_backward_step_empty_absorbing(full_index):
+    assert px.backward_step(full_index, 3, EMPTY, "A") == EMPTY
 
 
-def test_backward_step_errors(fig1_matrix):
+def test_backward_step_errors(full_index):
     with pytest.raises(UnknownCharacterError):
-        px.backward_step(fig1_matrix, 3, Interval(0, 7), "N")
+        px.backward_step(full_index, 3, Interval(0, 7), "N")
     with pytest.raises(IndexOutOfRangeError):
-        px.backward_step(fig1_matrix, 8, Interval(0, 7), "A")
+        px.backward_step(full_index, 8, Interval(0, 7), "A")
     with pytest.raises(IndexOutOfRangeError):
-        px.backward_step(fig1_matrix, 3, Interval(0, 8), "A")
+        px.backward_step(full_index, 3, Interval(0, 8), "A")
 
 
 def _binary_interval(col, perms, pattern, k):
@@ -221,8 +208,8 @@ def test_backward_matches_sorted_order_exhaustively():
     rng = random.Random(33)
     for _ in range(25):
         col = random_collection(rng, max_n=16, max_len=8)
-        perms = px.build_permutations(col)
-        mat = px.build_pbwt(col, perms)
+        index = px.build_index(col, px.StoragePolicy.full())
+        perms = index.stored_perms
         symbols = col.alphabet.symbols
         for _q in range(30):
             m = rng.randint(1, min(4, col.length))
@@ -230,5 +217,5 @@ def test_backward_matches_sorted_order_exhaustively():
             pattern = "".join(rng.choice(symbols) for _ in range(m))
             interval = Interval(0, col.n - 1)
             for t in range(m - 1, -1, -1):
-                interval = px.backward_step(mat, k + t, interval, pattern[t])
+                interval = px.backward_step(index, k + t, interval, pattern[t])
             assert interval == _binary_interval(col, perms, pattern, k)

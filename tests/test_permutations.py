@@ -30,8 +30,8 @@ def test_single_string(alphabet):
 
 def test_column_counts_fig1(fig1, fig1_matrix):
     # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T; the C-arrays are
-    # the first checkpoint of LfRank.base and the column totals its last
-    base = fig1_matrix.lf_rank.base
+    # the first checkpoint of PbwtMatrix.base and the column totals its last
+    base = fig1_matrix.base
     assert (base[4, :, -1] - base[4, :, 0]).tolist() == [2, 1, 3, 2]
     assert base[4, :, 0].tolist() == [0, 2, 3, 6]
     assert base[2, fig1.alphabet.rank("T"), 0] == 4
@@ -39,7 +39,7 @@ def test_column_counts_fig1(fig1, fig1_matrix):
 
 def test_column_counts_unary(alphabet):
     col = px.from_strings(["AAAA"] * 6, alphabet)
-    base = px.build_pbwt(col, px.build_permutations(col)).lf_rank.base
+    base = px.build_pbwt(col, px.build_permutations(col)).base
     assert base[2, :, 0].tolist() == [0, 6, 6, 6]
     assert (base[2, :, -1] - base[2, :, 0]).tolist() == [6, 0, 0, 0]
 

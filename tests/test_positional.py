@@ -11,11 +11,6 @@ from conftest import PI_MATRIX, random_collection
 
 
 @pytest.fixture(scope="module")
-def full_index(fig1):
-    return px.build_index(fig1, px.StoragePolicy.full())
-
-
-@pytest.fixture(scope="module")
 def bare_index(fig1):
     return px.build_index(fig1, px.StoragePolicy.no_perms())
 
