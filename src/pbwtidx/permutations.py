@@ -9,12 +9,30 @@ pass.  :func:`rebuild_column` needs only the last one, so its radix digit is
 as many columns as fit in a uint64 beside a row rank (McIlroy, Bostic &
 McIlroy 1993, "Engineering radix sort"): a span of g columns costs
 ceil(g / w) sorts instead of g, with w at least 4 for ASCII alphabets.
+
+Conventions: string matrices are (n, L) uint8 rank codes, permutations int32.
 """
 
 import numpy as np
 
-from . import _kernels
 from .collection import StringCollection
+
+
+def radix_sweep(codes: np.ndarray, seed: np.ndarray, sigma: int) -> np.ndarray:
+    """Right-to-left radix sort of the rows of ``codes``, one stable argsort per column.
+
+    Returns the (L+1, n) int32 table whose row ``j`` sorts the row suffixes
+    starting at column ``j``, ties in ``seed`` order; row ``L`` is ``seed``.
+    ``sigma`` bounds the codes, as a counting sort needs; the argsort does not.
+    """
+    n, width = codes.shape
+    out = np.empty((width + 1, n), np.int32)
+    out[width] = seed
+    for j in range(width - 1, -1, -1):
+        prev = out[j + 1]
+        order = np.argsort(codes[prev, j], kind="stable")
+        out[j] = prev[order]
+    return out
 
 
 def build_permutations(collection: StringCollection) -> np.ndarray:
@@ -24,7 +42,7 @@ def build_permutations(collection: StringCollection) -> np.ndarray:
     ``length`` is the identity.
     """
     seed = np.arange(collection.n, dtype=np.int32)
-    return _kernels.radix_sweep(collection.codes, seed, collection.alphabet.sigma)
+    return radix_sweep(collection.codes, seed, collection.alphabet.sigma)
 
 
 def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int, j_target: int) -> np.ndarray:

@@ -222,6 +222,10 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
     """
     if interval.is_empty:
         return []
+    if not 0 <= k <= index.length:
+        raise IndexOutOfRangeError(f"column {k} not in [0, {index.length}]")
+    if interval.f < 0 or interval.l >= index.n:
+        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
     if not index.stored_perms:
         raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
     below = [j for j in index.stored_perms if j <= k]

@@ -118,7 +118,7 @@ def sa_samples(index: px.FmIndex) -> dict[int, int]:
 def child_env(**extra):
     """Environment for a child Python process that imports the suite's ``pbwtidx``.
 
-    Starts from nothing, so variables such as ``PBWTIDX_BACKEND`` set in the
+    Starts from nothing, so variables such as ``PYTHONWARNINGS`` set in the
     parent do not leak into the child; only ``PATH``, ``PYTHONPATH`` (the
     directory holding the imported package) and ``extra`` are set.
     """

@@ -2,9 +2,7 @@
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines; plain ``pytest`` shows them only for failures.  Criteria with a
-runtime bound time the operation itself; the JIT backend is warmed up first
-so one-off compilation is not charged to the measured work (disk-cached
-compiles make reruns cheap anyway).
+runtime bound time the operation itself.
 """
 
 import functools
@@ -15,7 +13,6 @@ import time
 import pytest
 
 import pbwtidx as px
-from pbwtidx._kernels import warmup
 from pbwtidx.cli import main
 from pbwtidx.fm import locate_with_steps
 from pbwtidx.positional import backward_trace
@@ -45,11 +42,6 @@ def fig1_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("acceptance") / "fig1.txt"
     path.write_text("\n".join(FIG1_STRINGS) + "\n")
     return str(path)
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_backend():
-    warmup()
 
 
 @_report(1, "build + dump pi reproduces the 8x8 permutation matrix in < 1 s")

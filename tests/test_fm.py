@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 import pbwtidx as px
-from pbwtidx.errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
+from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import EMPTY, Interval
 
@@ -161,6 +161,13 @@ def test_fm_build_rejects_bad_stride(alphabet):
         px.fm_build(px.SentinelText("ACGT", alphabet), 0)
 
 
+def test_fm_index_rejects_bad_stride(demo_fm):
+    # a stride below 1 would sample every row and write a file the loader refuses
+    for stride in (0, -3):
+        with pytest.raises(ValueError):
+            px.FmIndex(demo_fm.alphabet, demo_fm.bwt_codes, stride)
+
+
 def test_lf_step_is_a_bijection(demo_fm):
     images = set(demo_fm.matrix.lf[0].tolist())
     assert images == set(range(demo_fm.rows))
@@ -214,6 +221,17 @@ def test_fm_locate_examples(demo_fm):
     assert sorted(px.fm_locate(demo_fm, px.fm_count(demo_fm, "TA"))) == [3, 7]
     assert px.fm_locate(demo_fm, px.fm_count(demo_fm, "ATA")) == [6]
     assert px.fm_locate(demo_fm, EMPTY) == []
+
+
+def test_fm_locate_rejects_rows_outside_the_index(demo_fm):
+    rows = demo_fm.rows
+    for interval in (Interval(0, rows), Interval(rows - 1, rows + 3), Interval(-1, 2), Interval(-3, -2)):
+        with pytest.raises(IndexOutOfRangeError):
+            locate_with_steps(demo_fm, interval)
+        with pytest.raises(IndexOutOfRangeError):
+            px.fm_locate(demo_fm, interval)
+    assert sorted(px.fm_locate(demo_fm, Interval(0, rows - 1))) == list(range(rows))
+    assert locate_with_steps(demo_fm, Interval(5, 2)) == ([], [])
 
 
 def test_fm_locate_step_bound(demo_fm):

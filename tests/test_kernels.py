@@ -1,14 +1,39 @@
-"""Agreement between the numba loop kernels and the numpy fallbacks."""
+"""The two hot loops, the radix sweep and the LF walk, against references."""
 
 import random
+import subprocess
+import sys
 
 import numpy as np
-import pytest
 
 import pbwtidx as px
-from pbwtidx import _kernels
+from pbwtidx.fm import _lf_walk
+from pbwtidx.permutations import radix_sweep
 
 from conftest import child_env, random_text
+
+
+def radix_sweep_loops(codes, seed, sigma):
+    """Reference for :func:`radix_sweep`: one stable counting sort per column, right to left."""
+    n, width = codes.shape
+    out = np.empty((width + 1, n), np.int32)
+    out[width] = seed
+    cursor = np.zeros(sigma, np.int64)
+    for j in range(width - 1, -1, -1):
+        cursor[:] = 0
+        for i in range(n):
+            cursor[codes[out[j + 1, i], j]] += 1
+        total = 0
+        for a in range(sigma):
+            freq = cursor[a]
+            cursor[a] = total
+            total += freq
+        for i in range(n):
+            s = out[j + 1, i]
+            a = codes[s, j]
+            out[j, cursor[a]] = s
+            cursor[a] += 1
+    return out
 
 
 def _random_case(rng):
@@ -20,19 +45,15 @@ def _random_case(rng):
     return codes, sigma
 
 
-def test_backend_selected():
-    assert _kernels.BACKEND in ("numba", "numpy")
-    assert _kernels.warmup() == (3, 2)
-
-
 def test_radix_sweep_impls_agree():
     rng = random.Random(1)
     for _ in range(30):
         codes, sigma = _random_case(rng)
         seed = np.arange(codes.shape[0], dtype=np.int32)
-        a = _kernels.radix_sweep_loops(codes, seed, sigma)
-        b = _kernels.radix_sweep_numpy(codes, seed, sigma)
-        assert np.array_equal(a, b)
+        # a shuffled seed checks that ties keep the seed's order
+        shuffled = np.array(rng.sample(range(codes.shape[0]), codes.shape[0]), dtype=np.int32)
+        for s in (seed, shuffled):
+            assert np.array_equal(radix_sweep(codes, s, sigma), radix_sweep_loops(codes, s, sigma))
 
 
 def test_lf_walk_reaches_the_oracle_positions():
@@ -43,31 +64,16 @@ def test_lf_walk_reaches_the_oracle_positions():
         for stride in range(1, 6):
             index = px.fm_build(st, stride)
             rows = np.arange(index.rows, dtype=np.int64)
-            pos, steps = _kernels.lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
+            pos, steps = _lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
             assert pos.tolist() == sa
             assert steps.max() < stride
 
 
-def test_compiled_kernels_match_numpy_when_active():
-    if _kernels.BACKEND != "numba":
-        pytest.skip("numba backend not active")
-    rng = random.Random(4)
-    for _ in range(10):
-        codes, sigma = _random_case(rng)
-        seed = np.arange(codes.shape[0], dtype=np.int32)
-        assert np.array_equal(
-            _kernels.radix_sweep(codes, seed, sigma),
-            _kernels.radix_sweep_numpy(codes, seed, sigma),
-        )
-
-
 def test_numpy_backend_env_flag():
-    import subprocess
-    import sys
-
+    # PBWTIDX_BACKEND is no longer read: asking for numba neither fails nor changes the kernels
     code = (
-        "import pbwtidx, pbwtidx._kernels as k; "
-        "assert k.BACKEND == 'numpy'; "
+        "import pbwtidx; "
+        "assert pbwtidx.kernel_backend == 'numpy'; "
         "col = pbwtidx.from_strings(['GATTACAT', 'TAGAGATA']); "
         "perms = pbwtidx.build_permutations(col); "
         "print(perms[0].tolist())"
@@ -76,7 +82,7 @@ def test_numpy_backend_env_flag():
         [sys.executable, "-c", code],
         capture_output=True,
         text=True,
-        env=child_env(PBWTIDX_BACKEND="numpy"),
+        env=child_env(PBWTIDX_BACKEND="numba"),
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[0, 1]"

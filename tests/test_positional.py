@@ -3,7 +3,12 @@ import random
 import pytest
 
 import pbwtidx as px
-from pbwtidx.errors import PatternOverrunError, PermutationNotStoredError, UnknownCharacterError
+from pbwtidx.errors import (
+    IndexOutOfRangeError,
+    PatternOverrunError,
+    PermutationNotStoredError,
+    UnknownCharacterError,
+)
 from pbwtidx.pbwt import EMPTY, Interval
 from pbwtidx.positional import backward_trace
 
@@ -108,6 +113,17 @@ def test_locate_through_stored_pi2(fig1):
 
 def test_locate_empty_interval(full_index):
     assert px.locate(full_index, EMPTY, 3) == []
+
+
+def test_locate_rejects_columns_and_rows_outside_the_index():
+    index = px.build_index(px.from_strings(["GATT", "TAGA", "CATC"]), px.StoragePolicy.full())
+    bad = [(Interval(0, 5), 3), (Interval(0, 3), 0), (Interval(0, 1), 9), (Interval(0, 1), 5),
+           (Interval(0, 1), -1), (Interval(-2, 1), 3), (Interval(-1, -1), 0)]
+    for interval, k in bad:
+        with pytest.raises(IndexOutOfRangeError):
+            px.locate(index, interval, k)
+    assert sorted(px.locate(index, Interval(0, 2), 4)) == [0, 1, 2]
+    assert px.locate(index, EMPTY, 9) == []
 
 
 def test_locate_full_policy_reads_pi_k(full_index):
