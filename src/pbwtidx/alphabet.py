@@ -22,7 +22,7 @@ class Alphabet:
     symbols: str = DEFAULT_SYMBOLS
     sentinel: str = DEFAULT_SENTINEL
     _rank_of: dict = field(init=False, repr=False, compare=False)
-    _code_table: np.ndarray = field(init=False, repr=False, compare=False)
+    _code_table: bytes = field(init=False, repr=False, compare=False)
     _symbol_table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -39,11 +39,12 @@ class Alphabet:
         if self.sentinel >= self.symbols[0]:
             raise ValueError("sentinel must sort strictly below every symbol")
         object.__setattr__(self, "_rank_of", {c: a for a, c in enumerate(self.symbols)})
-        # byte -> rank lookup for bulk encoding; -1 marks invalid bytes
-        table = np.full(256, -1, dtype=np.int16)
+        # byte -> rank table for bytes.translate; 255 marks invalid bytes,
+        # since ASCII symbols leave every rank below 128
+        table = bytearray(b"\xff" * 256)
         for a, c in enumerate(self.symbols):
             table[ord(c)] = a
-        object.__setattr__(self, "_code_table", table)
+        object.__setattr__(self, "_code_table", bytes(table))
         # rank -> byte lookup for bulk decoding
         object.__setattr__(self, "_symbol_table", np.frombuffer(self.symbols.encode("latin-1"), np.uint8))
 
@@ -69,17 +70,16 @@ class Alphabet:
         if not s:
             return np.empty(0, dtype=np.uint8)
         try:
-            raw = np.frombuffer(s.encode("ascii"), dtype=np.uint8)
+            codes = bytearray(s, "ascii").translate(self._code_table)
         except UnicodeEncodeError:
             bad = next(c for c in s if ord(c) > 127)
             raise UnknownCharacterError(f"character {bad!r} is not in alphabet {self.symbols!r}") from None
-        codes = self._code_table[raw]
-        if codes.min() < 0:
-            col = int(np.argmax(codes < 0))
+        col = codes.find(255)
+        if col >= 0:
             raise UnknownCharacterError(
                 f"character {s[col]!r} at column {col + 1} is not in alphabet {self.symbols!r}"
             )
-        return codes.astype(np.uint8)
+        return np.frombuffer(codes, np.uint8)
 
     def decode(self, codes) -> str:
         """Turn a sequence (or matrix, row by row) of ranks back into one string."""

@@ -125,10 +125,6 @@ def cmd_build(args) -> int:
         text = _read_text(args.text_file)
     elif args.text is not None:
         text = args.text
-        if os.path.exists(text):
-            print(f"warning: reading the file {text!r} named by --text; use --text-file, "
-                  "since a later version will take --text literally", file=sys.stderr)
-            text = _read_text(text)
     else:
         raise PbwtIndexError("substring build needs --text or --text-file")
     st = SentinelText(text=text, alphabet=alphabet)

@@ -95,16 +95,15 @@ def verify_column_collapse(st: SentinelText) -> bool:
     The shifts are sorted with two radix sweeps: the first, seeded with the
     identity, yields the full cyclic order at column 0; the second, seeded
     with that order, breaks every truncated-suffix tie by the wrapped-around
-    context, which is what makes the columns collapse.
+    context, which is what makes the columns collapse, and its PBWT columns
+    are the ones compared with the BWT.
     """
     ext = _ext_encode(st)
     size = ext.shape[0]
-    sigma = st.alphabet.sigma + 1
     rot = ext[(np.arange(size)[:, None] + np.arange(size)[None, :]) % size]
     rot = np.ascontiguousarray(rot, dtype=np.uint8)
-    first = radix_sweep(rot, np.arange(size, dtype=np.int32), sigma)
-    second = radix_sweep(rot, first[0], sigma)
-    cols = rot[second[1:], np.arange(size, dtype=np.intp)[:, None]]
+    first = radix_sweep(rot, np.arange(size, dtype=np.int32), [0])[2][0]
+    cols = radix_sweep(rot, first)[0]
     expected = ext[(sorted_rotations(st) - 1) % size]
     return bool(np.all(cols == expected[None, :]))
 

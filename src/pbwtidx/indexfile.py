@@ -17,11 +17,12 @@ Layout (common header, then one payload per mode, then a checksum):
 
     crc32           u32      zlib.crc32 of every preceding byte
 
-A file holds only the transform, and the loader inverts it: the LF mapping
-of the PBWT columns, walked right to left, yields the collection and the
-kept permutations, ranking the BWT's LF cycle the text and the suffix-array
-samples.  No section can contradict another, so the checksum is what
-catches an edit that decodes to another valid index.  Loading checks the magic, the checksum, section sizes,
+A file holds only the transform, and the loader inverts it: one right-to-left
+pass over the PBWT columns, sorting each once, yields their LF mapping, the
+collection and the kept permutations, and ranking the BWT's LF cycle yields
+the text and the suffix-array samples.  No section can contradict another,
+so the checksum is what catches an edit that decodes to another valid
+index.  Loading checks the magic, the checksum, section sizes,
 tags, that the row count fits the int32 LF mapping, the alphabet, code
 ranges, the BWT's LF cycle and trailing bytes, and raises
 :class:`PbwtIndexError` on any failure.
@@ -140,10 +141,10 @@ def _read_positional(r: _Reader, alphabet: Alphabet) -> PositionalIndex:
     if n == 0 or length == 0:
         raise PbwtIndexError(f"index file holds an empty collection ({n} strings of length {length})")
     check_rows(n)
-    matrix = PbwtMatrix(r.codes((length, n), alphabet.sigma, "PBWT columns"), alphabet.sigma)
-    codes, stored = invert_pbwt(matrix, policy.stored_columns(length))
+    cols = r.codes((length, n), alphabet.sigma, "PBWT columns")
+    codes, lf, stored = invert_pbwt(cols, policy.stored_columns(length))
     return PositionalIndex(collection=StringCollection(alphabet=alphabet, codes=codes),
-                           matrix=matrix, policy=policy, stored_perms=stored)
+                           matrix=PbwtMatrix(cols, alphabet.sigma, lf), policy=policy, stored_perms=stored)
 
 
 def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:

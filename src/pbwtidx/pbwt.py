@@ -7,9 +7,17 @@ follows each character.  Row ``r`` of pi_{j+1} order moves to row
 column, and :class:`PbwtMatrix` holds that mapping once for every column: an
 int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
 and int32 checkpoints every 64 rows for any other symbol (the backward step,
-two lookups per pattern character).  The BWT is the PBWT of a text's cyclic
-shifts, whose columns are all equal, so the substring index in
-:mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`.
+two lookups per pattern character).
+
+``lf[j]`` is the inverse of column ``j``'s stable sort, which is the order
+that takes pi_{j+1} to pi_j.  Both ways between a collection and its PBWT
+are therefore one right-to-left pass per column that sorts the column once:
+the build (:func:`~pbwtidx.permutations.build_permutations`) gathers each
+column from the strings, and :func:`invert_pbwt`, which the loader runs,
+scatters it back; each hands its ``lf`` to :class:`PbwtMatrix`, which then
+only adds the checkpoints.  The BWT is the PBWT of a text's cyclic shifts,
+whose columns are all equal, so the substring index in :mod:`pbwtidx.fm`
+holds it as a one-column :class:`PbwtMatrix`.
 """
 
 from dataclasses import dataclass
@@ -18,6 +26,7 @@ import numpy as np
 
 from .collection import StringCollection
 from .errors import PbwtIndexError, RankOutOfRangeError
+from .permutations import Sweep
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,8 @@ class PbwtMatrix:
 
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
+      A caller whose sweep has sorted the columns hands it in, as the build
+      and the loader do; otherwise one stable argsort per column derives it.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -74,7 +85,7 @@ class PbwtMatrix:
     in-block scan, and ``cols`` is a read-only view of it.
     """
 
-    def __init__(self, cols: np.ndarray, sigma: int):
+    def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
         width, n = cols.shape
         check_rows(n)
         if cols.size and cols.max() >= sigma:
@@ -82,14 +93,17 @@ class PbwtMatrix:
         self._bytes = np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.sigma, self.n = sigma, n
+        if lf is None:
+            lf = np.empty((width, n), np.int32)
+            rows = np.arange(n, dtype=np.int32)
+            for j, col in enumerate(self.cols):
+                lf[j][np.argsort(col, kind="stable")] = rows
+        self.lf = lf
         blocks = n // BLOCK + 2
-        self.lf = np.empty((width, n), np.int32)
         self.base = np.empty((width, sigma, blocks), np.int32)
-        rows = np.arange(n, dtype=np.int32)
         # row r's symbol counts towards every checkpoint after its block
         slot = (np.arange(n) // BLOCK + 1) * sigma
         for j, col in enumerate(self.cols):
-            self.lf[j, np.argsort(col, kind="stable")] = rows
             self.base[j] = np.bincount(slot + col, minlength=blocks * sigma).reshape(blocks, sigma).T
         np.cumsum(self.base, axis=2, out=self.base)
         totals = self.base[:, :, -1]
@@ -111,31 +125,36 @@ class PbwtMatrix:
         return rows
 
 
-def build_pbwt(collection: StringCollection, perms: np.ndarray) -> PbwtMatrix:
-    """Materialize the PBWT of a collection from its (length+1, n) permutations, row ``j`` pi_j."""
-    cols = collection.codes[perms[1:], np.arange(collection.length, dtype=np.intp)[:, None]]
-    return PbwtMatrix(cols, collection.alphabet.sigma)
+def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -> PbwtMatrix:
+    """Assemble the PBWT from the columns and LF mapping of :func:`~pbwtidx.permutations.build_permutations`.
 
-
-def invert_pbwt(matrix: PbwtMatrix, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The (n, length) column-major codes whose PBWT is ``matrix``, and pi_j for each ``j`` in ``keep``.
-
-    Runs from pi_length, the identity, to pi_0: column ``j`` lists the
-    column-``j`` codes in pi_{j+1} order, and row ``r`` of that order is row
-    ``lf[j, r]`` of pi_j order, so one scatter per column turns pi_{j+1} into
-    pi_j.  Any code matrix is the PBWT of its inverse.
+    Only the checkpoints are new: no column is gathered or sorted again.
     """
-    cols, lf = matrix.cols, matrix.lf
+    return PbwtMatrix(cols, collection.alphabet.sigma, lf)
+
+
+def invert_pbwt(cols: np.ndarray, keep) -> Sweep:
+    """The collection whose PBWT columns are ``cols``, their LF mapping, and pi_j for each ``j`` in ``keep``.
+
+    The build's sweep run on its own output, from pi_length, the identity,
+    to pi_0: column ``j`` lists the column-``j`` codes in pi_{j+1} order, so
+    they scatter back to their strings, and the column's one stable sort
+    gives ``lf[j]`` (its inverse) and pi_j = pi_{j+1}[order].  Returns the
+    (n, length) column-major codes, the (length, n) int32 ``lf`` and the
+    kept permutations.  Any code matrix is the PBWT of its inverse.
+    """
     length, n = cols.shape
     codes = np.empty((length, n), np.uint8)
-    pi = np.arange(n, dtype=np.int32)
-    wanted, perms = set(keep), {}
+    lf = np.empty((length, n), np.int32)
+    rows = np.arange(n, dtype=np.int32)
+    # pi is intp: numpy casts any other index array on every scatter
+    pi, wanted, perms = np.arange(n, dtype=np.intp), set(keep), {}
     for j in range(length, -1, -1):
         if j < length:
-            codes[j, pi] = cols[j]
-            pi, prev = np.empty(n, np.int32), pi
-            pi[lf[j]] = prev
+            codes[j][pi] = cols[j]
+            order = np.argsort(cols[j], kind="stable")
+            lf[j][order] = rows
+            pi = pi[order]
         if j in wanted:
-            perms[j] = pi
-    return codes.T, {j: perms[j] for j in keep}
-
+            perms[j] = pi.astype(np.int32)
+    return codes.T, lf, {j: perms[j] for j in keep}

@@ -2,13 +2,17 @@
 
 The permutation pi_j orders the strings by their suffixes starting at column
 ``j``; ties between equal suffixes resolve to ascending string index because
-every counting-sort pass is stable and the sweep is seeded with the identity.
+every pass is stable and the sweep is seeded with the identity.
 
-:func:`build_permutations` keeps every column, so it sorts by one column per
-pass.  :func:`rebuild_column` needs only the last one, so its radix digit is
-as many columns as fit in a uint64 beside a row rank (McIlroy, Bostic &
-McIlroy 1993, "Engineering radix sort"): a span of g columns costs
-ceil(g / w) sorts instead of g, with w at least 4 for ASCII alphabets.
+:func:`build_permutations` is the paper's construction, one pass per column
+from right to left.  Pass ``j`` sorts PBWT column ``j`` (the column-``j``
+codes in pi_{j+1} order) once, and that one sort yields the column, its LF
+mapping (the sort's inverse) and pi_j; a permutation outlives its pass only
+where the storage policy keeps it.  :func:`rebuild_column` needs only the
+last one, so its radix digit is as many columns as fit in a uint64 beside a
+row rank (McIlroy, Bostic & McIlroy 1993, "Engineering radix sort"): a span
+of g columns costs ceil(g / w) sorts instead of g, with w at least 4 for
+ASCII alphabets.
 
 Conventions: string matrices are (n, L) uint8 rank codes, permutations int32.
 """
@@ -18,31 +22,44 @@ import numpy as np
 from .collection import StringCollection
 
 
-def radix_sweep(codes: np.ndarray, seed: np.ndarray, sigma: int) -> np.ndarray:
+# what one right-to-left pass over the columns yields: a uint8 code matrix,
+# the int32 LF mapping and the kept permutations by column
+Sweep = tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]
+
+
+def radix_sweep(codes: np.ndarray, seed: np.ndarray, keep=()) -> Sweep:
     """Right-to-left radix sort of the rows of ``codes``, one stable argsort per column.
 
-    Returns the (L+1, n) int32 table whose row ``j`` sorts the row suffixes
-    starting at column ``j``, ties in ``seed`` order; row ``L`` is ``seed``.
-    ``sigma`` bounds the codes, as a counting sort needs; the argsort does not.
+    Column ``j``'s pass gathers ``codes[pi_{j+1}, j]``, which is PBWT column
+    ``j``, and sorts it stably: the order is pi_j as positions of pi_{j+1},
+    and its inverse is the column's LF mapping.  Returns ``(cols, lf, perms)``:
+    the (L, n) uint8 PBWT columns, the (L, n) int32 LF mapping and pi_j for
+    each ``j`` in ``keep``, where pi_L is ``seed`` and ties keep its order.
     """
     n, width = codes.shape
-    out = np.empty((width + 1, n), np.int32)
-    out[width] = seed
-    for j in range(width - 1, -1, -1):
-        prev = out[j + 1]
-        order = np.argsort(codes[prev, j], kind="stable")
-        out[j] = prev[order]
-    return out
+    cols = np.empty((width, n), np.uint8)
+    lf = np.empty((width, n), np.int32)
+    rows = np.arange(n, dtype=np.int32)
+    pi, wanted, perms = np.asarray(seed, np.int32), set(keep), {}
+    for j in range(width, -1, -1):
+        if j < width:
+            np.take(codes[:, j], pi, out=cols[j])
+            order = np.argsort(cols[j], kind="stable")
+            lf[j][order] = rows
+            pi = pi[order]
+        if j in wanted:
+            perms[j] = pi
+    return cols, lf, {j: perms[j] for j in keep}
 
 
-def build_permutations(collection: StringCollection) -> np.ndarray:
-    """Radix-sort the collection right to left, keeping every intermediate column.
+def build_permutations(collection: StringCollection, keep) -> Sweep:
+    """One right-to-left sweep over the collection: its PBWT columns, their LF
+    mapping and pi_j for each ``j`` in ``keep`` (pi_length is the identity).
 
-    Returns the (length+1, n) int32 array whose row ``j`` is pi_j; row
-    ``length`` is the identity.
+    See :func:`radix_sweep`; each column is sorted once and only the kept
+    permutations outlive their pass.
     """
-    seed = np.arange(collection.n, dtype=np.int32)
-    return radix_sweep(collection.codes, seed, collection.alphabet.sigma)
+    return radix_sweep(collection.codes, np.arange(collection.n, dtype=np.int32), keep)
 
 
 def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int, j_target: int) -> np.ndarray:

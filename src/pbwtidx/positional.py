@@ -93,14 +93,12 @@ class PositionalIndex:
 
 
 def build_index(collection: StringCollection, policy: StoragePolicy | None = None) -> PositionalIndex:
-    """Build the PBWT and retain only the permutation columns the policy keeps."""
+    """Build the PBWT in one right-to-left sweep that keeps only the permutation columns the policy keeps."""
     if policy is None:
         policy = StoragePolicy.sampled(default_stride(collection.n))
-    perms = build_permutations(collection)
-    matrix = build_pbwt(collection, perms)
-    keep = policy.stored_columns(collection.length)
-    stored = {j: perms[j].copy() for j in keep}
-    return PositionalIndex(collection=collection, matrix=matrix, policy=policy, stored_perms=stored)
+    cols, lf, stored = build_permutations(collection, policy.stored_columns(collection.length))
+    return PositionalIndex(collection=collection, matrix=build_pbwt(collection, cols, lf),
+                           policy=policy, stored_perms=stored)
 
 
 def _check_query(index: PositionalIndex, pattern: str, k: int) -> list[int]:

@@ -59,12 +59,12 @@ def fig1(alphabet):
 
 @pytest.fixture(scope="session")
 def fig1_perms(fig1):
-    return px.build_permutations(fig1)
+    return perm_table(fig1)
 
 
 @pytest.fixture(scope="session")
-def fig1_matrix(fig1, fig1_perms):
-    return px.build_pbwt(fig1, fig1_perms)
+def fig1_matrix(fig1):
+    return build_matrix(fig1)
 
 
 @pytest.fixture(scope="session")
@@ -75,6 +75,18 @@ def full_index(fig1):
 @pytest.fixture(scope="session")
 def demo_fm(alphabet):
     return px.fm_build(px.SentinelText(DEMO_TEXT, alphabet), 5)
+
+
+def perm_table(col: px.StringCollection) -> np.ndarray:
+    """The (length+1, n) int32 table whose row ``j`` is pi_j, from one sweep keeping every column."""
+    perms = px.build_permutations(col, range(col.length + 1))[2]
+    return np.stack([perms[j] for j in range(col.length + 1)])
+
+
+def build_matrix(col: px.StringCollection) -> px.PbwtMatrix:
+    """The collection's PBWT, assembled from one sweep as ``build_index`` does."""
+    cols, lf, _ = px.build_permutations(col, ())
+    return px.build_pbwt(col, cols, lf)
 
 
 def random_collection(rng: random.Random, max_n=16, max_len=12, max_sigma=4):

@@ -240,28 +240,30 @@ def test_build_substring_from_file(tmp_path, capsys):
     text_file = tmp_path / "text.txt"
     text_file.write_text(DEMO_TEXT + "\n")
     out = str(tmp_path / "file.idx")
-    assert main(["build", "--mode", "substring", "--text", str(text_file),
+    assert main(["build", "--mode", "substring", "--text-file", str(text_file),
                  "--sa-stride", "5", "--output", out]) == 0
     capsys.readouterr()
     assert main(["dump", "bwt", "--index", out]) == 0
     assert capsys.readouterr().out.strip() == DEMO_BWT
 
 
-def test_build_substring_text_file_and_deprecated_text_path(tmp_path, capsys):
-    text_file = tmp_path / "text.txt"
-    text_file.write_text(DEMO_TEXT + "\n")
-    outputs = {}
-    for flag in ("--text-file", "--text"):
-        out = str(tmp_path / f"{flag}.idx")
-        assert main(["build", "--mode", "substring", flag, str(text_file),
+def test_build_substring_text_is_taken_literally(tmp_path, monkeypatch, capsys):
+    # a file named like the text but holding another one: --text indexes the
+    # name, --text-file the file, and neither writes to stderr
+    monkeypatch.chdir(tmp_path)
+    Path(DEMO_TEXT).write_text("ACGT\n")
+    bwts = {}
+    for flag, out in (("--text", "literal.idx"), ("--text-file", "file.idx")):
+        assert main(["build", "--mode", "substring", flag, DEMO_TEXT,
                      "--sa-stride", "5", "--output", out]) == 0
-        captured = capsys.readouterr()
-        outputs[flag] = (captured.out, Path(out).read_bytes())
-        # the notice goes to stderr only, so stdout stays what it was
-        assert ("use --text-file" in captured.err) == (flag == "--text")
-    assert outputs["--text-file"] == outputs["--text"]
-    assert main(["dump", "bwt", "--index", str(tmp_path / "--text-file.idx")]) == 0
-    assert capsys.readouterr().out.strip() == DEMO_BWT
+        assert capsys.readouterr().err == ""
+        assert main(["dump", "bwt", "--index", out]) == 0
+        bwts[flag] = capsys.readouterr().out.strip()
+    assert bwts == {"--text": DEMO_BWT, "--text-file": "T$ACG"}
+    # a path is a text like any other, so its '/' is an unknown character
+    path = str(tmp_path / DEMO_TEXT)
+    assert main(["build", "--mode", "substring", "--text", path, "--output", "path.idx"]) == 2
+    assert "character '/' at column 1 is not in alphabet" in capsys.readouterr().err
 
 
 def test_build_substring_text_flags(tmp_path, capsys):

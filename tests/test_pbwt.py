@@ -7,7 +7,7 @@ import pbwtidx as px
 from pbwtidx.errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError, UnknownCharacterError
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
 
-from conftest import PBWT_MATRIX, occ, random_collection
+from conftest import PBWT_MATRIX, build_matrix, occ, perm_table, random_collection
 
 
 def test_fig4_matrix(fig1_matrix, alphabet):
@@ -30,7 +30,7 @@ def test_defining_identity(fig1, fig1_perms, fig1_matrix):
 
 def test_unary_collection(alphabet):
     col = px.from_strings(["AAAA"] * 5, alphabet)
-    mat = px.build_pbwt(col, px.build_permutations(col))
+    mat = build_matrix(col)
     for j in range(4):
         assert alphabet.decode(mat.cols[j]) == "AAAAA"
 
@@ -39,15 +39,16 @@ def test_column_content_property():
     rng = random.Random(11)
     for _ in range(25):
         col = random_collection(rng)
-        mat = px.build_pbwt(col, px.build_permutations(col))
+        mat = build_matrix(col)
         for j in range(col.length):
             assert sorted(col.alphabet.decode(mat.cols[j])) == sorted(s[j] for s in col.strings)
 
 
 def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
     keep = list(range(fig1.length + 1))
-    codes, perms = invert_pbwt(fig1_matrix, keep)
+    codes, lf, perms = invert_pbwt(fig1_matrix.cols, keep)
     assert np.array_equal(codes, fig1.codes)
+    assert np.array_equal(lf, fig1_matrix.lf)
     assert list(perms) == keep
     for j in keep:
         assert np.array_equal(perms[j], fig1_perms[j])
@@ -66,10 +67,11 @@ def test_every_column_matrix_inverts_to_its_collection():
         alphabet = px.Alphabet("ACGT"[:sigma])
         for cols in (random_cols, equal_cols):
             keep = list(range(length + 1))
-            codes, perms = invert_pbwt(px.PbwtMatrix(cols, sigma), keep)
+            codes, lf, perms = invert_pbwt(cols, keep)
             collection = px.StringCollection(alphabet=alphabet, codes=codes)
             index = px.build_index(collection, px.StoragePolicy.full())
             assert np.array_equal(index.matrix.cols, cols)
+            assert np.array_equal(index.matrix.lf, lf)
             for j in keep:
                 assert np.array_equal(perms[j], index.stored_perms[j])
 
@@ -139,8 +141,8 @@ def test_lf_rank_walk_composed_with_perms_is_identity():
     rng = random.Random(3)
     for _ in range(30):
         col = random_collection(rng, max_n=24, max_len=16)
-        perms = px.build_permutations(col)
-        matrix = px.build_pbwt(col, perms)
+        perms = perm_table(col)
+        matrix = build_matrix(col)
         k = rng.randint(0, col.length)
         h = rng.randint(0, k)
         rows = np.arange(col.n, dtype=np.int32)

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pbwtidx as px
 
-from conftest import PI_MATRIX, random_collection
+from conftest import PI_MATRIX, build_matrix, perm_table, random_collection
 
 
 def test_fig1_matrix(fig1_perms):
@@ -23,7 +23,7 @@ def test_last_column_is_identity(fig1_perms):
 
 def test_single_string(alphabet):
     col = px.from_strings(["A"], alphabet)
-    perms = px.build_permutations(col)
+    perms = perm_table(col)
     assert perms[0].tolist() == [0]
     assert perms[1].tolist() == [0]
 
@@ -39,7 +39,7 @@ def test_column_counts_fig1(fig1, fig1_matrix):
 
 def test_column_counts_unary(alphabet):
     col = px.from_strings(["AAAA"] * 6, alphabet)
-    base = px.build_pbwt(col, px.build_permutations(col)).base
+    base = build_matrix(col).base
     assert base[2, :, 0].tolist() == [0, 6, 6, 6]
     assert (base[2, :, -1] - base[2, :, 0]).tolist() == [6, 0, 0, 0]
 
@@ -53,7 +53,7 @@ def test_matches_comparison_sort_oracle():
     rng = random.Random(202)
     for _ in range(40):
         col = random_collection(rng, max_n=32, max_len=32)
-        perms = px.build_permutations(col)
+        perms = perm_table(col)
         for j in range(col.length + 1):
             assert perms[j].tolist() == _comparison_sorted(col, j)
 
@@ -62,7 +62,7 @@ def test_permutation_and_sortedness_properties():
     rng = random.Random(303)
     for _ in range(40):
         col = random_collection(rng)
-        perms = px.build_permutations(col)
+        perms = perm_table(col)
         for j in range(col.length + 1):
             column = perms[j]
             assert sorted(column.tolist()) == list(range(col.n))
@@ -116,7 +116,7 @@ def test_rebuild_column_matches_full_table():
     rng = random.Random(404)
     collections = [random_collection(rng) for _ in range(20)] + list(_edge_collections())
     for col in collections:
-        perms = px.build_permutations(col)
+        perms = perm_table(col)
         for j_start in range(col.length + 1):
             for j_target in range(j_start + 1):
                 got = rebuild_column(col, perms[j_start], j_start, j_target)
