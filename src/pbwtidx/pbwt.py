@@ -121,7 +121,7 @@ class PbwtMatrix:
     def walk(self, rows: np.ndarray, k: int, h: int) -> np.ndarray:
         """Map rows in column ``k``'s order to column ``h`` <= ``k``, one gather per column."""
         for j in range(k - 1, h - 1, -1):
-            rows = self.lf[j, rows]
+            rows = self.lf[j].take(rows)
         return rows
 
 

@@ -6,9 +6,16 @@ pi_k; ``backward`` starts from the full interval at column ``k+m`` and
 applies one two-lookup backward step per pattern character; ``rebuild``
 recomputes pi_k from the nearest stored column to its right and then
 bisects.  All three return the same interval of lexicographic ranks.
+
+:func:`locate` turns ranks into strings by walking each row through the
+PBWT to the nearest stored column at or below ``k``, the PBWT counterpart of
+the FM-index's sampled suffix array.  When pi_k is not stored, :func:`query`'s
+``binary`` strategy bisects through that same walk, one row per probe, so it
+reads about 2 lg n entries of pi_k instead of rebuilding all n.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,37 +117,43 @@ def _check_query(index: PositionalIndex, pattern: str, k: int) -> list[int]:
     return [index.collection.alphabet.rank(c) for c in pattern]
 
 
-def _bisect_interval(index: PositionalIndex, perm: np.ndarray, pattern: str, k: int) -> Interval:
-    """Two binary searches over the suffixes starting at ``k``, ordered by ``perm``.
+def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], pattern: str, k: int) -> Interval:
+    """Two binary searches over the suffixes starting at ``k``, in pi_k order.
 
-    Compares rank-code bytes: symbols are strictly increasing, so rank order
-    is string order.
+    ``pi_k(i)`` is the string at rank ``i``: a stored or rebuilt pi_k's
+    ``item``, or :func:`_sampled_pi`'s walk, so only the probed ranks are
+    read.  The first search also keeps the lowest rank it saw sort after the
+    pattern, where the second one can stop.  Compares rank-code bytes:
+    symbols are strictly increasing, so rank order is string order.
     """
     window = index.collection.codes[:, k : k + len(pattern)]
     key = index.collection.alphabet.encode(pattern).tobytes()
 
     def prefix(i: int) -> bytes:
-        return window[perm[i]].tobytes()
+        return window[pi_k(i)].tobytes()
 
-    lo, hi = 0, index.n
+    lo, hi, above = 0, index.n, index.n
     while lo < hi:
         mid = (lo + hi) // 2
-        if prefix(mid) < key:
+        probe = prefix(mid)
+        if probe < key:
             lo = mid + 1
         else:
             hi = mid
+            if probe > key:
+                above = mid
     first = lo
-    lo, hi = first, index.n
+    if first == index.n or prefix(first) != key:
+        return EMPTY
+    # every rank in [first, above) is at least the pattern
+    lo, hi = first + 1, above
     while lo < hi:
         mid = (lo + hi) // 2
-        if prefix(mid) <= key:
+        if prefix(mid) == key:
             lo = mid + 1
         else:
             hi = mid
-    last = lo - 1
-    if first > last or prefix(first) != key:
-        return EMPTY
-    return Interval(first, last)
+    return Interval(first, lo - 1)
 
 
 def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
@@ -148,7 +161,7 @@ def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
     _check_query(index, pattern, k)
     if k not in index.stored_perms:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
-    return _bisect_interval(index, index.stored_perms[k], pattern, k)
+    return _bisect_interval(index, index.stored_perms[k].item, pattern, k)
 
 
 def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) -> Interval:
@@ -196,6 +209,27 @@ def _nearest_stored_at_or_above(index: PositionalIndex, k: int) -> int:
     return min(j for j in index.stored_perms if j >= k)
 
 
+def _nearest_stored_at_or_below(index: PositionalIndex, k: int) -> int | None:
+    return max((j for j in index.stored_perms if j <= k), default=None)
+
+
+def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
+    """pi_k at one rank, read without building pi_k: the rank's row walks
+    back through ``lf`` to the stored column ``h`` <= ``k``, as in :func:`locate`.
+
+    The reads go through memoryviews, which cost a third of ``ndarray.item``.
+    """
+    lf_rows = [memoryview(index.matrix.lf[j]) for j in range(k - 1, h - 1, -1)]
+    pi_h = memoryview(index.stored_perms[h])
+
+    def at(i: int) -> int:
+        for lf_j in lf_rows:
+            i = lf_j[i]
+        return pi_h[i]
+
+    return at
+
+
 def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
     if k in index.stored_perms:
         return index.stored_perms[k]
@@ -206,7 +240,7 @@ def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
 def search_rebuild(index: PositionalIndex, pattern: str, k: int) -> Interval:
     """Match interval at column ``k`` by rebuilding pi_k in wide-digit radix passes, then bisecting."""
     _check_query(index, pattern, k)
-    return _bisect_interval(index, _rebuilt_perm(index, k), pattern, k)
+    return _bisect_interval(index, _rebuilt_perm(index, k).item, pattern, k)
 
 
 def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
@@ -226,10 +260,9 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
         raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
     if not index.stored_perms:
         raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
-    below = [j for j in index.stored_perms if j <= k]
-    if not below:
+    h = _nearest_stored_at_or_below(index, k)
+    if h is None:
         return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
-    h = max(below)
     rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
     return index.stored_perms[h][rows].tolist()
 
@@ -238,8 +271,12 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
           with_trace: bool = False):
     """Search + locate pipeline used by the CLI.
 
-    Strategy ``binary`` falls back to the rebuild path when pi_k is not
-    stored, so every strategy answers under every storage policy.  Returns
+    When pi_k is not stored, strategy ``binary`` still bisects: each probe
+    walks its rank through the PBWT to the nearest stored column at or below
+    ``k`` (at most stride - 1 steps), as :func:`locate` does.  Only when no
+    such column exists (the no-perms policy) does it rebuild pi_k as
+    ``rebuild`` does, so every strategy answers under every storage policy.
+    :func:`search_binary` itself still refuses an unstored pi_k.  Returns
     ``(interval, matches, trace)``; ``trace`` is None unless requested with
     the backward strategy.
     """
@@ -255,7 +292,11 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
         try:
             interval = search_binary(index, pattern, k)
         except PermutationNotStoredError:
-            interval = search_rebuild(index, pattern, k)
+            h = _nearest_stored_at_or_below(index, k)
+            if h is None:
+                interval = search_rebuild(index, pattern, k)
+            else:
+                interval = _bisect_interval(index, _sampled_pi(index, k, h), pattern, k)
     else:
         interval = search_rebuild(index, pattern, k)
     return interval, locate(index, interval, k), trace

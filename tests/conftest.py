@@ -43,6 +43,15 @@ PBWT_MATRIX = [
     "AAATCACT",
 ]
 
+# edge shapes: n=1, L=1, a one-symbol alphabet, all-equal strings, periodic strings
+EDGE_COLLECTIONS = [
+    (["GATTACA"], "ACGT"),
+    (["A", "C", "G", "T", "A"], "ACGT"),
+    (["AAA", "AAA"], "A"),
+    (["GATA"] * 6, "ACGT"),
+    (["GATGATGAT", "ATGATGATG", "TGATGATGA"], "ACGT"),
+]
+
 DEMO_TEXT = "GATTAGATACAT"
 DEMO_BWT = "TTTCGGAA$AATA"
 

@@ -9,7 +9,8 @@ import pbwtidx as px
 from pbwtidx.errors import PbwtIndexError
 from pbwtidx.fm import locate_with_steps
 
-from conftest import DEMO_TEXT, FIG1_STRINGS, all_patterns, random_collection, random_text, sa_samples
+from conftest import (DEMO_TEXT, EDGE_COLLECTIONS, FIG1_STRINGS, all_patterns, random_collection, random_text,
+                      sa_samples)
 
 
 def _same_positional_answers(a, b, rng):
@@ -24,14 +25,6 @@ def _same_positional_answers(a, b, rng):
             assert (iv_a, got_a) == (iv_b, got_b)
 
 
-# edge shapes: n=1, L=1, a one-symbol alphabet, all-equal strings, periodic strings
-EDGE_COLLECTIONS = [
-    (["GATTACA"], "ACGT"),
-    (["A", "C", "G", "T", "A"], "ACGT"),
-    (["AAA", "AAA"], "A"),
-    (["GATA"] * 6, "ACGT"),
-    (["GATGATGAT", "ATGATGATG", "TGATGATGA"], "ACGT"),
-]
 EDGE_TEXTS = [("G", "ACGT"), ("AAAA", "A"), ("TTTTTTTT", "ACGT"), ("GATAGATAGATAGATA", "ACGT")]
 
 

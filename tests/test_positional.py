@@ -12,9 +12,10 @@ from pbwtidx.errors import (
     UnknownCharacterError,
 )
 from pbwtidx.pbwt import EMPTY, Interval
+from pbwtidx import positional
 from pbwtidx.positional import backward_trace
 
-from conftest import PI_MATRIX, random_collection
+from conftest import EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,23 @@ def test_nine_strategy_policy_combinations(fig1):
             assert interval.width == 3
 
 
+def _sampled_policies(col):
+    # stride 1 stores every column, a stride past L only columns 0 and L
+    strides = {1, 2, 3, px.default_stride(col.n), col.length + 1}
+    return [px.StoragePolicy.sampled(t) for t in sorted(strides)]
+
+
+def _assert_sampled_binary_agrees(col, queries):
+    for policy in _sampled_policies(col):
+        index = px.build_index(col, policy)
+        for pattern, k in queries:
+            expected = px.naive_positional(col, pattern, k)
+            interval, matches, _ = px.query(index, pattern, k, strategy="binary")
+            assert interval == px.search_rebuild(index, pattern, k) == px.search_backward(index, pattern, k)
+            assert matches == px.locate(index, interval, k)
+            assert sorted(matches) == expected, (policy.stride, pattern, k)
+
+
 def test_strategy_agreement_on_random_collections():
     rng = random.Random(44)
     for _ in range(30):
@@ -159,10 +177,12 @@ def test_strategy_agreement_on_random_collections():
             "rebuild": px.build_index(col, px.StoragePolicy.no_perms()),
         }
         symbols = col.alphabet.symbols
+        queries = []
         for _q in range(25):
             m = rng.randint(0, min(4, col.length))
             k = rng.randint(0, col.length - m)
             pattern = "".join(rng.choice(symbols) for _ in range(m))
+            queries.append((pattern, k))
             expected = px.naive_positional(col, pattern, k)
             answers = {}
             for strategy, index in indexes.items():
@@ -171,6 +191,31 @@ def test_strategy_agreement_on_random_collections():
                 assert len(set(matches)) == len(matches)
                 answers[strategy] = sorted(matches)
             assert answers["binary"] == answers["backward"] == answers["rebuild"] == expected
+        _assert_sampled_binary_agrees(col, queries)
+
+
+def test_sampled_binary_agrees_on_edge_shapes():
+    for strings, symbols in EDGE_COLLECTIONS:
+        col = px.from_strings(strings, px.Alphabet(symbols))
+        queries = [(pattern, k) for pattern in all_patterns(symbols, min(3, col.length))
+                   for k in range(col.length - len(pattern) + 1)]
+        _assert_sampled_binary_agrees(col, queries)
+
+
+def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("rebuild_column called")
+
+    monkeypatch.setattr(positional, "rebuild_column", refuse)
+    sampled = px.build_index(fig1, px.StoragePolicy.sampled(3))
+    for k in range(6):
+        interval, matches, _ = px.query(sampled, "AGA", k, strategy="binary")
+        assert sorted(matches) == px.naive_positional(fig1, "AGA", k)
+    # pi_4 is not stored: the rebuild strategy and the no-perms policy still rebuild
+    with pytest.raises(AssertionError, match="rebuild_column"):
+        px.query(sampled, "AGA", 4, strategy="rebuild")
+    with pytest.raises(AssertionError, match="rebuild_column"):
+        px.query(px.build_index(fig1, px.StoragePolicy.no_perms()), "AGA", 4, strategy="binary")
 
 
 def test_build_memory_keeps_only_the_stored_columns():
