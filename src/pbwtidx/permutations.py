@@ -12,7 +12,8 @@ where the storage policy keeps it.  :func:`rebuild_column` needs only the
 last one, so its radix digit is as many columns as fit in a uint64 beside a
 row rank (McIlroy, Bostic & McIlroy 1993, "Engineering radix sort"): a span
 of g columns costs ceil(g / w) sorts instead of g, with w at least 4 for
-ASCII alphabets.
+ASCII alphabets.  Its columns are grouped into bytes before they enter the
+wide key, and a pass whose digit and rank fit in 32 bits sorts uint32 keys.
 
 Conventions: string matrices are (n, L) uint8 rank codes, permutations int32.
 """
@@ -62,15 +63,40 @@ def build_permutations(collection: StringCollection, keep) -> Sweep:
     return radix_sweep(collection.codes, np.arange(collection.n, dtype=np.int32), keep)
 
 
+def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:
+    """Columns ``lo..hi-1`` of ``codes`` as one ``key`` integer per row, leftmost most significant.
+
+    Runs of ``8 // sym_bits`` columns are first combined in a uint8 with a
+    multiply and an add, which numpy vectorises where it does not vectorise
+    a uint8 shift; the wide key then takes one shift and one OR per byte.
+    """
+    per_byte = 8 // sym_bits
+    packed = None
+    for b in range(lo, hi, per_byte):
+        e = min(b + per_byte, hi)
+        byte = codes[:, b].copy()
+        for j in range(b + 1, e):
+            byte *= 1 << sym_bits
+            byte += codes[:, j]
+        if packed is None:
+            packed = byte.astype(key)
+        else:
+            packed <<= key((e - b) * sym_bits)
+            packed |= byte
+    return packed
+
+
 def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int, j_target: int) -> np.ndarray:
     """Recompute pi_{j_target} from a known pi_{j_start}, j_target <= j_start.
 
     Right-to-left radix passes over the column span, each taking as many
     columns as one uint64 key holds above the low ``pos_bits`` bits.  A pass
-    packs its columns (leftmost most significant), gathers the packed keys in
-    the current pi order and ORs each row's rank into the low bits.  The keys
-    are then unique, so one plain sort is stable, and the low bits of the
-    sorted keys say where each row came from.
+    packs its columns a byte at a time (:func:`_packed_span`), gathers the
+    packed keys in the current pi order and ORs each row's rank into the low
+    bits.  The keys are then unique, so one plain sort is stable, and the low
+    bits of the sorted keys say where each row came from.  A pass whose
+    columns and rank fit in 32 bits uses uint32 keys, which sort in about
+    half the time of uint64 ones.
     """
     if j_target == j_start:
         return start
@@ -78,15 +104,14 @@ def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int
     sym_bits = max(1, (collection.alphabet.sigma - 1).bit_length())
     pos_bits = max(1, (n - 1).bit_length())
     width = (64 - pos_bits) // sym_bits
-    rows = np.arange(n, dtype=np.uint64)
     pi = np.asarray(start, dtype=np.int32)
     for hi in range(j_start, j_target, -width):
         lo = max(j_target, hi - width)
-        packed = np.zeros(n, np.uint64)
-        for j in range(lo, hi):
-            packed <<= np.uint64(sym_bits)
-            packed |= codes[:, j]
-        keys = np.sort((packed[pi] << np.uint64(pos_bits)) | rows)
-        pi = pi[keys & np.uint64((1 << pos_bits) - 1)]
+        key = np.uint32 if (hi - lo) * sym_bits + pos_bits <= 32 else np.uint64
+        keys = _packed_span(codes, lo, hi, sym_bits, key).take(pi)
+        keys <<= key(pos_bits)
+        keys |= np.arange(n, dtype=key)
+        keys.sort()
+        keys &= key((1 << pos_bits) - 1)
+        pi = pi.take(keys)
     return pi
-

@@ -74,6 +74,22 @@ class StoragePolicy:
             return cols
         return [length]
 
+    def stored_at_or_below(self, k: int, length: int) -> int | None:
+        """The greatest of :meth:`stored_columns` that is at most ``k``, 0 <= k <= length, or None."""
+        if self.kind == "full" or k == length:
+            return k
+        if self.kind == "sampled":
+            return k - k % self.stride
+        return None
+
+    def stored_at_or_above(self, k: int, length: int) -> int:
+        """The least of :meth:`stored_columns` that is at least ``k``, 0 <= k <= length."""
+        if self.kind == "full":
+            return k
+        if self.kind == "sampled":
+            return min(-(-k // self.stride) * self.stride, length)
+        return length
+
 
 def default_stride(n: int) -> int:
     """ceil(lg n), clamped to at least 1."""
@@ -205,14 +221,6 @@ def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
     return backward_trace(index, pattern, k)[-1][1]
 
 
-def _nearest_stored_at_or_above(index: PositionalIndex, k: int) -> int:
-    return min(j for j in index.stored_perms if j >= k)
-
-
-def _nearest_stored_at_or_below(index: PositionalIndex, k: int) -> int | None:
-    return max((j for j in index.stored_perms if j <= k), default=None)
-
-
 def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
     """pi_k at one rank, read without building pi_k: the rank's row walks
     back through ``lf`` to the stored column ``h`` <= ``k``, as in :func:`locate`.
@@ -233,7 +241,7 @@ def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
 def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
     if k in index.stored_perms:
         return index.stored_perms[k]
-    j = _nearest_stored_at_or_above(index, k)
+    j = index.policy.stored_at_or_above(k, index.length)
     return rebuild_column(index.collection, index.stored_perms[j], j, k)
 
 
@@ -260,11 +268,11 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
         raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
     if not index.stored_perms:
         raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
-    h = _nearest_stored_at_or_below(index, k)
+    h = index.policy.stored_at_or_below(k, index.length)
     if h is None:
         return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
     rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
-    return index.stored_perms[h][rows].tolist()
+    return index.stored_perms[h].take(rows).tolist()
 
 
 def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",
@@ -292,7 +300,7 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
         try:
             interval = search_binary(index, pattern, k)
         except PermutationNotStoredError:
-            h = _nearest_stored_at_or_below(index, k)
+            h = index.policy.stored_at_or_below(k, index.length)
             if h is None:
                 interval = search_rebuild(index, pattern, k)
             else:

@@ -104,6 +104,13 @@ def _edge_collections():
         for n in (2**b, 2**b + 1):
             yield direct("ACGT", np_rng.integers(0, 4, (n, 40)))
             yield direct("AC", np_rng.integers(0, 2, (n, 70)))
+    # 5-8 symbols: 3-bit codes, two to a byte with two bits left over; 9-16
+    # symbols: 4-bit codes, two to a byte
+    for sigma in (5, 8, 9, 16):
+        yield direct("ABCDEFGHIJKLMNOP"[:sigma], np_rng.integers(0, sigma, (40, 50)))
+    # n = 9 leaves 4 rank bits, so a 14-column span fills a uint32 key
+    # exactly and a 15-column one needs a uint64
+    yield direct("ACGT", np_rng.integers(0, 4, (9, 24)))
     # sigma = 100: 7 bits per symbol leave 7 columns per pass beside 9 rank bits
     symbols = "".join(chr(c) for c in range(28, 128))
     yield direct(symbols, np_rng.integers(0, 100, (300, 45)))

@@ -50,6 +50,22 @@ def test_policy_validation():
         px.StoragePolicy("bogus")
 
 
+def test_policy_nearest_stored_columns_match_a_scan(fig1):
+    # the policy's arithmetic answers what a scan of the built index's columns finds
+    rng = random.Random(606)
+    collections = [fig1, px.from_strings(["A", "C"], px.Alphabet("AC"))]
+    collections += [random_collection(rng, max_n=20, max_len=20) for _ in range(10)]
+    for col in collections:
+        length = col.length
+        policies = [px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
+        policies += [px.StoragePolicy.sampled(t) for t in (1, 2, 3, px.default_stride(col.n), length + 1)]
+        for policy in policies:
+            stored = px.build_index(col, policy).stored_perms
+            for k in range(length + 1):
+                assert policy.stored_at_or_below(k, length) == max((j for j in stored if j <= k), default=None)
+                assert policy.stored_at_or_above(k, length) == min(j for j in stored if j >= k)
+
+
 def test_search_binary_worked_example(full_index):
     interval = px.search_binary(full_index, "AGA", 3)
     assert sorted(px.locate(full_index, interval, 3)) == [1, 4, 5]
