@@ -83,5 +83,10 @@ class Alphabet:
 
     def decode(self, codes) -> str:
         """Turn a sequence (or matrix, row by row) of ranks back into one string."""
-        return self._symbol_table[np.asarray(codes, dtype=np.intp)].tobytes().decode("latin-1")
+        codes = np.asarray(codes, dtype=np.intp)
+        if codes.size:
+            # the extremes go through char, which rejects a rank outside [0, sigma)
+            self.char(int(codes.min()))
+            self.char(int(codes.max()))
+        return self._symbol_table[codes].tobytes().decode("latin-1")
 

@@ -6,7 +6,8 @@ from functools import cached_property
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, UnknownCharacterError
+from .errors import (EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, RankOutOfRangeError,
+                     UnknownCharacterError)
 
 
 @dataclass(frozen=True, eq=False)
@@ -15,17 +16,27 @@ class StringCollection:
     (n, length) uint8 rank matrix ``codes``; the strings are decoded from it
     on first use.
 
-    ``codes`` is column-major (Fortran order), so each column is one
-    contiguous read for the radix passes, which gather whole columns.
+    ``codes`` may be any 2-D integer matrix whose codes lie in [0, sigma);
+    it is kept as uint8 in column-major (Fortran) order, copied only when it
+    is not already, so each column is one contiguous read for the radix
+    passes, which gather whole columns.
     """
 
     alphabet: Alphabet
     codes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.codes.size == 0:
+        codes = np.asarray(self.codes)
+        if codes.size == 0:
             raise EmptyInputError("collection is empty")
-        object.__setattr__(self, "codes", np.asfortranarray(self.codes))
+        if codes.ndim != 2:
+            raise RaggedCollectionError(f"codes must be an (n, length) matrix, not {codes.ndim}-D")
+        if not np.issubdtype(codes.dtype, np.integer):
+            raise RankOutOfRangeError(f"codes must be integer ranks, not {codes.dtype}")
+        # the extremes go through char, which rejects a rank outside [0, sigma)
+        self.alphabet.char(int(codes.min()))
+        self.alphabet.char(int(codes.max()))
+        object.__setattr__(self, "codes", np.asfortranarray(codes, dtype=np.uint8))
 
     def __eq__(self, other):
         if not isinstance(other, StringCollection):

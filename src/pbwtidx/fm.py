@@ -15,8 +15,8 @@ one-column :class:`~pbwtidx.pbwt.PbwtMatrix`: each backward-search step is
 two checkpoint lookups plus two short byte counts, and each locate step one
 read of the int32 LF mapping.
 
-Conventions: rotation matrices are (n, L) uint8 rank codes, permutations and
-the LF mapping are int32, and text positions are int64.
+Conventions: rank codes are uint8, the LF mapping is int32, and text
+positions are int64.
 """
 
 from dataclasses import dataclass, field
@@ -92,6 +92,7 @@ def sorted_rotations(st: SentinelText) -> np.ndarray:
 def verify_column_collapse(st: SentinelText) -> bool:
     """Check that every column of the cyclic-shift PBWT equals the BWT.
 
+    Column ``j`` of the shift starting at ``p`` is ``ext[(p + j) % size]``.
     The shifts are sorted with two radix sweeps: the first, seeded with the
     identity, yields the full cyclic order at column 0; the second, seeded
     with that order, breaks every truncated-suffix tie by the wrapped-around
@@ -100,12 +101,14 @@ def verify_column_collapse(st: SentinelText) -> bool:
     """
     ext = _ext_encode(st)
     size = ext.shape[0]
-    rot = ext[(np.arange(size)[:, None] + np.arange(size)[None, :]) % size]
-    rot = np.ascontiguousarray(rot, dtype=np.uint8)
-    first = radix_sweep(rot, np.arange(size, dtype=np.int32), [0])[2][0]
-    cols = radix_sweep(rot, first)[0]
-    expected = ext[(sorted_rotations(st) - 1) % size]
-    return bool(np.all(cols == expected[None, :]))
+    cols = np.empty((size, size), np.uint8)
+
+    def shifted(j, pi):
+        return np.take(ext, (pi + j) % size, out=cols[j])
+
+    first = radix_sweep(size, size, shifted, keep=[0])[1][0]
+    radix_sweep(size, size, shifted, first)
+    return bool(np.all(cols == ext[(sorted_rotations(st) - 1) % size]))
 
 
 @dataclass(frozen=True)

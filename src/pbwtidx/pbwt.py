@@ -7,17 +7,11 @@ follows each character.  Row ``r`` of pi_{j+1} order moves to row
 column, and :class:`PbwtMatrix` holds that mapping once for every column: an
 int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
 and int32 checkpoints every 64 rows for any other symbol (the backward step,
-two lookups per pattern character).
-
-``lf[j]`` is the inverse of column ``j``'s stable sort, which is the order
-that takes pi_{j+1} to pi_j.  Both ways between a collection and its PBWT
-are therefore one right-to-left pass per column that sorts the column once:
-the build (:func:`~pbwtidx.permutations.build_permutations`) gathers each
-column from the strings, and :func:`invert_pbwt`, which the loader runs,
-scatters it back; each hands its ``lf`` to :class:`PbwtMatrix`, which then
-only adds the checkpoints.  The BWT is the PBWT of a text's cyclic shifts,
-whose columns are all equal, so the substring index in :mod:`pbwtidx.fm`
-holds it as a one-column :class:`PbwtMatrix`.
+two lookups per pattern character).  ``lf`` comes from the right-to-left
+sweep of :mod:`pbwtidx.permutations`, which the build and
+:func:`invert_pbwt` run anyway.  The BWT is the PBWT of a text's cyclic
+shifts, whose columns are all equal, so the substring index in
+:mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`.
 """
 
 from dataclasses import dataclass
@@ -26,7 +20,7 @@ import numpy as np
 
 from .collection import StringCollection
 from .errors import PbwtIndexError, RankOutOfRangeError
-from .permutations import Sweep
+from .permutations import radix_sweep
 
 
 @dataclass(frozen=True)
@@ -75,7 +69,7 @@ class PbwtMatrix:
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
       A caller whose sweep has sorted the columns hands it in, as the build
-      and the loader do; otherwise one stable argsort per column derives it.
+      and the loader do; otherwise a sweep over the columns derives it.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -93,12 +87,7 @@ class PbwtMatrix:
         self._bytes = np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.sigma, self.n = sigma, n
-        if lf is None:
-            lf = np.empty((width, n), np.int32)
-            rows = np.arange(n, dtype=np.int32)
-            for j, col in enumerate(self.cols):
-                lf[j][np.argsort(col, kind="stable")] = rows
-        self.lf = lf
+        self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if lf is None else lf
         blocks = n // BLOCK + 2
         self.base = np.empty((width, sigma, blocks), np.int32)
         # row r's symbol counts towards every checkpoint after its block
@@ -133,28 +122,20 @@ def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -
     return PbwtMatrix(cols, collection.alphabet.sigma, lf)
 
 
-def invert_pbwt(cols: np.ndarray, keep) -> Sweep:
+def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """The collection whose PBWT columns are ``cols``, their LF mapping, and pi_j for each ``j`` in ``keep``.
 
-    The build's sweep run on its own output, from pi_length, the identity,
-    to pi_0: column ``j`` lists the column-``j`` codes in pi_{j+1} order, so
-    they scatter back to their strings, and the column's one stable sort
-    gives ``lf[j]`` (its inverse) and pi_j = pi_{j+1}[order].  Returns the
-    (n, length) column-major codes, the (length, n) int32 ``lf`` and the
-    kept permutations.  Any code matrix is the PBWT of its inverse.
+    The build's sweep run on its own output: column ``j`` lists the
+    column-``j`` codes in pi_{j+1} order, so they scatter back to their
+    strings.  Returns the (n, length) column-major codes, the (length, n)
+    int32 ``lf`` and the kept permutations.  Any code matrix is the PBWT of
+    its inverse.
     """
     length, n = cols.shape
     codes = np.empty((length, n), np.uint8)
-    lf = np.empty((length, n), np.int32)
-    rows = np.arange(n, dtype=np.int32)
-    # pi is intp: numpy casts any other index array on every scatter
-    pi, wanted, perms = np.arange(n, dtype=np.intp), set(keep), {}
-    for j in range(length, -1, -1):
-        if j < length:
-            codes[j][pi] = cols[j]
-            order = np.argsort(cols[j], kind="stable")
-            lf[j][order] = rows
-            pi = pi[order]
-        if j in wanted:
-            perms[j] = pi.astype(np.int32)
-    return codes.T, lf, {j: perms[j] for j in keep}
+
+    def scatter(j, pi):
+        codes[j][pi] = cols[j]
+        return cols[j]
+
+    return codes.T, *radix_sweep(n, length, scatter, keep=keep)

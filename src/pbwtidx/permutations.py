@@ -4,63 +4,72 @@ The permutation pi_j orders the strings by their suffixes starting at column
 ``j``; ties between equal suffixes resolve to ascending string index because
 every pass is stable and the sweep is seeded with the identity.
 
-:func:`build_permutations` is the paper's construction, one pass per column
-from right to left.  Pass ``j`` sorts PBWT column ``j`` (the column-``j``
-codes in pi_{j+1} order) once, and that one sort yields the column, its LF
-mapping (the sort's inverse) and pi_j; a permutation outlives its pass only
-where the storage policy keeps it.  :func:`rebuild_column` needs only the
-last one, so its radix digit is as many columns as fit in a uint64 beside a
-row rank (McIlroy, Bostic & McIlroy 1993, "Engineering radix sort"): a span
-of g columns costs ceil(g / w) sorts instead of g, with w at least 4 for
-ASCII alphabets.  Its columns are grouped into bytes before they enter the
-wide key, and a pass whose digit and rank fit in 32 bits sorts uint32 keys.
+:func:`radix_sweep` is the paper's construction and the only loop that sorts
+a PBWT column.  It runs from pi_length, the seed, down to pi_0; pass ``j``
+stably sorts PBWT column ``j`` (the column-``j`` codes in pi_{j+1} order)
+once, and that one sort yields the column's LF mapping (the sort's inverse)
+and pi_j = pi_{j+1}[order].  A permutation outlives its pass only where the
+caller keeps it.  The caller supplies the column: the build gathers it from
+the strings (:func:`build_permutations`), the loader scatters it back into
+them (:func:`~pbwtidx.pbwt.invert_pbwt`), a :class:`~pbwtidx.pbwt.PbwtMatrix`
+handed no LF mapping reads its own columns, and the cyclic-shift check in
+:mod:`pbwtidx.fm` reads the shifts of the text, whose PBWT is the BWT.
 
-Conventions: string matrices are (n, L) uint8 rank codes, permutations int32.
+:func:`rebuild_column` needs only the last permutation, so its radix digit
+is as many columns as fit in a uint64 beside a row rank (McIlroy, Bostic &
+McIlroy 1993, "Engineering radix sort"): a span of g columns costs
+ceil(g / w) sorts instead of g, with w at least 4 for ASCII alphabets.  Its
+columns are grouped into bytes before they enter the wide key, and a pass
+whose digit and rank fit in 32 bits sorts uint32 keys.
+
+Conventions: string matrices are (n, L) uint8 rank codes, kept permutations
+int32.
 """
+
+from collections.abc import Callable
 
 import numpy as np
 
 from .collection import StringCollection
 
 
-# what one right-to-left pass over the columns yields: a uint8 code matrix,
-# the int32 LF mapping and the kept permutations by column
-Sweep = tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]
+def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarray], seed=None, keep=()):
+    """The right-to-left sweep over ``width`` columns of ``n`` rows.
 
-
-def radix_sweep(codes: np.ndarray, seed: np.ndarray, keep=()) -> Sweep:
-    """Right-to-left radix sort of the rows of ``codes``, one stable argsort per column.
-
-    Column ``j``'s pass gathers ``codes[pi_{j+1}, j]``, which is PBWT column
-    ``j``, and sorts it stably: the order is pi_j as positions of pi_{j+1},
-    and its inverse is the column's LF mapping.  Returns ``(cols, lf, perms)``:
-    the (L, n) uint8 PBWT columns, the (L, n) int32 LF mapping and pi_j for
-    each ``j`` in ``keep``, where pi_L is ``seed`` and ties keep its order.
+    ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  Returns
+    ``(lf, perms)``: the (width, n) int32 LF mapping and a dict holding the
+    int32 pi_j for each ``j`` in ``keep``, in that order, where pi_width is
+    ``seed`` (the identity when None) and ties keep its order.
     """
-    n, width = codes.shape
-    cols = np.empty((width, n), np.uint8)
     lf = np.empty((width, n), np.int32)
     rows = np.arange(n, dtype=np.int32)
-    pi, wanted, perms = np.asarray(seed, np.int32), set(keep), {}
+    # pi is intp: numpy casts any other index array on every gather and
+    # scatter, which made the loader's sweep 12% slower with int32 at
+    # 20 000 x 200
+    pi = np.arange(n, dtype=np.intp) if seed is None else np.asarray(seed, np.intp)
+    wanted, perms = set(keep), {}
     for j in range(width, -1, -1):
         if j < width:
-            np.take(codes[:, j], pi, out=cols[j])
-            order = np.argsort(cols[j], kind="stable")
+            order = np.argsort(column(j, pi), kind="stable")
             lf[j][order] = rows
-            pi = pi[order]
+            pi = pi.take(order)
         if j in wanted:
-            perms[j] = pi
-    return cols, lf, {j: perms[j] for j in keep}
+            perms[j] = pi.astype(np.int32)
+    return lf, {j: perms[j] for j in keep}
 
 
-def build_permutations(collection: StringCollection, keep) -> Sweep:
-    """One right-to-left sweep over the collection: its PBWT columns, their LF
-    mapping and pi_j for each ``j`` in ``keep`` (pi_length is the identity).
+def build_permutations(collection: StringCollection,
+                       keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
+    """The collection's (length, n) uint8 PBWT columns, their LF mapping and
+    pi_j for each ``j`` in ``keep``, from one :func:`radix_sweep` that
+    gathers each column from the strings."""
+    codes = collection.codes
+    cols = np.empty((collection.length, collection.n), np.uint8)
 
-    See :func:`radix_sweep`; each column is sorted once and only the kept
-    permutations outlive their pass.
-    """
-    return radix_sweep(collection.codes, np.arange(collection.n, dtype=np.int32), keep)
+    def gather(j, pi):
+        return np.take(codes[:, j], pi, out=cols[j])
+
+    return cols, *radix_sweep(collection.n, collection.length, gather, keep=keep)
 
 
 def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:

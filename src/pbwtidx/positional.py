@@ -239,8 +239,6 @@ def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
 
 
 def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
-    if k in index.stored_perms:
-        return index.stored_perms[k]
     j = index.policy.stored_at_or_above(k, index.length)
     return rebuild_column(index.collection, index.stored_perms[j], j, k)
 

@@ -8,6 +8,7 @@ from pbwtidx.errors import (
     EmptyInputError,
     IndexOutOfRangeError,
     RaggedCollectionError,
+    RankOutOfRangeError,
     UnknownCharacterError,
 )
 
@@ -89,3 +90,21 @@ def test_codes_are_column_major(alphabet, tmp_path):
         assert col.codes.flags.f_contiguous
         assert col.codes.shape == (8, 8)
         assert list(col.strings) == FIG1_STRINGS
+
+
+def test_codes_are_checked_and_stored_as_uint8(alphabet):
+    fig1 = px.from_strings(FIG1_STRINGS, alphabet)
+    for dtype in (np.int64, np.int8, np.uint16):
+        col = px.StringCollection(alphabet=alphabet, codes=fig1.codes.astype(dtype))
+        assert col.codes.dtype == np.uint8 and col.codes.flags.f_contiguous
+        assert col == fig1
+        assert px.build_index(col).matrix.cols.tobytes() == px.build_index(fig1).matrix.cols.tobytes()
+    assert px.StringCollection(alphabet=alphabet, codes=fig1.codes).codes is fig1.codes
+    for codes in (np.array([[0, -1]]), np.array([[0, 4]]), np.array([[0, 1]], np.float64)):
+        with pytest.raises(RankOutOfRangeError):
+            px.StringCollection(alphabet=alphabet, codes=codes)
+    for codes in (np.array([0, 1, 2]), np.zeros((2, 2, 2), np.uint8)):
+        with pytest.raises(RaggedCollectionError):
+            px.StringCollection(alphabet=alphabet, codes=codes)
+    with pytest.raises(EmptyInputError):
+        px.StringCollection(alphabet=alphabet, codes=np.zeros((0, 3), np.uint8))

@@ -220,3 +220,35 @@ def test_to_bytes_rejects_fields_beyond_u32(fig1):
                   px.fm_build(px.SentinelText(DEMO_TEXT, px.Alphabet()), wide)):
         with pytest.raises(PbwtIndexError, match=f"stride = {wide} does not fit"):
             px.to_bytes(index)
+
+
+# the worked examples' index files, byte for byte: any change to the sweep
+# or the format that alters what is written fails here
+GOLDEN_FILES = {
+    "full": "504257544944583301040041434754240800000008000000000000000003030302010200000001000003000000"
+            "030002030103030003010000000000030303020202000001010101000000000003010302000000010300030000"
+            "010303cb30f84b",
+    "sampled": "504257544944583301040041434754240800000008000000010200000003030302010200000001000003000000"
+               "030002030103030003010000000000030303020202000001010101000000000003010302000000010300030000"
+               "010303f37c8654",
+    "none": "504257544944583301040041434754240800000008000000020000000003030302010200000001000003000000"
+            "030002030103030003010000000000030303020202000001010101000000000003010302000000010300030000"
+            "01030372ce833a",
+    "fm": "504257544944583302040041434754240c0000000500000004040402030301010001010401190867fc",
+}
+
+
+@pytest.mark.parametrize("name, policy", [("full", px.StoragePolicy.full()),
+                                          ("sampled", px.StoragePolicy.sampled(2)),
+                                          ("none", px.StoragePolicy.no_perms())])
+def test_fig1_index_file_is_golden(name, policy):
+    index = px.build_index(px.from_strings(FIG1_STRINGS), policy)
+    blob = px.to_bytes(index)
+    assert len(blob) == 97 and blob.hex() == GOLDEN_FILES[name]
+    assert px.to_bytes(px.from_bytes(blob)) == blob
+
+
+def test_demo_text_index_file_is_golden():
+    blob = px.to_bytes(px.fm_build(px.SentinelText(DEMO_TEXT, px.Alphabet()), 5))
+    assert len(blob) == 41 and blob.hex() == GOLDEN_FILES["fm"]
+    assert px.to_bytes(px.from_bytes(blob)) == blob

@@ -76,22 +76,34 @@ def _random_case(rng):
 
 
 def test_radix_sweep_impls_agree():
+    """The build's gather and the loader's scatter both sweep as the reference does."""
     rng = random.Random(1)
     for _ in range(30):
         codes, sigma = _random_case(rng)
-        width = codes.shape[1]
-        seed = np.arange(codes.shape[0], dtype=np.int32)
+        n, width = codes.shape
+        identity = np.arange(n, dtype=np.int32)
         # a shuffled seed checks that ties keep the seed's order
-        shuffled = np.array(rng.sample(range(codes.shape[0]), codes.shape[0]), dtype=np.int32)
+        shuffled = np.array(rng.sample(range(n), n), dtype=np.int32)
         keep = sorted(rng.sample(range(width + 1), rng.randint(0, width + 1)))
-        for s in (seed, shuffled):
-            cols, lf, perms = radix_sweep(codes, s, keep)
+        for s in (identity, shuffled):
             ref_cols, ref_lf, table = radix_sweep_loops(codes, s, sigma)
-            assert np.array_equal(cols, ref_cols) and np.array_equal(lf, ref_lf)
-            assert cols.dtype == np.uint8 and lf.dtype == np.int32
-            assert list(perms) == keep
-            for j in keep:
-                assert perms[j].dtype == np.int32 and np.array_equal(perms[j], table[j])
+            cols = np.empty((width, n), np.uint8)
+            back = np.empty((width, n), np.uint8)
+
+            def gather(j, pi):
+                return np.take(codes[:, j], pi, out=cols[j])
+
+            def scatter(j, pi):
+                back[j][pi] = ref_cols[j]
+                return ref_cols[j]
+
+            for column in (gather, scatter):
+                lf, perms = radix_sweep(n, width, column, s, keep)
+                assert np.array_equal(lf, ref_lf) and lf.dtype == np.int32
+                assert list(perms) == keep
+                for j in keep:
+                    assert perms[j].dtype == np.int32 and np.array_equal(perms[j], table[j])
+            assert np.array_equal(cols, ref_cols) and np.array_equal(back.T, codes)
 
 
 def _sweep_collections():
