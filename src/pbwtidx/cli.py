@@ -71,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> str | bytes:
-    """The collection text: stdin as text, a file as bytes, which :func:`parse_collection` decodes as ASCII."""
+def _read_input(path: str) -> bytes:
+    """The collection's raw bytes from a file or stdin, which :func:`parse_collection` decodes as ASCII."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
         return fh.read()
 
@@ -248,3 +248,7 @@ def main(argv=None) -> int:
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -31,10 +31,15 @@ from .permutations import radix_sweep
 
 @dataclass(frozen=True)
 class SentinelText:
-    """A text over the alphabet plus its sentinel-terminated form."""
+    """A text over the alphabet plus its sentinel-terminated form.
+
+    ``_ext`` holds the rank codes of the terminated text, encoded once when
+    the text is validated: the sentinel at rank 0, symbols shifted up by one.
+    """
 
     text: str
     alphabet: Alphabet
+    _ext: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.text:
@@ -43,7 +48,8 @@ class SentinelText:
             raise UnknownCharacterError(
                 f"text must not contain the sentinel {self.alphabet.sentinel!r}"
             )
-        self.alphabet.encode(self.text)
+        codes = self.alphabet.encode(self.text) + 1
+        object.__setattr__(self, "_ext", np.concatenate([codes, np.zeros(1, np.uint8)]))
 
     @property
     def terminated(self) -> str:
@@ -52,12 +58,6 @@ class SentinelText:
     @property
     def n(self) -> int:
         return len(self.text)
-
-
-def _ext_encode(st: SentinelText) -> np.ndarray:
-    """Rank codes of the terminated text with the sentinel at rank 0, symbols shifted up."""
-    codes = st.alphabet.encode(st.text).astype(np.uint8) + 1
-    return np.concatenate([codes, np.zeros(1, np.uint8)])
 
 
 def sorted_rotations(st: SentinelText) -> np.ndarray:
@@ -73,7 +73,7 @@ def sorted_rotations(st: SentinelText) -> np.ndarray:
     independent cross-check, and :func:`pbwtidx.oracle.naive_sorted_rotations`
     the brute-force reference.
     """
-    key = _ext_encode(st).astype(np.int64)
+    key = st._ext.astype(np.int64)
     size, shift = key.shape[0], 1
     while True:
         # ties may land in any order: they share a rank, and the last round has none
@@ -99,7 +99,7 @@ def verify_column_collapse(st: SentinelText) -> bool:
     context, which is what makes the columns collapse, and its PBWT columns
     are the ones compared with the BWT.
     """
-    ext = _ext_encode(st)
+    ext = st._ext
     size = ext.shape[0]
     cols = np.empty((size, size), np.uint8)
 
@@ -180,7 +180,7 @@ class FmIndex:
 
 def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     """Index the text for substring search, sampling text positions p with p % stride == 0."""
-    ext = _ext_encode(st)
+    ext = st._ext
     return FmIndex(st.alphabet, ext[(sorted_rotations(st) - 1) % ext.shape[0]], stride)
 
 

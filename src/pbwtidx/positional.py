@@ -1,17 +1,17 @@
 """The positional-search index: three query strategies plus locate.
 
 A query asks for the strings containing pattern ``P`` starting exactly at
-position ``k``.  Strategy ``binary`` bisects the suffixes sorted by a stored
-pi_k; ``backward`` starts from the full interval at column ``k+m`` and
-applies one two-lookup backward step per pattern character; ``rebuild``
-recomputes pi_k from the nearest stored column to its right and then
-bisects.  All three return the same interval of lexicographic ranks.
+position ``k``.  Strategy ``binary`` bisects the suffixes sorted by pi_k;
+``backward`` starts from the full interval at column ``k+m`` and applies one
+two-lookup backward step per pattern character; ``rebuild`` recomputes pi_k
+from the nearest stored column to its right and then bisects.  All three
+return the same interval of lexicographic ranks.
 
 :func:`locate` turns ranks into strings by walking each row through the
 PBWT to the nearest stored column at or below ``k``, the PBWT counterpart of
-the FM-index's sampled suffix array.  When pi_k is not stored, :func:`query`'s
-``binary`` strategy bisects through that same walk, one row per probe, so it
-reads about 2 lg n entries of pi_k instead of rebuilding all n.
+the FM-index's sampled suffix array.  :func:`search_binary` reads pi_k
+through that same walk, one row per probe, so an unstored pi_k costs about
+2 lg n walks instead of a rebuild of all n entries.
 """
 
 import math
@@ -124,26 +124,25 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
                            policy=policy, stored_perms=stored)
 
 
-def _check_query(index: PositionalIndex, pattern: str, k: int) -> list[int]:
-    """The pattern's symbol ranks, once ``k`` and every character are checked."""
+def _check_query(index: PositionalIndex, pattern: str, k: int) -> bytes:
+    """The pattern's rank codes as bytes, once ``k`` and every character are checked."""
     if k < 0 or k + len(pattern) > index.length:
         raise PatternOverrunError(
             f"pattern of length {len(pattern)} at position {k} overruns strings of length {index.length}"
         )
-    return [index.collection.alphabet.rank(c) for c in pattern]
+    return index.collection.alphabet.encode(pattern).tobytes()
 
 
-def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], pattern: str, k: int) -> Interval:
+def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], key: bytes, k: int) -> Interval:
     """Two binary searches over the suffixes starting at ``k``, in pi_k order.
 
-    ``pi_k(i)`` is the string at rank ``i``: a stored or rebuilt pi_k's
-    ``item``, or :func:`_sampled_pi`'s walk, so only the probed ranks are
-    read.  The first search also keeps the lowest rank it saw sort after the
-    pattern, where the second one can stop.  Compares rank-code bytes:
-    symbols are strictly increasing, so rank order is string order.
+    ``pi_k(i)`` is the string at rank ``i``: a rebuilt pi_k's ``item``, or
+    :func:`_sampled_pi`'s walk, so only the probed ranks are read.  The first search also keeps the lowest rank it saw sort after the
+    pattern, where the second one can stop.  Compares the rank-code bytes
+    against ``key``, the pattern's: symbols are strictly increasing, so rank
+    order is string order.
     """
-    window = index.collection.codes[:, k : k + len(pattern)]
-    key = index.collection.alphabet.encode(pattern).tobytes()
+    window = index.collection.codes[:, k : k + len(key)]
 
     def prefix(i: int) -> bytes:
         return window[pi_k(i)].tobytes()
@@ -173,11 +172,13 @@ def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], pattern
 
 
 def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` via binary search on a stored pi_k."""
-    _check_query(index, pattern, k)
-    if k not in index.stored_perms:
+    """Match interval at column ``k`` via binary search on pi_k, read through
+    the greatest stored column at or below ``k``; raises when there is none."""
+    key = _check_query(index, pattern, k)
+    h = index.policy.stored_at_or_below(k, index.length)
+    if h is None:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
-    return _bisect_interval(index, index.stored_perms[k].item, pattern, k)
+    return _bisect_interval(index, _sampled_pi(index, k, h), key, k)
 
 
 def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) -> Interval:
@@ -223,7 +224,8 @@ def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
 
 def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
     """pi_k at one rank, read without building pi_k: the rank's row walks
-    back through ``lf`` to the stored column ``h`` <= ``k``, as in :func:`locate`.
+    back through ``lf`` to the stored column ``h`` <= ``k``, as in :func:`locate`
+    (no steps when ``h == k``).
 
     The reads go through memoryviews, which cost a third of ``ndarray.item``.
     """
@@ -245,8 +247,8 @@ def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int) -> Interval:
     """Match interval at column ``k`` by rebuilding pi_k in wide-digit radix passes, then bisecting."""
-    _check_query(index, pattern, k)
-    return _bisect_interval(index, _rebuilt_perm(index, k).item, pattern, k)
+    key = _check_query(index, pattern, k)
+    return _bisect_interval(index, _rebuilt_perm(index, k).item, key, k)
 
 
 def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
@@ -277,14 +279,11 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
           with_trace: bool = False):
     """Search + locate pipeline used by the CLI.
 
-    When pi_k is not stored, strategy ``binary`` still bisects: each probe
-    walks its rank through the PBWT to the nearest stored column at or below
-    ``k`` (at most stride - 1 steps), as :func:`locate` does.  Only when no
-    such column exists (the no-perms policy) does it rebuild pi_k as
-    ``rebuild`` does, so every strategy answers under every storage policy.
-    :func:`search_binary` itself still refuses an unstored pi_k.  Returns
-    ``(interval, matches, trace)``; ``trace`` is None unless requested with
-    the backward strategy.
+    Strategy ``binary`` runs :func:`search_binary`, and where that finds no
+    stored column at or below ``k`` (the no-perms policy) it rebuilds pi_k
+    as ``rebuild`` does, so every strategy answers under every storage
+    policy.  Returns ``(interval, matches, trace)``; ``trace`` is None
+    unless requested with the backward strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -298,11 +297,7 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
         try:
             interval = search_binary(index, pattern, k)
         except PermutationNotStoredError:
-            h = index.policy.stored_at_or_below(k, index.length)
-            if h is None:
-                interval = search_rebuild(index, pattern, k)
-            else:
-                interval = _bisect_interval(index, _sampled_pi(index, k, h), pattern, k)
+            interval = search_rebuild(index, pattern, k)
     else:
         interval = search_rebuild(index, pattern, k)
     return interval, locate(index, interval, k), trace

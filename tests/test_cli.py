@@ -303,10 +303,37 @@ def test_custom_alphabet(tmp_path, capsys):
 def test_build_from_stdin(tmp_path, capsys, monkeypatch):
     import io
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(FIG1_STRINGS) + "\n"))
+    data = ("\n".join(FIG1_STRINGS) + "\n").encode("ascii")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     out = str(tmp_path / "stdin.idx")
     assert main(["build", "--mode", "positional", "--input", "-", "--output", out]) == 0
     assert capsys.readouterr().out.startswith("n=8 len=8")
+
+
+def test_build_non_ascii_stdin_under_strict_utf8(tmp_path):
+    # stdin is read as bytes, so a strict UTF-8 text layer never decodes it
+    out = tmp_path / "x.idx"
+    proc = subprocess.run([sys.executable, "-m", "pbwtidx.cli", "build", "--mode", "positional",
+                           "--input", "-", "--output", str(out)],
+                          input=b"GAT\xffA\nGATTA\n", capture_output=True,
+                          env=child_env(PYTHONIOENCODING="utf-8:strict"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.decode().startswith("error: input is not ASCII text")
+    assert not out.exists()
+
+
+def test_module_runs_the_cli(fig1_file, tmp_path):
+    out = str(tmp_path / "m.idx")
+    cli = [sys.executable, "-m", "pbwtidx.cli"]
+    built = subprocess.run([*cli, "build", "--mode", "positional", "--input", fig1_file, "--output", out],
+                           capture_output=True, text=True, env=child_env())
+    assert built.returncode == 0, built.stderr
+    assert built.stdout.startswith("n=8 len=8")
+    found = subprocess.run([*cli, "query", "positional", "--index", out, "--pattern", "AGA",
+                            "--position", "3", "--sorted", "--verify"],
+                           capture_output=True, text=True, env=child_env())
+    assert found.returncode == 0, found.stderr
+    assert found.stdout.splitlines() == ["1", "4", "5"]
 
 
 def test_console_script_entry():

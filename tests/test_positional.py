@@ -90,8 +90,9 @@ def test_pattern_overrun_is_an_error_not_a_miss(full_index):
 
 
 def test_unknown_pattern_character(full_index):
-    with pytest.raises(UnknownCharacterError):
-        px.search_backward(full_index, "AXA", 3)
+    for search in (px.search_binary, px.search_backward, px.search_rebuild):
+        with pytest.raises(UnknownCharacterError, match="column 2"):
+            search(full_index, "AXA", 3)
 
 
 def test_backward_trace_worked_example(full_index):
@@ -177,6 +178,7 @@ def _assert_sampled_binary_agrees(col, queries):
         for pattern, k in queries:
             expected = px.naive_positional(col, pattern, k)
             interval, matches, _ = px.query(index, pattern, k, strategy="binary")
+            assert interval == px.search_binary(index, pattern, k)
             assert interval == px.search_rebuild(index, pattern, k) == px.search_backward(index, pattern, k)
             assert matches == px.locate(index, interval, k)
             assert sorted(matches) == expected, (policy.stride, pattern, k)
@@ -227,6 +229,7 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
     for k in range(6):
         interval, matches, _ = px.query(sampled, "AGA", k, strategy="binary")
         assert sorted(matches) == px.naive_positional(fig1, "AGA", k)
+        assert px.search_binary(sampled, "AGA", k) == interval
     # pi_4 is not stored: the rebuild strategy and the no-perms policy still rebuild
     with pytest.raises(AssertionError, match="rebuild_column"):
         px.query(sampled, "AGA", 4, strategy="rebuild")
