@@ -223,8 +223,9 @@ def cmd_dump(args) -> int:
             if j not in index.stored_perms:
                 raise PermutationNotStoredError(
                     f"pi_{j} is not retained under policy {index.policy.kind!r}; rebuild with --policy full")
-        for i in range(index.n):
-            print("\t".join(str(int(index.stored_perms[j][i])) for j in range(index.length)))
+        columns = [index.stored_perms[j].tolist() for j in range(index.length)]
+        for row in zip(*columns):
+            print("\t".join(map(str, row)))
         return 0
     # decode the matrix once; row i of the transpose is PBWT row i
     rows = index.collection.alphabet.decode(index.matrix.cols.T)

@@ -7,15 +7,16 @@ two-lookup backward step per pattern character; ``rebuild`` recomputes pi_k
 from the nearest stored column to its right and then bisects.  All three
 return the same interval of lexicographic ranks.
 
-:func:`locate` turns ranks into strings by walking each row through the
-PBWT to the nearest stored column at or below ``k``, the PBWT counterpart of
-the FM-index's sampled suffix array.  :func:`search_binary` reads pi_k
-through that same walk, one row per probe, so an unstored pi_k costs about
-2 lg n walks instead of a rebuild of all n entries.
+A query reads pi_k from one source, a pair ``(h, pi_h)`` with h <= k: the
+greatest stored column at or below ``k``, reached by walking rows back
+through the PBWT, the counterpart of the FM-index's sampled suffix array;
+or ``(k, pi_k)`` rebuilt once, for ``rebuild`` and where no column at or
+below ``k`` is stored.  The bisect walks only the rows it probes, about
+2 lg n walks instead of a rebuild of all n entries, and :func:`locate`
+reads the matches from the source the search read.
 """
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,7 @@ from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
 from .permutations import build_permutations, rebuild_column
 
 STRATEGIES = ("binary", "backward", "rebuild")
+PiSource = tuple[int, np.ndarray]  # (h, pi_h), h <= k: pi_k at rank i is pi_h at row i walked back to h
 
 
 @dataclass(frozen=True)
@@ -124,28 +126,49 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
                            policy=policy, stored_perms=stored)
 
 
+def _check_span(index: PositionalIndex, m: int, k: int):
+    if k < 0 or k + m > index.length:
+        raise PatternOverrunError(f"pattern of length {m} at position {k} overruns strings of length {index.length}")
+
+
 def _check_query(index: PositionalIndex, pattern: str, k: int) -> bytes:
     """The pattern's rank codes as bytes, once ``k`` and every character are checked."""
-    if k < 0 or k + len(pattern) > index.length:
-        raise PatternOverrunError(
-            f"pattern of length {len(pattern)} at position {k} overruns strings of length {index.length}"
-        )
+    _check_span(index, len(pattern), k)
     return index.collection.alphabet.encode(pattern).tobytes()
 
 
-def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], key: bytes, k: int) -> Interval:
+def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSource:
+    """The pair ``(h, pi_h)``, h <= k, that a query reads pi_k from.
+
+    The greatest stored column at or below ``k``; or, for ``rebuild`` and
+    where there is no such column, ``(k, pi_k)`` rebuilt from the nearest
+    stored column to the right.
+    """
+    h = None if rebuild else index.policy.stored_at_or_below(k, index.length)
+    if h is not None:
+        return h, index.stored_perms[h]
+    j = index.policy.stored_at_or_above(k, index.length)
+    return k, rebuild_column(index.collection, index.stored_perms[j], j, k)
+
+
+def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
     """Two binary searches over the suffixes starting at ``k``, in pi_k order.
 
-    ``pi_k(i)`` is the string at rank ``i``: a rebuilt pi_k's ``item``, or
-    :func:`_sampled_pi`'s walk, so only the probed ranks are read.  The first search also keeps the lowest rank it saw sort after the
-    pattern, where the second one can stop.  Compares the rank-code bytes
-    against ``key``, the pattern's: symbols are strictly increasing, so rank
-    order is string order.
+    Only the probed ranks are read from the source ``(h, pi_h)``, each
+    walked back to ``h`` as in :func:`locate`, through memoryviews, which
+    cost a third of ``ndarray.item``.  The first search also keeps the
+    lowest rank it saw sort after the pattern, where the second one can
+    stop.  Compares the rank-code bytes against ``key``, the pattern's:
+    symbols are strictly increasing, so rank order is string order.
     """
     window = index.collection.codes[:, k : k + len(key)]
+    lf_rows = [memoryview(index.matrix.lf[j]) for j in range(k - 1, h - 1, -1)]
+    pi = memoryview(pi_h)
 
     def prefix(i: int) -> bytes:
-        return window[pi_k(i)].tobytes()
+        for lf_j in lf_rows:
+            i = lf_j[i]
+        return window[pi[i]].tobytes()
 
     lo, hi, above = 0, index.n, index.n
     while lo < hi:
@@ -171,14 +194,14 @@ def _bisect_interval(index: PositionalIndex, pi_k: Callable[[int], int], key: by
     return Interval(first, lo - 1)
 
 
-def search_binary(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` via binary search on pi_k, read through
-    the greatest stored column at or below ``k``; raises when there is none."""
+def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
+    """Match interval at column ``k`` via binary search on pi_k, read from
+    the handed-over ``source`` or else through the greatest stored column at
+    or below ``k``; without a source, raises when there is no such column."""
     key = _check_query(index, pattern, k)
-    h = index.policy.stored_at_or_below(k, index.length)
-    if h is None:
+    if source is None and index.policy.stored_at_or_below(k, index.length) is None:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
-    return _bisect_interval(index, _sampled_pi(index, k, h), key, k)
+    return _bisect_interval(index, *(source or _pi_source(index, k)), key, k)
 
 
 def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) -> Interval:
@@ -222,43 +245,20 @@ def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
     return backward_trace(index, pattern, k)[-1][1]
 
 
-def _sampled_pi(index: PositionalIndex, k: int, h: int) -> Callable[[int], int]:
-    """pi_k at one rank, read without building pi_k: the rank's row walks
-    back through ``lf`` to the stored column ``h`` <= ``k``, as in :func:`locate`
-    (no steps when ``h == k``).
-
-    The reads go through memoryviews, which cost a third of ``ndarray.item``.
-    """
-    lf_rows = [memoryview(index.matrix.lf[j]) for j in range(k - 1, h - 1, -1)]
-    pi_h = memoryview(index.stored_perms[h])
-
-    def at(i: int) -> int:
-        for lf_j in lf_rows:
-            i = lf_j[i]
-        return pi_h[i]
-
-    return at
-
-
-def _rebuilt_perm(index: PositionalIndex, k: int) -> np.ndarray:
-    j = index.policy.stored_at_or_above(k, index.length)
-    return rebuild_column(index.collection, index.stored_perms[j], j, k)
-
-
-def search_rebuild(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` by rebuilding pi_k in wide-digit radix passes, then bisecting."""
+def search_rebuild(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
+    """Match interval at column ``k`` by bisecting pi_k, rebuilt in wide-digit
+    radix passes unless the handed-over ``source`` holds it."""
     key = _check_query(index, pattern, k)
-    return _bisect_interval(index, _rebuilt_perm(index, k).item, key, k)
+    return _bisect_interval(index, *(source or _pi_source(index, k, rebuild=True)), key, k)
 
 
-def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
+def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSource | None = None) -> list[int]:
     """String indexes for an interval produced by a search at position ``k``.
 
-    Walks each row backwards through the PBWT to the greatest stored column
-    h <= k and reads the stored permutation there.  When no stored column
-    lies at or below ``k`` (the no-perms policy), pi_k is rebuilt from the
-    right instead, which costs one radix rebuild but keeps every policy
-    locatable.  Output order follows rows f..l, i.e. lexicographic rank.
+    Walks each row backwards through the PBWT from column ``k`` to column
+    ``h`` of the pi_k source ``(h, pi_h)`` and reads ``pi_h`` there: the
+    source the search read, when handed over, or else :func:`_pi_source`'s.
+    Output order follows rows f..l, i.e. lexicographic rank.
     """
     if interval.is_empty:
         return []
@@ -268,36 +268,33 @@ def locate(index: PositionalIndex, interval: Interval, k: int) -> list[int]:
         raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
     if not index.stored_perms:
         raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
-    h = index.policy.stored_at_or_below(k, index.length)
-    if h is None:
-        return _rebuilt_perm(index, k)[interval.f : interval.l + 1].tolist()
+    h, pi_h = source or _pi_source(index, k)
     rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
-    return index.stored_perms[h].take(rows).tolist()
+    return pi_h.take(rows).tolist()
 
 
 def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",
           with_trace: bool = False):
     """Search + locate pipeline used by the CLI.
 
-    Strategy ``binary`` runs :func:`search_binary`, and where that finds no
-    stored column at or below ``k`` (the no-perms policy) it rebuilds pi_k
-    as ``rebuild`` does, so every strategy answers under every storage
-    policy.  Returns ``(interval, matches, trace)``; ``trace`` is None
-    unless requested with the backward strategy.
+    Strategies ``binary`` and ``rebuild`` build one pi_k source
+    (:func:`_pi_source`) and hand it to the search and to :func:`locate`, so
+    every strategy answers under every storage policy with at most one
+    rebuild; a backward query's :func:`locate` finds its own.  Returns
+    ``(interval, matches, trace)``; ``trace`` is None unless requested with
+    the backward strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    trace = None
+    trace = source = None
     if strategy == "backward":
         steps = backward_trace(index, pattern, k)
         interval = steps[-1][1]
         if with_trace:
             trace = steps
-    elif strategy == "binary":
-        try:
-            interval = search_binary(index, pattern, k)
-        except PermutationNotStoredError:
-            interval = search_rebuild(index, pattern, k)
     else:
-        interval = search_rebuild(index, pattern, k)
-    return interval, locate(index, interval, k), trace
+        _check_span(index, len(pattern), k)  # _pi_source needs 0 <= k <= length
+        source = _pi_source(index, k, rebuild=strategy == "rebuild")
+        search = search_binary if strategy == "binary" else search_rebuild
+        interval = search(index, pattern, k, source=source)
+    return interval, locate(index, interval, k, source=source), trace

@@ -7,6 +7,7 @@ import pytest
 import pbwtidx as px
 from pbwtidx.errors import (
     IndexOutOfRangeError,
+    NoStoredColumnAtOrBelowError,
     PatternOverrunError,
     PermutationNotStoredError,
     UnknownCharacterError,
@@ -166,22 +167,29 @@ def test_nine_strategy_policy_combinations(fig1):
             assert interval.width == 3
 
 
-def _sampled_policies(col):
+def _policies(col):
     # stride 1 stores every column, a stride past L only columns 0 and L
     strides = {1, 2, 3, px.default_stride(col.n), col.length + 1}
-    return [px.StoragePolicy.sampled(t) for t in sorted(strides)]
+    return ([px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
+            + [px.StoragePolicy.sampled(t) for t in sorted(strides)])
 
 
-def _assert_sampled_binary_agrees(col, queries):
-    for policy in _sampled_policies(col):
+def _assert_policies_and_strategies_agree(col, queries):
+    # query hands its pi_k source to locate; the matches must be what locate
+    # finds on its own, in the same rank order, under every policy
+    for policy in _policies(col):
         index = px.build_index(col, policy)
         for pattern, k in queries:
             expected = px.naive_positional(col, pattern, k)
-            interval, matches, _ = px.query(index, pattern, k, strategy="binary")
-            assert interval == px.search_binary(index, pattern, k)
-            assert interval == px.search_rebuild(index, pattern, k) == px.search_backward(index, pattern, k)
-            assert matches == px.locate(index, interval, k)
-            assert sorted(matches) == expected, (policy.stride, pattern, k)
+            backward = px.search_backward(index, pattern, k)
+            assert px.search_rebuild(index, pattern, k) == backward
+            if policy.stored_at_or_below(k, col.length) is not None:
+                assert px.search_binary(index, pattern, k) == backward
+            for strategy in positional.STRATEGIES:
+                interval, matches, _ = px.query(index, pattern, k, strategy=strategy)
+                assert interval == backward
+                assert matches == px.locate(index, interval, k)
+                assert sorted(matches) == expected, (policy, strategy, pattern, k)
 
 
 def test_strategy_agreement_on_random_collections():
@@ -209,7 +217,7 @@ def test_strategy_agreement_on_random_collections():
                 assert len(set(matches)) == len(matches)
                 answers[strategy] = sorted(matches)
             assert answers["binary"] == answers["backward"] == answers["rebuild"] == expected
-        _assert_sampled_binary_agrees(col, queries)
+        _assert_policies_and_strategies_agree(col, queries)
 
 
 def test_sampled_binary_agrees_on_edge_shapes():
@@ -217,24 +225,49 @@ def test_sampled_binary_agrees_on_edge_shapes():
         col = px.from_strings(strings, px.Alphabet(symbols))
         queries = [(pattern, k) for pattern in all_patterns(symbols, min(3, col.length))
                    for k in range(col.length - len(pattern) + 1)]
-        _assert_sampled_binary_agrees(col, queries)
+        _assert_policies_and_strategies_agree(col, queries)
 
 
 def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
-    def refuse(*_args):
-        raise AssertionError("rebuild_column called")
+    # each query builds one pi_k source, which search and locate share
+    calls = []
+    rebuild_column = positional.rebuild_column
 
-    monkeypatch.setattr(positional, "rebuild_column", refuse)
+    def record(col, start, j_start, j_target):
+        calls.append((j_start, j_target))
+        return rebuild_column(col, start, j_start, j_target)
+
+    monkeypatch.setattr(positional, "rebuild_column", record)
     sampled = px.build_index(fig1, px.StoragePolicy.sampled(3))
+    bare = px.build_index(fig1, px.StoragePolicy.no_perms())
+    cases = [(sampled, "binary", []), (sampled, "rebuild", [(3, 1)]),
+             (bare, "binary", [(8, 1)]), (bare, "rebuild", [(8, 1)])]
+    for index, strategy, rebuilds in cases:
+        for pattern in ("AGA", "TTT"):
+            calls.clear()
+            interval, matches, _ = px.query(index, pattern, 1, strategy=strategy)
+            assert calls == rebuilds, (index.policy.kind, strategy, pattern)
+            assert sorted(matches) == px.naive_positional(fig1, pattern, 1)
+    # the binary strategy reads the stored columns at every position
+    calls.clear()
     for k in range(6):
         interval, matches, _ = px.query(sampled, "AGA", k, strategy="binary")
         assert sorted(matches) == px.naive_positional(fig1, "AGA", k)
         assert px.search_binary(sampled, "AGA", k) == interval
-    # pi_4 is not stored: the rebuild strategy and the no-perms policy still rebuild
-    with pytest.raises(AssertionError, match="rebuild_column"):
-        px.query(sampled, "AGA", 4, strategy="rebuild")
-    with pytest.raises(AssertionError, match="rebuild_column"):
-        px.query(px.build_index(fig1, px.StoragePolicy.no_perms()), "AGA", 4, strategy="binary")
+    assert calls == []
+
+
+def test_locate_without_stored_columns_raises_before_reading_pi(fig1, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a pi_k source was built")
+
+    monkeypatch.setattr(positional, "_pi_source", refuse)
+    monkeypatch.setattr(positional, "rebuild_column", refuse)
+    built = px.build_index(fig1, px.StoragePolicy.no_perms())
+    index = px.PositionalIndex(collection=fig1, matrix=built.matrix, policy=built.policy, stored_perms={})
+    with pytest.raises(NoStoredColumnAtOrBelowError):
+        px.locate(index, Interval(1, 3), 3)
+    assert px.locate(index, EMPTY, 3) == []
 
 
 def test_build_memory_keeps_only_the_stored_columns():
