@@ -15,6 +15,21 @@ DEFAULT_SYMBOLS = "ACGT"
 DEFAULT_SENTINEL = "$"
 
 
+def check_codes(codes: np.ndarray, limit: int, what: str):
+    """Raise :class:`RankOutOfRangeError` unless ``codes`` holds integer rank codes in [0, ``limit``).
+
+    An unsigned array takes one pass, for its maximum.
+    """
+    if not np.issubdtype(codes.dtype, np.integer):
+        raise RankOutOfRangeError(f"{what} must be integer rank codes, not {codes.dtype}")
+    if not codes.size:
+        return
+    if np.issubdtype(codes.dtype, np.signedinteger) and codes.min() < 0:
+        raise RankOutOfRangeError(f"{what} holds rank code {codes.min()}, below 0")
+    if codes.max() >= limit:
+        raise RankOutOfRangeError(f"{what} holds rank code {codes.max()}, not below {limit}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered alphabet with dense integer ranks 0..sigma-1."""
@@ -83,10 +98,9 @@ class Alphabet:
 
     def decode(self, codes) -> str:
         """Turn a sequence (or matrix, row by row) of ranks back into one string."""
-        codes = np.asarray(codes, dtype=np.intp)
-        if codes.size:
-            # the extremes go through char, which rejects a rank outside [0, sigma)
-            self.char(int(codes.min()))
-            self.char(int(codes.max()))
+        codes = np.asarray(codes)
+        if not codes.size:
+            return ""
+        check_codes(codes, self.sigma, "decoded codes")
         return self._symbol_table[codes].tobytes().decode("latin-1")
 

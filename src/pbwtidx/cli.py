@@ -11,7 +11,7 @@ import sys
 from .alphabet import Alphabet
 from .collection import parse_collection
 from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError, UnknownCharacterError
-from .fm import FmIndex, SentinelText, fm_build, count_trace, locate_with_steps
+from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_locate
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
 from .positional import PositionalIndex, StoragePolicy, build_index, default_stride, query
@@ -135,17 +135,12 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_positional(path: str) -> PositionalIndex:
+def _load(path: str, kind: type):
+    """The index in ``path``, refused unless it is a ``kind``."""
     index = load_index(path)
-    if not isinstance(index, PositionalIndex):
-        raise ModeMismatchError("index was built for substring queries")
-    return index
-
-
-def _load_substring(path: str) -> FmIndex:
-    index = load_index(path)
-    if not isinstance(index, FmIndex):
-        raise ModeMismatchError("index was built for positional queries")
+    if not isinstance(index, kind):
+        built = "positional" if isinstance(index, PositionalIndex) else "substring"
+        raise ModeMismatchError(f"index was built for {built} queries")
     return index
 
 
@@ -155,45 +150,39 @@ def _interval_fields(interval) -> str:
     return f"{interval.f} {interval.l}"
 
 
-def cmd_query_positional(args) -> int:
-    index = _load_positional(args.index)
-    interval, matches, trace = query(index, args.pattern, args.position,
-                                     strategy=args.strategy, with_trace=args.trace)
+def _answer(args, trace, interval, matches, oracle) -> int:
+    """Print the trace, then the count or the matches in the order given;
+    with --verify, compare the matches with ``oracle()``'s ascending list."""
     if args.trace and trace:
         for j, step in trace:
             print(f"{j} {_interval_fields(step)}")
     if args.count_only:
         print(interval.width)
     else:
-        for i in sorted(matches) if args.sorted_output else matches:
+        for i in matches:
             print(i)
     if args.verify:
-        expected = naive_positional(index.collection, args.pattern, args.position)
+        expected = oracle()
         if sorted(matches) != expected:
             print(f"verify: MISMATCH index={sorted(matches)} oracle={expected}", file=sys.stderr)
             return 1
     return 0
 
 
+def cmd_query_positional(args) -> int:
+    index = _load(args.index, PositionalIndex)
+    interval, matches, trace = query(index, args.pattern, args.position,
+                                     strategy=args.strategy, with_trace=args.trace)
+    return _answer(args, trace, interval, sorted(matches) if args.sorted_output else matches,
+                   lambda: naive_positional(index.collection, args.pattern, args.position))
+
+
 def cmd_query_substring(args) -> int:
-    index = _load_substring(args.index)
+    index = _load(args.index, FmIndex)
     trace = count_trace(index, args.pattern)
     interval = trace[-1][1]
-    if args.trace:
-        for step, iv in trace:
-            print(f"{step} {_interval_fields(iv)}")
-    positions, _ = locate_with_steps(index, interval)
-    if args.count_only:
-        print(interval.width)
-    else:
-        for p in sorted(positions):
-            print(p)
-    if args.verify:
-        expected = naive_substring(index.text, args.pattern)
-        if sorted(positions) != expected:
-            print(f"verify: MISMATCH index={sorted(positions)} oracle={expected}", file=sys.stderr)
-            return 1
-    return 0
+    return _answer(args, trace, interval, sorted(fm_locate(index, interval)),
+                   lambda: naive_substring(index.text, args.pattern))
 
 
 def _color_enabled() -> bool:

@@ -5,9 +5,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .alphabet import Alphabet
-from .errors import (EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, RankOutOfRangeError,
-                     UnknownCharacterError)
+from .alphabet import Alphabet, check_codes
+from .errors import EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, UnknownCharacterError
 
 
 @dataclass(frozen=True, eq=False)
@@ -31,11 +30,7 @@ class StringCollection:
             raise EmptyInputError("collection is empty")
         if codes.ndim != 2:
             raise RaggedCollectionError(f"codes must be an (n, length) matrix, not {codes.ndim}-D")
-        if not np.issubdtype(codes.dtype, np.integer):
-            raise RankOutOfRangeError(f"codes must be integer ranks, not {codes.dtype}")
-        # the extremes go through char, which rejects a rank outside [0, sigma)
-        self.alphabet.char(int(codes.min()))
-        self.alphabet.char(int(codes.max()))
+        check_codes(codes, self.alphabet.sigma, "collection codes")
         object.__setattr__(self, "codes", np.asfortranarray(codes, dtype=np.uint8))
 
     def __eq__(self, other):

@@ -33,9 +33,5 @@ class PermutationNotStoredError(PbwtIndexError):
     """The requested sorted-suffix permutation column was not retained."""
 
 
-class NoStoredColumnAtOrBelowError(PbwtIndexError):
-    """Locate cannot walk back to any retained permutation column."""
-
-
 class ModeMismatchError(PbwtIndexError):
     """The loaded index does not support the requested query type."""

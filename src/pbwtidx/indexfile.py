@@ -34,7 +34,7 @@ import zlib
 
 import numpy as np
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, check_codes
 from .collection import StringCollection
 from .errors import PbwtIndexError
 from .fm import FmIndex
@@ -69,8 +69,7 @@ class _Reader:
     def codes(self, shape, limit: int, section: str) -> np.ndarray:
         """A uint8 rank-code section whose every code must be below ``limit``."""
         codes = np.frombuffer(self.take(math.prod(shape)), np.uint8).reshape(shape)
-        if codes.size and codes.max() >= limit:
-            raise PbwtIndexError(f"index file {section} holds rank code {codes.max()}, not below {limit}")
+        check_codes(codes, limit, f"index file {section}")
         return codes
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .alphabet import check_codes
 from .collection import StringCollection
-from .errors import PbwtIndexError, RankOutOfRangeError
+from .errors import PbwtIndexError
 from .permutations import radix_sweep
 
 
@@ -82,8 +83,7 @@ class PbwtMatrix:
     def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
         width, n = cols.shape
         check_rows(n)
-        if cols.size and cols.max() >= sigma:
-            raise RankOutOfRangeError(f"code matrix holds rank code {cols.max()}, not below {sigma}")
+        check_codes(cols, sigma, "code matrix")
         self._bytes = np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.sigma, self.n = sigma, n

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collection import StringCollection
-from .errors import (
-    IndexOutOfRangeError,
-    NoStoredColumnAtOrBelowError,
-    PatternOverrunError,
-    PermutationNotStoredError,
-)
+from .errors import IndexOutOfRangeError, PatternOverrunError, PermutationNotStoredError
 from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
 from .permutations import build_permutations, rebuild_column
 
@@ -67,30 +62,28 @@ class StoragePolicy:
     def no_perms(cls) -> "StoragePolicy":
         return cls("none")
 
+    @property
+    def _spacing(self) -> int | None:
+        """The distance between stored columns below the final one: 1, the stride, or None when none is."""
+        return 1 if self.kind == "full" else self.stride
+
     def stored_columns(self, length: int) -> list[int]:
-        if self.kind == "full":
-            return list(range(length + 1))
-        if self.kind == "sampled":
-            cols = list(range(0, length, self.stride))
-            cols.append(length)
-            return cols
-        return [length]
+        t = self._spacing
+        cols = [] if t is None else list(range(0, length, t))
+        cols.append(length)
+        return cols
 
     def stored_at_or_below(self, k: int, length: int) -> int | None:
         """The greatest of :meth:`stored_columns` that is at most ``k``, 0 <= k <= length, or None."""
-        if self.kind == "full" or k == length:
+        if k == length:
             return k
-        if self.kind == "sampled":
-            return k - k % self.stride
-        return None
+        t = self._spacing
+        return None if t is None else k - k % t
 
     def stored_at_or_above(self, k: int, length: int) -> int:
         """The least of :meth:`stored_columns` that is at least ``k``, 0 <= k <= length."""
-        if self.kind == "full":
-            return k
-        if self.kind == "sampled":
-            return min(-(-k // self.stride) * self.stride, length)
-        return length
+        t = self._spacing
+        return length if t is None else min(-(-k // t) * t, length)
 
 
 def default_stride(n: int) -> int:
@@ -101,12 +94,24 @@ def default_stride(n: int) -> int:
 @dataclass(frozen=True)
 class PositionalIndex:
     """A collection's PBWT and kept permutations; equality compares the
-    collection and the policy, from which the rest is derived."""
+    collection and the policy, from which the rest is derived.
+
+    ``stored_perms`` holds pi_j for exactly the columns of
+    ``policy.stored_columns(length)``, on which every pi_k lookup relies;
+    any other set of keys raises :class:`PermutationNotStoredError`.
+    """
 
     collection: StringCollection
     matrix: PbwtMatrix = field(repr=False, compare=False)
     policy: StoragePolicy
     stored_perms: dict[int, np.ndarray] = field(repr=False, compare=False)
+
+    def __post_init__(self):
+        differ = set(self.policy.stored_columns(self.length)).symmetric_difference(self.stored_perms)
+        if differ:
+            j = min(differ)
+            kept = "keeps" if j in self.stored_perms else "lacks"
+            raise PermutationNotStoredError(f"stored_perms {kept} pi_{j}, against policy {self.policy}")
 
     @property
     def n(self) -> int:
@@ -266,8 +271,6 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
         raise IndexOutOfRangeError(f"column {k} not in [0, {index.length}]")
     if interval.f < 0 or interval.l >= index.n:
         raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
-    if not index.stored_perms:
-        raise NoStoredColumnAtOrBelowError("index retains no permutation columns at all")
     h, pi_h = source or _pi_source(index, k)
     rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
     return pi_h.take(rows).tolist()

@@ -72,6 +72,6 @@ def test_encode_reports_position(alphabet):
 def test_decode_rejects_out_of_range_codes(alphabet):
     assert alphabet.decode([]) == ""
     assert alphabet.decode(np.array([[3, 0], [1, 2]], np.uint8)) == "TACG"
-    for bad in ([-1], [0, 4], np.array([2, 255], np.uint8)):
+    for bad in ([-1], [0, 4], np.array([2, 255], np.uint8), [0.5], np.array([[1.0, 2.0]])):
         with pytest.raises(RankOutOfRangeError):
             alphabet.decode(bad)

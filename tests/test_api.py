@@ -1,6 +1,23 @@
+from pathlib import Path
+
 import pbwtidx as px
+
+from conftest import FIG1_STRINGS
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
     assert len(px.__all__) == len(set(px.__all__))
     assert [name for name in px.__all__ if not hasattr(px, name)] == []
+
+
+def test_readme_library_snippet_runs(tmp_path, monkeypatch):
+    # the suite turns warnings into errors, so a snippet that leaks a file handle fails here
+    snippet = README.read_text().split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    Path("strings.txt").write_text("\n".join(FIG1_STRINGS) + "\n")
+    names = {}
+    exec(snippet, names)
+    assert sorted(names["matches"]) == px.naive_positional(px.from_strings(FIG1_STRINGS), "AGA", 3)
+    assert sorted(names["positions"]) == [3, 7]

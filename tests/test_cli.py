@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from pbwtidx import cli
 from pbwtidx.cli import main
 
 from conftest import DEMO_BWT, DEMO_TEXT, FIG1_STRINGS, PBWT_MATRIX, PI_MATRIX, child_env
@@ -234,6 +235,21 @@ def test_query_substring_trace(demo_idx, capsys):
 def test_query_substring_verify(demo_idx):
     assert main(["query", "substring", "--index", demo_idx, "--pattern", "GATA",
                  "--verify"]) == 0
+
+
+def test_query_verify_mismatch_exits_one(fig1_idx, demo_idx, capsys, monkeypatch):
+    # an oracle that disagrees: the answer is still printed, the mismatch goes to stderr
+    monkeypatch.setattr(cli, "naive_positional", lambda *_: [0])
+    monkeypatch.setattr(cli, "naive_substring", lambda *_: [0])
+    assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AGA",
+                 "--position", "3", "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["5", "1", "4"]
+    assert err == "verify: MISMATCH index=[1, 4, 5] oracle=[0]\n"
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TA", "--verify"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["3", "7"]
+    assert err == "verify: MISMATCH index=[3, 7] oracle=[0]\n"
 
 
 def test_build_substring_from_file(tmp_path, capsys):

@@ -153,6 +153,14 @@ def test_lf_rank_walk_composed_with_perms_is_identity():
 def test_lf_rank_refuses_codes_outside_the_alphabet():
     with pytest.raises(RankOutOfRangeError, match="rank code 5, not below 4"):
         px.PbwtMatrix(np.array([[0, 5, 1, 0]], np.uint8), 4)
+    # a negative code would wrap to 255 in the uint8 columns, a float one truncate
+    with pytest.raises(RankOutOfRangeError, match="rank code -1, below 0"):
+        px.PbwtMatrix(np.array([[-1, 0, 1]]), 4)
+    with pytest.raises(RankOutOfRangeError, match="must be integer rank codes, not float64"):
+        px.PbwtMatrix(np.array([[0.5, 0, 1]]), 4)
+    for codes in (np.array([1, -1, 0]), np.array([1, 0.5, 0])):
+        with pytest.raises(RankOutOfRangeError):
+            px.FmIndex(px.Alphabet(), codes)
 
 
 def test_row_counts_beyond_int32_are_refused():

@@ -7,7 +7,6 @@ import pytest
 import pbwtidx as px
 from pbwtidx.errors import (
     IndexOutOfRangeError,
-    NoStoredColumnAtOrBelowError,
     PatternOverrunError,
     PermutationNotStoredError,
     UnknownCharacterError,
@@ -257,17 +256,24 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
     assert calls == []
 
 
-def test_locate_without_stored_columns_raises_before_reading_pi(fig1, monkeypatch):
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("a pi_k source was built")
-
-    monkeypatch.setattr(positional, "_pi_source", refuse)
-    monkeypatch.setattr(positional, "rebuild_column", refuse)
-    built = px.build_index(fig1, px.StoragePolicy.no_perms())
-    index = px.PositionalIndex(collection=fig1, matrix=built.matrix, policy=built.policy, stored_perms={})
-    with pytest.raises(NoStoredColumnAtOrBelowError):
-        px.locate(index, Interval(1, 3), 3)
-    assert px.locate(index, EMPTY, 3) == []
+def test_index_refuses_stored_perms_that_differ_from_its_policy(fig1):
+    # every query trusts the policy to name the kept columns: a hand-built
+    # index that keeps others is refused when it is made, where a query
+    # would fail on a missing column with a KeyError
+    full = px.build_index(fig1, px.StoragePolicy.full())
+    sampled, bare = px.StoragePolicy.sampled(3), px.StoragePolicy.no_perms()
+    cases = [(bare, [], "lacks pi_8"), (sampled, [], "lacks pi_0"), (sampled, [8], "lacks pi_0"),
+             (sampled, [0, 1, 3, 6, 8], "keeps pi_1"), (bare, [5, 8], "keeps pi_5"),
+             (px.StoragePolicy.full(), range(8), "lacks pi_8")]
+    for policy, columns, message in cases:
+        with pytest.raises(PermutationNotStoredError, match=message):
+            px.PositionalIndex(collection=fig1, matrix=full.matrix, policy=policy,
+                               stored_perms={j: full.stored_perms[j] for j in columns})
+    # the kept columns may come in any order
+    index = px.PositionalIndex(collection=fig1, matrix=full.matrix, policy=sampled,
+                               stored_perms={j: full.stored_perms[j] for j in (8, 6, 3, 0)})
+    for strategy in positional.STRATEGIES:
+        assert sorted(px.query(index, "AGA", 1, strategy)[1]) == px.naive_positional(fig1, "AGA", 1)
 
 
 def test_build_memory_keeps_only_the_stored_columns():
