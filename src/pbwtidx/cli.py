@@ -11,7 +11,7 @@ import sys
 from .alphabet import Alphabet
 from .collection import parse_collection
 from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError, UnknownCharacterError
-from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_locate
+from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_count, fm_locate
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
 from .positional import PositionalIndex, StoragePolicy, build_index, default_stride, query
@@ -179,8 +179,11 @@ def cmd_query_positional(args) -> int:
 
 def cmd_query_substring(args) -> int:
     index = _load(args.index, FmIndex)
-    trace = count_trace(index, args.pattern)
-    interval = trace[-1][1]
+    if args.trace:
+        trace = count_trace(index, args.pattern)
+        interval = trace[-1][1]
+    else:
+        trace, interval = None, fm_count(index, args.pattern)
     return _answer(args, trace, interval, sorted(fm_locate(index, interval)),
                    lambda: naive_substring(index.text, args.pattern))
 

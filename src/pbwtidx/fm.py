@@ -96,19 +96,26 @@ def verify_column_collapse(st: SentinelText) -> bool:
     The shifts are sorted with two radix sweeps: the first, seeded with the
     identity, yields the full cyclic order at column 0; the second, seeded
     with that order, breaks every truncated-suffix tie by the wrapped-around
-    context, which is what makes the columns collapse, and its PBWT columns
-    are the ones compared with the BWT.
+    context, which is what makes the columns collapse, and compares each of
+    its PBWT columns with the BWT as the sweep reaches it.
     """
     ext = st._ext
     size = ext.shape[0]
-    cols = np.empty((size, size), np.uint8)
+    bwt = ext[(sorted_rotations(st) - 1) % size]
+    differ = []
 
     def shifted(j, pi):
-        return np.take(ext, (pi + j) % size, out=cols[j])
+        return ext.take((pi + j) % size)
+
+    def compared(j, pi):
+        col = shifted(j, pi)
+        if not np.array_equal(col, bwt):
+            differ.append(j)
+        return col
 
     first = radix_sweep(size, size, shifted, keep=[0])[1][0]
-    radix_sweep(size, size, shifted, first)
-    return bool(np.all(cols == ext[(sorted_rotations(st) - 1) % size]))
+    radix_sweep(size, size, compared, first)
+    return not differ
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,10 @@ position ``k``.  Strategy ``binary`` bisects the suffixes sorted by pi_k;
 ``backward`` starts from the full interval at column ``k+m`` and applies one
 two-lookup backward step per pattern character; ``rebuild`` recomputes pi_k
 from the nearest stored column to its right and then bisects.  All three
-return the same interval of lexicographic ranks.
+return the same interval of lexicographic ranks.  :func:`search_backward`
+is the backward loop on plain ints, which :func:`query` runs unless a trace
+is asked for; :func:`backward_trace` runs the same loop keeping one
+:class:`Interval` per column.
 
 A query reads pi_k from one source, a pair ``(h, pi_h)`` with h <= k: the
 greatest stored column at or below ``k``, reached by walking rows back
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .collection import StringCollection
-from .errors import IndexOutOfRangeError, PatternOverrunError, PermutationNotStoredError
+from .errors import IndexOutOfRangeError, PatternOverrunError, PbwtIndexError, PermutationNotStoredError
 from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
 from .permutations import build_permutations, rebuild_column
 
@@ -96,9 +99,11 @@ class PositionalIndex:
     """A collection's PBWT and kept permutations; equality compares the
     collection and the policy, from which the rest is derived.
 
-    ``stored_perms`` holds pi_j for exactly the columns of
+    ``stored_perms`` holds pi_j, n entries each, for exactly the columns of
     ``policy.stored_columns(length)``, on which every pi_k lookup relies;
-    any other set of keys raises :class:`PermutationNotStoredError`.
+    any other set of keys or shape raises :class:`PermutationNotStoredError`.
+    ``matrix`` must be (length, n) over the collection's alphabet; the
+    shape is checked, not that the columns are the collection's PBWT.
     """
 
     collection: StringCollection
@@ -107,11 +112,18 @@ class PositionalIndex:
     stored_perms: dict[int, np.ndarray] = field(repr=False, compare=False)
 
     def __post_init__(self):
+        shape, sigma = (self.length, self.n), self.collection.alphabet.sigma
+        if self.matrix.cols.shape != shape or self.matrix.sigma != sigma:
+            raise PbwtIndexError(f"matrix of {self.matrix.cols.shape} codes below {self.matrix.sigma} "
+                                 f"does not fit a collection of {shape} codes below {sigma}")
         differ = set(self.policy.stored_columns(self.length)).symmetric_difference(self.stored_perms)
         if differ:
             j = min(differ)
             kept = "keeps" if j in self.stored_perms else "lacks"
             raise PermutationNotStoredError(f"stored_perms {kept} pi_{j}, against policy {self.policy}")
+        for j, pi in self.stored_perms.items():
+            if pi.shape != (self.n,):
+                raise PermutationNotStoredError(f"stored pi_{j} has shape {pi.shape}, not ({self.n},)")
 
     @property
     def n(self) -> int:
@@ -230,8 +242,8 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
     """Interval per column from ``k+m`` down to ``k``, starting from the full interval.
 
-    :func:`backward_step` per character, on plain ints; an empty interval
-    stays empty to the last column.
+    The loop of :func:`search_backward`, keeping one :class:`Interval` per
+    column; an empty interval stays empty to the last column.
     """
     ranks = _check_query(index, pattern, k)
     step = index.matrix.step
@@ -246,8 +258,20 @@ def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[i
 
 
 def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` via one backward step per pattern character."""
-    return backward_trace(index, pattern, k)[-1][1]
+    """Match interval at column ``k`` via one backward step per pattern character.
+
+    :func:`backward_step` per character on plain ints, from the full
+    interval at column ``k+m``, stopping at the first empty interval.
+    """
+    ranks = _check_query(index, pattern, k)
+    step = index.matrix.step
+    f, l = 0, index.n - 1
+    for j in range(k + len(ranks) - 1, k - 1, -1):
+        a = ranks[j - k]
+        f, l = step(j, a, f), step(j, a, l + 1) - 1
+        if f > l:
+            return EMPTY
+    return Interval(f, l)
 
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
@@ -263,7 +287,8 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     Walks each row backwards through the PBWT from column ``k`` to column
     ``h`` of the pi_k source ``(h, pi_h)`` and reads ``pi_h`` there: the
     source the search read, when handed over, or else :func:`_pi_source`'s.
-    Output order follows rows f..l, i.e. lexicographic rank.
+    When ``h == k`` the matches are a slice of ``pi_k``.  Output order
+    follows rows f..l, i.e. lexicographic rank.
     """
     if interval.is_empty:
         return []
@@ -272,7 +297,10 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     if interval.f < 0 or interval.l >= index.n:
         raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
     h, pi_h = source or _pi_source(index, k)
-    rows = index.matrix.walk(np.arange(interval.f, interval.l + 1, dtype=np.int32), k, h)
+    if h == k:
+        return pi_h[interval.f : interval.l + 1].tolist()
+    # the walk's first gather is a slice of lf: rows f..l of column k map to lf[k-1, f..l]
+    rows = index.matrix.walk(index.matrix.lf[k - 1, interval.f : interval.l + 1], k - 1, h)
     return pi_h.take(rows).tolist()
 
 
@@ -283,18 +311,19 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
     Strategies ``binary`` and ``rebuild`` build one pi_k source
     (:func:`_pi_source`) and hand it to the search and to :func:`locate`, so
     every strategy answers under every storage policy with at most one
-    rebuild; a backward query's :func:`locate` finds its own.  Returns
-    ``(interval, matches, trace)``; ``trace`` is None unless requested with
-    the backward strategy.
+    rebuild; a backward query's :func:`locate` finds its own.  The backward
+    strategy runs :func:`search_backward`, or :func:`backward_trace` when
+    ``with_trace`` is set.  Returns ``(interval, matches, trace)``;
+    ``trace`` is None unless requested with the backward strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     trace = source = None
-    if strategy == "backward":
-        steps = backward_trace(index, pattern, k)
-        interval = steps[-1][1]
-        if with_trace:
-            trace = steps
+    if strategy == "backward" and with_trace:
+        trace = backward_trace(index, pattern, k)
+        interval = trace[-1][1]
+    elif strategy == "backward":
+        interval = search_backward(index, pattern, k)
     else:
         _check_span(index, len(pattern), k)  # _pi_source needs 0 <= k <= length
         source = _pi_source(index, k, rebuild=strategy == "rebuild")

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from pbwtidx import cli
+from pbwtidx import cli, positional
 from pbwtidx.cli import main
 
 from conftest import DEMO_BWT, DEMO_TEXT, FIG1_STRINGS, PBWT_MATRIX, PI_MATRIX, child_env
@@ -230,6 +230,22 @@ def test_query_substring_trace(demo_idx, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0 0 12"
     assert len(lines) == 4 + 1  # 3 trace steps after the initial interval, one result
+
+
+def test_queries_trace_only_when_asked(fig1_idx, demo_idx, capsys, monkeypatch):
+    # without --trace both query commands run the plain-int search loops
+    def refuse(*_):
+        raise AssertionError("traced without --trace")
+
+    monkeypatch.setattr(cli, "count_trace", refuse)
+    monkeypatch.setattr(positional, "backward_trace", refuse)
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TA"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["3", "7"]
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TTTT", "--count-only"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0"]
+    assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AGA",
+                 "--position", "3", "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["5", "1", "4"]
 
 
 def test_query_substring_verify(demo_idx):

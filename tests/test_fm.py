@@ -4,6 +4,7 @@ import tracemalloc
 import pytest
 
 import pbwtidx as px
+from pbwtidx import fm
 from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import EMPTY, Interval
@@ -137,6 +138,35 @@ def test_column_collapse_random():
         alphabet = px.Alphabet(symbols=symbols)
         text = "".join(rng.choice(symbols) for _ in range(rng.randint(1, 64)))
         assert px.verify_column_collapse(px.SentinelText(text, alphabet))
+
+
+def test_column_collapse_fails_against_a_wrong_bwt(alphabet, monkeypatch):
+    # the comparison runs: two swapped rows of the sorted order give a BWT no column equals
+    right = sorted_rotations(px.SentinelText(DEMO_TEXT, alphabet))
+
+    def swapped(st):
+        order = right.copy()
+        order[[2, 3]] = order[[3, 2]]
+        return order
+
+    assert DEMO_BWT[2] != DEMO_BWT[3]
+    monkeypatch.setattr(fm, "sorted_rotations", swapped)
+    assert not px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
+
+
+def test_column_collapse_memory_is_the_sweep_alone():
+    # a byte count, not a timer: each column is compared as the sweep makes
+    # it, so the peak is the sweep's (size, size) int32 lf and no
+    # (size, size) uint8 matrix of columns beside it (1.25x lf before)
+    text = "".join(random.Random(1000).choice("ACGT") for _ in range(999))
+    st = px.SentinelText(text, px.Alphabet())
+    tracemalloc.start()
+    try:
+        assert px.verify_column_collapse(st)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 4 * 1000**2
 
 
 def test_fm_build_sampling(demo_fm):

@@ -8,6 +8,7 @@ import pbwtidx as px
 from pbwtidx.errors import (
     IndexOutOfRangeError,
     PatternOverrunError,
+    PbwtIndexError,
     PermutationNotStoredError,
     UnknownCharacterError,
 )
@@ -274,6 +275,88 @@ def test_index_refuses_stored_perms_that_differ_from_its_policy(fig1):
                                stored_perms={j: full.stored_perms[j] for j in (8, 6, 3, 0)})
     for strategy in positional.STRATEGIES:
         assert sorted(px.query(index, "AGA", 1, strategy)[1]) == px.naive_positional(fig1, "AGA", 1)
+
+
+def _search_cases():
+    # random collections and the edge shapes, with every short pattern at every position
+    rng = random.Random(1818)
+    cols = [px.from_strings(strings, px.Alphabet(symbols)) for strings, symbols in EDGE_COLLECTIONS]
+    cols += [random_collection(rng) for _ in range(12)]
+    for col in cols:
+        patterns = all_patterns(col.alphabet.symbols, min(4, col.length))
+        yield col, [(p, k) for p in patterns for k in range(col.length - len(p) + 1)]
+
+
+def test_search_backward_is_the_trace_without_its_steps():
+    # where the trace first goes empty: at the first step, a middle one or the last
+    emptied = set()
+    for col, queries in _search_cases():
+        index = px.build_index(col)
+        for pattern, k in queries:
+            trace = backward_trace(index, pattern, k)
+            interval = px.search_backward(index, pattern, k)
+            assert interval == trace[-1][1]
+            assert sorted(px.locate(index, interval, k)) == px.naive_positional(col, pattern, k)
+            first_empty = next((i for i, (_, iv) in enumerate(trace) if iv.is_empty), None)
+            if first_empty is not None:
+                m = len(pattern)
+                emptied.add("first" if first_empty == 1 else "last" if first_empty == m else "middle")
+    assert emptied == {"first", "middle", "last"}
+
+
+def test_query_traces_only_when_asked(monkeypatch):
+    cases = [(px.build_index(col), queries) for col, queries in _search_cases()]
+    traced = []
+    for index, queries in cases:
+        for pattern, k in queries:
+            interval, matches, trace = px.query(index, pattern, k, with_trace=True)
+            assert trace == backward_trace(index, pattern, k)
+            traced.append((interval, matches, None))
+
+    def refuse(*_):
+        raise AssertionError("an untraced query built a trace")
+
+    monkeypatch.setattr(positional, "backward_trace", refuse)
+    assert [px.query(index, pattern, k) for index, queries in cases for pattern, k in queries] == traced
+
+
+def test_locate_reads_pi_k_in_rank_order_at_and_above_the_source():
+    # pi_k from a full index is the truth for every interval, whether the
+    # source column h is k itself (k = 0, k = length, a stored column, or
+    # pi_k rebuilt under none) or lies below k, so that locate walks
+    rng = random.Random(1819)
+    walked = set()
+    for col, _ in _search_cases():
+        truth = px.build_index(col, px.StoragePolicy.full()).stored_perms
+        for policy in _policies(col):
+            index = px.build_index(col, policy)
+            for k in range(col.length + 1):
+                h = positional._pi_source(index, k)[0]
+                walked.add((policy.kind, h < k, k in (0, col.length)))
+                f = rng.randrange(col.n)
+                for interval in (Interval(0, col.n - 1), Interval(f, rng.randrange(f, col.n))):
+                    assert px.locate(index, interval, k) == truth[k][interval.f : interval.l + 1].tolist()
+    assert {(kind, below) for kind, below, _ in walked} == {
+        ("full", False), ("sampled", False), ("sampled", True), ("none", False)}
+    assert ("none", False, False) in walked and ("sampled", False, False) in walked
+
+
+def test_index_refuses_parts_of_the_wrong_shape():
+    col = px.from_strings(["GATT", "TAGA", "CATC", "GACA"])
+    full = px.build_index(col, px.StoragePolicy.full())
+    # kept permutations cut to 2 of 4 entries: binary and rebuild used to end in numpy IndexError
+    cut = {j: pi[:2] for j, pi in full.stored_perms.items()}
+    with pytest.raises(PermutationNotStoredError, match=r"pi_0 has shape \(2,\), not \(4,\)"):
+        px.PositionalIndex(collection=col, matrix=full.matrix, policy=full.policy, stored_perms=cut)
+    # the matrix of a 2-string build answered a backward query with [1, 2] for [0, 1, 2]
+    two = px.build_index(px.from_strings(["GATT", "TAGA"]), px.StoragePolicy.full())
+    short = px.build_index(px.from_strings(["GAT", "TAG", "CAT", "GAC"]), px.StoragePolicy.full())
+    sigma2 = px.build_index(px.from_strings(["ACCA", "CAAC", "CACA", "AACC"], px.Alphabet("AC")),
+                            px.StoragePolicy.full())
+    for other in (two, short, sigma2):
+        with pytest.raises(PbwtIndexError, match="does not fit a collection of"):
+            px.PositionalIndex(collection=col, matrix=other.matrix, policy=full.policy,
+                               stored_perms=full.stored_perms)
 
 
 def test_build_memory_keeps_only_the_stored_columns():
