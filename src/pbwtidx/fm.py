@@ -11,8 +11,9 @@ Building and loading take O(n) memory and O(lg n) rounds of whole-array
 numpy operations: the shifts are sorted by prefix doubling over integer ranks
 (one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
 jumping (two O(n) gathers per round).  The index holds the BWT as a
-one-column :class:`~pbwtidx.pbwt.PbwtMatrix`: each backward-search step is
-two checkpoint lookups plus two short byte counts, and each locate step one
+one-column :class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's
+PBWT backward search with every step in column 0: each step is two
+checkpoint lookups plus two short byte counts, and each locate step one
 read of the int32 LF mapping.
 
 Conventions: rank codes are uint8, the LF mapping is int32, and text
@@ -20,12 +21,13 @@ positions are int64.
 """
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
 from .alphabet import Alphabet
-from .errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
-from .pbwt import EMPTY, Interval, PbwtMatrix
+from .errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
+from .pbwt import Interval, PbwtMatrix
 from .permutations import radix_sweep
 
 
@@ -142,6 +144,8 @@ class FmIndex:
     def __post_init__(self):
         if self.stride < 1:
             raise ValueError("stride must be >= 1")
+        if self.bwt_codes.ndim != 1:
+            raise PbwtIndexError(f"the BWT codes must be one row, not {self.bwt_codes.ndim}-D")
         rows = self.bwt_codes.shape[0]
         if rows < 2:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
@@ -191,39 +195,30 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     return FmIndex(st.alphabet, ext[(sorted_rotations(st) - 1) % ext.shape[0]], stride)
 
 
-def _ext_rank(index: FmIndex, c: str) -> int:
-    if c == index.alphabet.sentinel:
-        raise UnknownCharacterError("patterns must not contain the sentinel")
-    return index.alphabet.rank(c) + 1
+_SHIFT_UP = bytes(range(1, 256)) + b"\0"  # rank code -> code in the terminated text
+
+
+def _pattern_ranks(index: FmIndex, pattern: str) -> bytes:
+    """The pattern's codes in the terminated text, last first.  The leftmost
+    bad character is named with its column, unless it is the sentinel."""
+    alphabet = index.alphabet
+    try:
+        return alphabet.encode(pattern).tobytes()[::-1].translate(_SHIFT_UP)
+    except UnknownCharacterError:
+        if alphabet.sentinel not in pattern:
+            raise
+    alphabet.encode(pattern.partition(alphabet.sentinel)[0])  # names a bad character left of the sentinel
+    raise UnknownCharacterError("patterns must not contain the sentinel")
 
 
 def count_trace(index: FmIndex, pattern: str) -> list[tuple[int, Interval]]:
     """Backward-search trace: (characters consumed, interval) per step, widest first."""
-    ranks = [_ext_rank(index, c) for c in reversed(pattern)]
-    step = index.matrix.step
-    f, l = 0, index.rows - 1
-    trace = [(0, Interval(f, l))]
-    for consumed, a in enumerate(ranks, start=1):
-        if f <= l:
-            f, l = step(0, a, f), step(0, a, l + 1) - 1
-        trace.append((consumed, Interval(f, l)))
-    return trace
+    return list(enumerate(index.matrix.backward_trace(repeat(0), _pattern_ranks(index, pattern))))
 
 
 def fm_count(index: FmIndex, pattern: str) -> Interval:
-    """BWT-row interval of sorted shifts prefixed by ``pattern`` (equivalently, suffixes).
-
-    The loop of :func:`count_trace` on plain ints, stopping at the first
-    empty interval.
-    """
-    ranks = [_ext_rank(index, c) for c in reversed(pattern)]
-    step = index.matrix.step
-    f, l = 0, index.rows - 1
-    for a in ranks:
-        f, l = step(0, a, f), step(0, a, l + 1) - 1
-        if f > l:
-            return EMPTY
-    return Interval(f, l)
+    """BWT-row interval of sorted shifts prefixed by ``pattern`` (equivalently, suffixes)."""
+    return index.matrix.backward(repeat(0), _pattern_ranks(index, pattern))
 
 
 def _lf_walk(rows, lf, sampled_pos):
@@ -257,8 +252,7 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
     """Text positions for an interval, plus the number of LF steps each walk took."""
     if interval.is_empty:
         return [], []
-    if interval.f < 0 or interval.l >= index.rows:
-        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.rows})")
+    index.matrix.check_interval(interval)
     rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
     pos, steps = _lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]

@@ -8,10 +8,10 @@ column, and :class:`PbwtMatrix` holds that mapping once for every column: an
 int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
 and int32 checkpoints every 64 rows for any other symbol (the backward step,
 two lookups per pattern character).  ``lf`` comes from the right-to-left
-sweep of :mod:`pbwtidx.permutations`, which the build and
-:func:`invert_pbwt` run anyway.  The BWT is the PBWT of a text's cyclic
-shifts, whose columns are all equal, so the substring index in
-:mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`.
+sweep of :mod:`pbwtidx.permutations`, which the build and :func:`invert_pbwt`
+run anyway.  The BWT is the PBWT of a text's cyclic shifts, whose columns are
+all equal, so :mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`,
+whose :meth:`~PbwtMatrix.backward` search in column 0 is the FM count.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import numpy as np
 
 from .alphabet import check_codes
 from .collection import StringCollection
-from .errors import PbwtIndexError
+from .errors import IndexOutOfRangeError, PbwtIndexError
 from .permutations import radix_sweep
 
 
@@ -81,6 +81,8 @@ class PbwtMatrix:
     """
 
     def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
+        if cols.ndim != 2:
+            raise PbwtIndexError(f"codes must be a (width, n) matrix, not {cols.ndim}-D")
         width, n = cols.shape
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
@@ -106,6 +108,34 @@ class PbwtMatrix:
         """
         at = j * self.n
         return self.base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
+
+    def check_interval(self, interval: Interval):
+        """Raise :class:`IndexOutOfRangeError` unless a non-empty ``interval`` lies within rows [0, n)."""
+        if interval.f < 0 or interval.l >= self.n:
+            raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {self.n})")
+
+    def backward(self, columns, ranks) -> Interval:
+        """The interval of the pattern whose codes are ``ranks``, last first: one :meth:`step`
+        per ``(j, a)`` pair from the full interval, :data:`EMPTY` at the first empty one."""
+        step = self.step
+        f, l = 0, self.n - 1
+        for j, a in zip(columns, ranks):
+            f, l = step(j, a, f), step(j, a, l + 1) - 1
+            if f > l:
+                return EMPTY
+        return Interval(f, l)
+
+    def backward_trace(self, columns, ranks) -> list[Interval]:
+        """The loop of :meth:`backward`, keeping the interval before and after
+        each step; an empty interval stays empty to the last step."""
+        step = self.step
+        f, l = 0, self.n - 1
+        trace = [Interval(f, l)]
+        for j, a in zip(columns, ranks):
+            if f <= l:
+                f, l = step(j, a, f), step(j, a, l + 1) - 1
+            trace.append(Interval(f, l))
+        return trace
 
     def walk(self, rows: np.ndarray, k: int, h: int) -> np.ndarray:
         """Map rows in column ``k``'s order to column ``h`` <= ``k``, one gather per column."""

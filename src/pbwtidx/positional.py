@@ -6,9 +6,8 @@ position ``k``.  Strategy ``binary`` bisects the suffixes sorted by pi_k;
 two-lookup backward step per pattern character; ``rebuild`` recomputes pi_k
 from the nearest stored column to its right and then bisects.  All three
 return the same interval of lexicographic ranks.  :func:`search_backward`
-is the backward loop on plain ints, which :func:`query` runs unless a trace
-is asked for; :func:`backward_trace` runs the same loop keeping one
-:class:`Interval` per column.
+runs :meth:`PbwtMatrix.backward`, as the FM index does; :func:`query` runs
+:func:`backward_trace`, one :class:`Interval` per column, only for a trace.
 
 A query reads pi_k from one source, a pair ``(h, pi_h)`` with h <= k: the
 greatest stored column at or below ``k``, reached by walking rows back
@@ -233,45 +232,22 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
         raise IndexOutOfRangeError(f"column {j} not in [0, {index.length})")
     if interval.is_empty:
         return EMPTY
-    if interval.f < 0 or interval.l >= index.n:
-        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
+    index.matrix.check_interval(interval)
     step = index.matrix.step
     return Interval(step(j, a, interval.f), step(j, a, interval.l + 1) - 1)
 
 
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
-    """Interval per column from ``k+m`` down to ``k``, starting from the full interval.
-
-    The loop of :func:`search_backward`, keeping one :class:`Interval` per
-    column; an empty interval stays empty to the last column.
-    """
-    ranks = _check_query(index, pattern, k)
-    step = index.matrix.step
-    f, l = 0, index.n - 1
-    trace = [(k + len(ranks), Interval(f, l))]
-    for j in range(k + len(ranks) - 1, k - 1, -1):
-        if f <= l:
-            a = ranks[j - k]
-            f, l = step(j, a, f), step(j, a, l + 1) - 1
-        trace.append((j, Interval(f, l)))
-    return trace
+    """Interval per column from ``k+m`` down to ``k``; an empty interval stays empty."""
+    key = _check_query(index, pattern, k)
+    trace = index.matrix.backward_trace(range(k + len(key) - 1, k - 1, -1), key[::-1])
+    return list(zip(range(k + len(key), k - 1, -1), trace))
 
 
 def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
-    """Match interval at column ``k`` via one backward step per pattern character.
-
-    :func:`backward_step` per character on plain ints, from the full
-    interval at column ``k+m``, stopping at the first empty interval.
-    """
-    ranks = _check_query(index, pattern, k)
-    step = index.matrix.step
-    f, l = 0, index.n - 1
-    for j in range(k + len(ranks) - 1, k - 1, -1):
-        a = ranks[j - k]
-        f, l = step(j, a, f), step(j, a, l + 1) - 1
-        if f > l:
-            return EMPTY
-    return Interval(f, l)
+    """Match interval at column ``k`` via one backward step per pattern character."""
+    key = _check_query(index, pattern, k)
+    return index.matrix.backward(range(k + len(key) - 1, k - 1, -1), key[::-1])
 
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
@@ -294,8 +270,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
         return []
     if not 0 <= k <= index.length:
         raise IndexOutOfRangeError(f"column {k} not in [0, {index.length}]")
-    if interval.f < 0 or interval.l >= index.n:
-        raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {index.n})")
+    index.matrix.check_interval(interval)
     h, pi_h = source or _pi_source(index, k)
     if h == k:
         return pi_h[interval.f : interval.l + 1].tolist()

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pbwtidx as px
@@ -10,6 +11,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_every_exported_name_resolves():
     assert len(px.__all__) == len(set(px.__all__))
     assert [name for name in px.__all__ if not hasattr(px, name)] == []
+
+
+def test_every_name_the_readme_uses_resolves():
+    names = set(re.findall(r"\bpx\.(\w+)", README.read_text()))
+    assert names and sorted(name for name in names if not hasattr(px, name)) == []
 
 
 def test_readme_library_snippet_runs(tmp_path, monkeypatch):

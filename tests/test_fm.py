@@ -9,7 +9,7 @@ from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import EMPTY, Interval
 
-from conftest import DEMO_BWT, DEMO_TEXT, random_text, sa_samples
+from conftest import DEMO_BWT, DEMO_TEXT, all_patterns, random_text, sa_samples
 
 
 def brute_bwt(text: str, sentinel: str = "$") -> str:
@@ -154,6 +154,29 @@ def test_column_collapse_fails_against_a_wrong_bwt(alphabet, monkeypatch):
     assert not px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
 
 
+def test_positional_search_over_the_cyclic_shifts_is_the_fm_search():
+    # the paper's chain: the BWT is the PBWT of the terminated text's cyclic
+    # shifts, so at k = 0 every positional strategy, with its trace, gives
+    # fm_count's rows and fm_locate's positions in the same order
+    rng = random.Random(19)
+    texts = [DEMO_TEXT, "A", "AAAA", "ACAC" * 4] + [random_text(rng, max_len=40).text for _ in range(30)]
+    for text in texts:
+        fm_index = px.fm_build(px.SentinelText(text, px.Alphabet()), rng.randint(1, 4))
+        terminated = text + "$"
+        shifts = px.from_strings([terminated[p:] + terminated[:p] for p in range(len(terminated))],
+                                 px.Alphabet(symbols="$ACGT", sentinel="!"))
+        policy = rng.choice([px.StoragePolicy.full(), px.StoragePolicy.sampled(3), px.StoragePolicy.no_perms()])
+        index = px.build_index(shifts, policy)
+        at = [rng.randrange(len(text)) for _ in range(12)]
+        patterns = ["", *(text[p : p + rng.randint(1, 6)] for p in at), *all_patterns("ACGT", 2)]
+        for pattern in patterns:
+            interval, trace = px.fm_count(fm_index, pattern), fm.count_trace(fm_index, pattern)
+            positions = px.fm_locate(fm_index, interval)
+            for strategy in ("backward", "binary", "rebuild"):
+                assert px.query(index, pattern, 0, strategy)[:2] == (interval, positions)
+            assert [iv for _, iv in px.query(index, pattern, 0, with_trace=True)[2]] == [iv for _, iv in trace]
+
+
 def test_column_collapse_memory_is_the_sweep_alone():
     # a byte count, not a timer: each column is compared as the sweep makes
     # it, so the peak is the sweep's (size, size) int32 lf and no
@@ -234,10 +257,13 @@ def test_fm_count_examples(demo_fm):
 
 
 def test_fm_count_rejects_sentinel_and_unknown(demo_fm):
-    with pytest.raises(UnknownCharacterError):
-        px.fm_count(demo_fm, "A$")
-    with pytest.raises(UnknownCharacterError):
-        px.fm_count(demo_fm, "AXA")
+    # the leftmost bad character is named, with its column as the positional searches give it
+    for pattern, message in [("A$", "must not contain the sentinel"), ("$N", "must not contain the sentinel"),
+                             ("AXA", "character 'X' at column 2 is not"), ("NB", "character 'N' at column 1 is not"),
+                             ("N$", "character 'N' at column 1 is not"), ("A\u00e9", "character '\u00e9' is not")]:
+        for search in (px.fm_count, count_trace):
+            with pytest.raises(UnknownCharacterError, match=message):
+                search(demo_fm, pattern)
 
 
 def test_count_trace_shrinks_monotonically(demo_fm):

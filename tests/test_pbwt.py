@@ -7,7 +7,8 @@ import pbwtidx as px
 from pbwtidx.errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError, UnknownCharacterError
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
 
-from conftest import PBWT_MATRIX, build_matrix, occ, perm_table, random_collection
+from conftest import (EDGE_COLLECTIONS, FIG1_STRINGS, PBWT_MATRIX, all_patterns, build_matrix, occ, perm_table,
+                      random_collection)
 
 
 def test_fig4_matrix(fig1_matrix, alphabet):
@@ -161,6 +162,13 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
     for codes in (np.array([1, -1, 0]), np.array([1, 0.5, 0])):
         with pytest.raises(RankOutOfRangeError):
             px.FmIndex(px.Alphabet(), codes)
+    # codes of the wrong dimension ended in numpy's "not enough / too many values to unpack"
+    for codes in (np.zeros(4, np.uint8), np.zeros((1, 2, 4), np.uint8)):
+        with pytest.raises(PbwtIndexError, match=f"must be a \\(width, n\\) matrix, not {codes.ndim}-D"):
+            px.PbwtMatrix(codes, 4)
+    for codes in (np.uint8(1), np.zeros((2, 4), np.uint8)):
+        with pytest.raises(PbwtIndexError, match=f"must be one row, not {codes.ndim}-D"):
+            px.FmIndex(px.Alphabet(), codes)
 
 
 def test_row_counts_beyond_int32_are_refused():
@@ -229,3 +237,29 @@ def test_backward_matches_sorted_order_exhaustively():
             for t in range(m - 1, -1, -1):
                 interval = px.backward_step(index, k + t, interval, pattern[t])
             assert interval == _binary_interval(col, perms, pattern, k)
+
+
+def test_backward_and_its_trace_match_the_oracle():
+    """Every pattern of up to 3 symbols at every position of fig1 and the edge
+    collections: n = 1, L = 1, a one-symbol alphabet, the empty pattern."""
+    went_empty = set()
+    for strings, symbols in [(FIG1_STRINGS, "ACGT"), *EDGE_COLLECTIONS]:
+        col = px.from_strings(strings, px.Alphabet(symbols))
+        matrix, perms = build_matrix(col), perm_table(col)
+        for pattern in all_patterns(symbols, min(3, col.length)):
+            m = len(pattern)
+            ranks = col.alphabet.encode(pattern).tobytes()[::-1]
+            for k in range(col.length - m + 1):
+                columns = range(k + m - 1, k - 1, -1)
+                trace = matrix.backward_trace(columns, ranks)
+                assert matrix.backward(columns, ranks) == trace[-1]
+                # after t steps, ranks f..l of pi_j name the strings holding the last t characters at j
+                for t, interval in enumerate(trace):
+                    j = k + m - t
+                    rows = perms[j][interval.f : interval.l + 1].tolist()
+                    assert sorted(rows) == px.naive_positional(col, pattern[m - t :], j)
+                empty = [t for t, interval in enumerate(trace) if interval.is_empty]
+                if empty:
+                    assert empty == list(range(empty[0], m + 1)) and trace[-1] == EMPTY
+                    went_empty.add("first" if empty[0] == 1 else "last" if empty[0] == m else "middle")
+    assert went_empty == {"first", "middle", "last"}
