@@ -86,9 +86,9 @@ class Alphabet:
             return np.empty(0, dtype=np.uint8)
         try:
             codes = bytearray(s, "ascii").translate(self._code_table)
-        except UnicodeEncodeError:
-            bad = next(c for c in s if ord(c) > 127)
-            raise UnknownCharacterError(f"character {bad!r} is not in alphabet {self.symbols!r}") from None
+        except UnicodeEncodeError as exc:
+            # the first non-ASCII character is bad too; find(255) picks the leftmost
+            codes = bytearray(s[: exc.start], "ascii").translate(self._code_table) + b"\xff"
         col = codes.find(255)
         if col >= 0:
             raise UnknownCharacterError(

@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     text.add_argument("--text-file", dest="text_file",
                       help="file holding the text to index, substring mode")
     build.add_argument("--alphabet", default="ACGT", help="ordered symbol string (default ACGT)")
-    build.add_argument("--policy", choices=["full", "sampled", "none"], default="sampled")
+    build.add_argument("--policy", choices=["full", "sampled", "none"])  # None: sampled, positional mode only
     build.add_argument("--stride", type=int, help="sampled-policy stride (default ceil(lg n))")
     build.add_argument("--sa-stride", type=int, dest="sa_stride",
                        help="suffix-array sample spacing (default ceil(lg n))")
@@ -97,7 +97,7 @@ def cmd_build(args) -> int:
     # each mode refuses the flags that only the other mode reads
     foreign = {
         "positional": {"--text": args.text, "--text-file": args.text_file, "--sa-stride": args.sa_stride},
-        "substring": {"--input": args.input, "--stride": args.stride},
+        "substring": {"--input": args.input, "--policy": args.policy, "--stride": args.stride},
     }
     for flag, value in foreign[args.mode].items():
         if value is not None:
@@ -109,12 +109,13 @@ def cmd_build(args) -> int:
         if not args.input:
             raise PbwtIndexError("positional build needs --input")
         collection = parse_collection(_read_input(args.input), alphabet)
-        if args.policy == "sampled":
+        kind = args.policy or "sampled"
+        if kind == "sampled":
             policy = StoragePolicy.sampled(args.stride or default_stride(collection.n))
         else:
             if args.stride is not None:
-                raise PbwtIndexError(f"--stride only applies to the sampled policy, not {args.policy!r}")
-            policy = StoragePolicy(args.policy)
+                raise PbwtIndexError(f"--stride only applies to the sampled policy, not {kind!r}")
+            policy = StoragePolicy(kind)
         index = build_index(collection, policy)
         written = save_index(index, args.output)
         policy_desc = policy.kind + (f"(stride={policy.stride})" if policy.stride else "")

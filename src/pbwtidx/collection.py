@@ -79,13 +79,17 @@ def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
 
 
 def parse_collection(text: str | bytes, alphabet: Alphabet | None = None) -> StringCollection:
-    """Parse newline-delimited strings, one per non-empty line."""
+    """Parse strings one per non-empty line; a line ends at LF, CRLF or CR."""
     if isinstance(text, bytes):
         try:
             text = text.decode("ascii")
         except UnicodeDecodeError as exc:
             raise UnknownCharacterError(f"input is not ASCII text: {exc}") from None
-    lines = [line for line in text.splitlines() if line]
+    # the line breaks bytes.splitlines knows: str.splitlines also splits at \x0b,
+    # \x0c, \x85 and more, which would hide them from the alphabet check
+    if "\r" in text:  # a one-character scan; replace's two-character search is slower
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = [line for line in text.split("\n") if line]
     if not lines:
         raise EmptyInputError("no input strings")
     return from_strings(lines, alphabet)

@@ -1,10 +1,11 @@
 """The positional-search index: three query strategies plus locate.
 
 A query asks for the strings containing pattern ``P`` starting exactly at
-position ``k``.  Strategy ``binary`` bisects the suffixes sorted by pi_k;
-``backward`` starts from the full interval at column ``k+m`` and applies one
-two-lookup backward step per pattern character; ``rebuild`` recomputes pi_k
-from the nearest stored column to its right and then bisects.  All three
+position ``k``.  Strategy ``binary`` runs ``bisect.bisect_left`` and
+``bisect_right`` over the ranks of the suffixes sorted by pi_k;
+``backward`` starts from the full interval at column ``k+m`` and applies
+one two-lookup backward step per pattern character; ``rebuild`` recomputes
+pi_k from the nearest stored column to its right and then bisects.  All three
 return the same interval of lexicographic ranks.  :func:`search_backward`
 runs :meth:`PbwtMatrix.backward`, as the FM index does; :func:`query` runs
 :func:`backward_trace`, one :class:`Interval` per column, only for a trace.
@@ -19,6 +20,7 @@ reads the matches from the source the search read.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -168,46 +170,35 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
 
 
 def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
-    """Two binary searches over the suffixes starting at ``k``, in pi_k order.
+    """``bisect_left`` and ``bisect_right`` over the suffixes starting at ``k``, in pi_k order.
 
     Only the probed ranks are read from the source ``(h, pi_h)``, each
     walked back to ``h`` as in :func:`locate`, through memoryviews, which
-    cost a third of ``ndarray.item``.  The first search also keeps the
-    lowest rank it saw sort after the pattern, where the second one can
-    stop.  Compares the rank-code bytes against ``key``, the pattern's:
-    symbols are strictly increasing, so rank order is string order.
+    cost a third of ``ndarray.item``.  Compares the rank-code bytes against
+    ``key``, the pattern's: symbols are strictly increasing, so rank order
+    is string order.  When nothing matches, the second search returns
+    ``first`` and the interval normalizes to empty.
     """
     window = index.collection.codes[:, k : k + len(key)]
     lf_rows = [memoryview(index.matrix.lf[j]) for j in range(k - 1, h - 1, -1)]
     pi = memoryview(pi_h)
+    above = index.n
 
-    def prefix(i: int) -> bytes:
+    def prefix(rank: int) -> bytes:
+        nonlocal above
+        row = rank
         for lf_j in lf_rows:
-            i = lf_j[i]
-        return window[pi[i]].tobytes()
+            row = lf_j[row]
+        probe = window[pi[row]].tobytes()
+        if probe > key:  # each probe after the pattern lies below the last one
+            above = rank
+        return probe
 
-    lo, hi, above = 0, index.n, index.n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        probe = prefix(mid)
-        if probe < key:
-            lo = mid + 1
-        else:
-            hi = mid
-            if probe > key:
-                above = mid
-    first = lo
-    if first == index.n or prefix(first) != key:
-        return EMPTY
-    # every rank in [first, above) is at least the pattern
-    lo, hi = first + 1, above
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if prefix(mid) == key:
-            lo = mid + 1
-        else:
-            hi = mid
-    return Interval(first, lo - 1)
+    ranks = range(index.n)
+    first = bisect_left(ranks, key, key=prefix)
+    # the first search saw every rank from `above` on sort after the pattern,
+    # so bounding the second by it skips probes the unbounded search would make
+    return Interval(first, bisect_right(ranks, key, first, above, key=prefix) - 1)
 
 
 def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:

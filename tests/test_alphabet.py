@@ -63,10 +63,11 @@ def test_encode_decode(alphabet):
 
 
 def test_encode_reports_position(alphabet):
-    with pytest.raises(UnknownCharacterError, match="column 3"):
-        alphabet.encode("ACXT")
-    with pytest.raises(UnknownCharacterError):
-        alphabet.encode("ACGé")
+    # the leftmost bad character and its column, ASCII or not
+    for s, message in (("ACXT", "'X' at column 3"), ("ACGé", "'é' at column 4"),
+                       ("XAé", "'X' at column 1"), ("Aé", "'é' at column 2")):
+        with pytest.raises(UnknownCharacterError, match=message):
+            alphabet.encode(s)
 
 
 def test_decode_rejects_out_of_range_codes(alphabet):

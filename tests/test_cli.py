@@ -51,6 +51,11 @@ def test_build_empty_input(tmp_path, capsys):
     assert "no input strings" in capsys.readouterr().err
 
 
+def test_build_positional_needs_input(tmp_path, capsys):
+    assert main(["build", "--mode", "positional", "--output", str(tmp_path / "x.idx")]) == 2
+    assert capsys.readouterr().err == "error: positional build needs --input\n"
+
+
 def test_build_missing_file_is_io_failure(tmp_path, capsys):
     code = main(["build", "--mode", "positional", "--input", str(tmp_path / "nope.txt"),
                  "--output", str(tmp_path / "x.idx")])
@@ -96,6 +101,7 @@ def test_build_rejects_bad_stride_or_alphabet(mode, option, value, message, fig1
     pytest.param("positional", "--sa-stride", "3", id="positional-sa-stride"),
     pytest.param("substring", "--input", "fig1.txt", id="substring-input"),
     pytest.param("substring", "--stride", "3", id="substring-stride"),
+    pytest.param("substring", "--policy", "none", id="substring-policy"),
 ])
 def test_build_rejects_flags_of_the_other_mode(mode, option, value, fig1_file, tmp_path, capsys):
     out = tmp_path / "x.idx"
@@ -197,6 +203,10 @@ def test_query_positional_empty_result_exits_zero(fig1_idx, capsys):
     assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AAAA",
                  "--position", "0"]) == 0
     assert capsys.readouterr().out == ""
+    # the trace prints an empty interval as "- -"
+    assert main(["query", "positional", "--index", fig1_idx, "--pattern", "TTAA",
+                 "--position", "0", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["4 0 7", "3 0 4", "2 0 0", "1 - -", "0 - -"]
 
 
 def test_query_positional_overrun_exits_two(fig1_idx, capsys):
@@ -230,6 +240,8 @@ def test_query_substring_trace(demo_idx, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "0 0 12"
     assert len(lines) == 4 + 1  # 3 trace steps after the initial interval, one result
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TTTT", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 0 12", "1 9 12", "2 12 12", "3 - -", "4 - -"]
 
 
 def test_queries_trace_only_when_asked(fig1_idx, demo_idx, capsys, monkeypatch):

@@ -38,6 +38,10 @@ def test_parse_empty(alphabet):
         px.parse_collection("", alphabet)
     with pytest.raises(EmptyInputError):
         px.parse_collection("\n\n", alphabet)
+    with pytest.raises(EmptyInputError, match="no strings"):
+        px.from_strings([], alphabet)
+    with pytest.raises(EmptyInputError, match="non-empty"):
+        px.from_strings([""], alphabet)
 
 
 def test_parse_unknown_character_reports_line_and_column(alphabet):
@@ -45,6 +49,13 @@ def test_parse_unknown_character_reports_line_and_column(alphabet):
         px.parse_collection("ACGT\nACNT\n", alphabet)
     with pytest.raises(UnknownCharacterError, match="column 3"):
         px.parse_collection("ACGT\nACNT\n", alphabet)
+    # a line breaks only at LF, CRLF or CR; other control characters are bad characters
+    for text, message in ((b"GA\x0cTT\n", r"line 1: character '\\x0c' at column 3"),
+                          (b"GATT\x0bACGT\nCCCC\n", r"line 1: character '\\x0b' at column 5"),
+                          ("AC\nG\x85\n", r"line 2: character '\\x85' at column 2"),
+                          ("AC\u2028GT\n", r"line 1: character '\\u2028' at column 3")):
+        with pytest.raises(UnknownCharacterError, match=message):
+            px.parse_collection(text, alphabet)
 
 
 def test_parse_rejects_sentinel(alphabet):
@@ -55,6 +66,8 @@ def test_parse_rejects_sentinel(alphabet):
 def test_parse_accepts_bytes(alphabet):
     col = px.parse_collection(b"ACGT\nTTTT\n", alphabet)
     assert col.n == 2
+    for crlf_or_cr in (b"ACGT\r\nTTTT\r\n", b"ACGT\rTTTT\r", b"\r\nACGT\r\r\nTTTT"):
+        assert px.parse_collection(crlf_or_cr, alphabet) == col
 
 
 def test_suffix(fig1):
@@ -99,6 +112,7 @@ def test_codes_are_checked_and_stored_as_uint8(alphabet):
         assert col.codes.dtype == np.uint8 and col.codes.flags.f_contiguous
         assert col == fig1
         assert px.build_index(col).matrix.cols.tobytes() == px.build_index(fig1).matrix.cols.tobytes()
+    assert fig1 != FIG1_STRINGS and fig1.__eq__(FIG1_STRINGS) is NotImplemented
     assert px.StringCollection(alphabet=alphabet, codes=fig1.codes).codes is fig1.codes
     for codes in (np.array([[0, -1]]), np.array([[0, 4]]), np.array([[0, 1]], np.float64)):
         with pytest.raises(RankOutOfRangeError):

@@ -260,7 +260,8 @@ def test_fm_count_rejects_sentinel_and_unknown(demo_fm):
     # the leftmost bad character is named, with its column as the positional searches give it
     for pattern, message in [("A$", "must not contain the sentinel"), ("$N", "must not contain the sentinel"),
                              ("AXA", "character 'X' at column 2 is not"), ("NB", "character 'N' at column 1 is not"),
-                             ("N$", "character 'N' at column 1 is not"), ("A\u00e9", "character '\u00e9' is not")]:
+                             ("N$", "character 'N' at column 1 is not"),
+                             ("A\u00e9", "character '\u00e9' at column 2 is not")]:
         for search in (px.fm_count, count_trace):
             with pytest.raises(UnknownCharacterError, match=message):
                 search(demo_fm, pattern)

@@ -214,6 +214,11 @@ def test_resealed_bit_flips_fail_or_load_a_consistent_index(index):
     assert loaded > 0
 
 
+def test_to_bytes_rejects_what_is_not_an_index():
+    with pytest.raises(TypeError, match="cannot serialize object"):
+        px.to_bytes(object())
+
+
 def test_to_bytes_rejects_fields_beyond_u32(fig1):
     wide = 2**32
     for index in (px.build_index(fig1, px.StoragePolicy.sampled(wide)),

@@ -165,6 +165,8 @@ def test_nine_strategy_policy_combinations(fig1):
             interval, matches, _ = px.query(index, "AGA", 3, strategy=strategy)
             assert sorted(matches) == [1, 4, 5], (policy.kind, strategy)
             assert interval.width == 3
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        px.query(index, "AGA", 3, strategy="bogus")
 
 
 def _policies(col):
