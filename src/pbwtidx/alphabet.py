@@ -80,21 +80,24 @@ class Alphabet:
             raise RankOutOfRangeError(f"rank {a} not in [0, {self.sigma})")
         return self.symbols[a]
 
-    def encode(self, s: str) -> np.ndarray:
-        """Encode a string to a uint8 rank array, validating every character."""
-        if not s:
-            return np.empty(0, dtype=np.uint8)
+    def _code_bytes(self, s: str) -> bytes:
+        """The rank codes of ``s`` as bytes, validating every character; the
+        leftmost bad one is named with its column."""
         try:
-            codes = bytearray(s, "ascii").translate(self._code_table)
+            codes = s.encode("ascii").translate(self._code_table)
         except UnicodeEncodeError as exc:
             # the first non-ASCII character is bad too; find(255) picks the leftmost
-            codes = bytearray(s[: exc.start], "ascii").translate(self._code_table) + b"\xff"
+            codes = s[: exc.start].encode("ascii").translate(self._code_table) + b"\xff"
         col = codes.find(255)
         if col >= 0:
             raise UnknownCharacterError(
                 f"character {s[col]!r} at column {col + 1} is not in alphabet {self.symbols!r}"
             )
-        return np.frombuffer(codes, np.uint8)
+        return codes
+
+    def encode(self, s: str) -> np.ndarray:
+        """Encode a string to a read-only uint8 rank array, validating every character."""
+        return np.frombuffer(self._code_bytes(s), np.uint8)
 
     def decode(self, codes) -> str:
         """Turn a sequence (or matrix, row by row) of ranks back into one string."""

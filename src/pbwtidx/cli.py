@@ -80,11 +80,16 @@ def _read_input(path: str) -> bytes:
 
 
 def _read_text(path: str) -> str:
-    """The text in ``path`` without surrounding whitespace."""
+    """The text in ``path`` without surrounding line breaks.
+
+    Only CR and LF are stripped, the characters :func:`parse_collection`
+    breaks lines at: any other control character or space reaches the
+    alphabet check and is refused there.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        return raw.decode("ascii").strip()
+        return raw.decode("ascii").strip("\r\n")
     except UnicodeDecodeError as exc:
         raise UnknownCharacterError(f"{path} is not ASCII text: {exc}") from None
 

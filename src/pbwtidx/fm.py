@@ -12,9 +12,11 @@ numpy operations: the shifts are sorted by prefix doubling over integer ranks
 (one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
 jumping (two O(n) gathers per round).  The index holds the BWT as a
 one-column :class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's
-PBWT backward search with every step in column 0: each step is two
-checkpoint lookups plus two short byte counts, and each locate step one
-read of the int32 LF mapping.
+PBWT backward search with every step in column 0: each step reads the LF
+values of the first and last rows of the interval that hold the symbol,
+found by a byte search of at most 64 rows from each end (a checkpoint
+lookup and a short byte count where that window holds none), and each
+locate step one read of the int32 LF mapping.
 
 Conventions: rank codes are uint8, the LF mapping is int32, and text
 positions are int64.
@@ -203,11 +205,11 @@ def _pattern_ranks(index: FmIndex, pattern: str) -> bytes:
     bad character is named with its column, unless it is the sentinel."""
     alphabet = index.alphabet
     try:
-        return alphabet.encode(pattern).tobytes()[::-1].translate(_SHIFT_UP)
+        return alphabet._code_bytes(pattern)[::-1].translate(_SHIFT_UP)
     except UnknownCharacterError:
         if alphabet.sentinel not in pattern:
             raise
-    alphabet.encode(pattern.partition(alphabet.sentinel)[0])  # names a bad character left of the sentinel
+    alphabet._code_bytes(pattern.partition(alphabet.sentinel)[0])  # names a bad character left of the sentinel
     raise UnknownCharacterError("patterns must not contain the sentinel")
 
 

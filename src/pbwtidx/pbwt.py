@@ -6,12 +6,15 @@ follows each character.  Row ``r`` of pi_{j+1} order moves to row
 ``C_j[a] + occ_j(a, r)`` of pi_j order, the BWT's LF mapping applied to one
 column, and :class:`PbwtMatrix` holds that mapping once for every column: an
 int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
-and int32 checkpoints every 64 rows for any other symbol (the backward step,
-two lookups per pattern character).  ``lf`` comes from the right-to-left
-sweep of :mod:`pbwtidx.permutations`, which the build and :func:`invert_pbwt`
-run anyway.  The BWT is the PBWT of a text's cyclic shifts, whose columns are
-all equal, so :mod:`pbwtidx.fm` holds it as a one-column :class:`PbwtMatrix`,
-whose :meth:`~PbwtMatrix.backward` search in column 0 is the FM count.
+and int32 checkpoints every 64 rows for any other symbol.  The backward step
+needs both: the first and last rows of the interval that hold the pattern's
+symbol map through ``lf`` to the new interval, and an end with no such row
+within 64 rows takes a checkpoint instead.  ``lf`` comes from the
+right-to-left sweep of :mod:`pbwtidx.permutations`, which the build and
+:func:`invert_pbwt` run anyway.  The BWT is the PBWT of a text's cyclic
+shifts, whose columns are all equal, so :mod:`pbwtidx.fm` holds it as a
+one-column :class:`PbwtMatrix`, whose :meth:`~PbwtMatrix.backward` search in
+column 0 is the FM count.
 """
 
 from dataclasses import dataclass
@@ -77,7 +80,8 @@ class PbwtMatrix:
       checkpoint and a count over at most ``BLOCK - 1`` bytes of the column.
 
     The columns are kept as one ``bytes`` object, whose ``count`` is the
-    in-block scan, and ``cols`` is a read-only view of it.
+    in-block scan and whose ``find`` and ``rfind`` give :meth:`backward` the
+    rows at an interval's ends, and ``cols`` is a read-only view of it.
     """
 
     def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
@@ -90,6 +94,8 @@ class PbwtMatrix:
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.sigma, self.n = sigma, n
         self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if lf is None else lf
+        # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
+        self._lf = memoryview(self.lf.reshape(-1))
         blocks = n // BLOCK + 2
         self.base = np.empty((width, sigma, blocks), np.int32)
         # row r's symbol counts towards every checkpoint after its block
@@ -115,12 +121,31 @@ class PbwtMatrix:
             raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {self.n})")
 
     def backward(self, columns, ranks) -> Interval:
-        """The interval of the pattern whose codes are ``ranks``, last first: one :meth:`step`
-        per ``(j, a)`` pair from the full interval, :data:`EMPTY` at the first empty one."""
-        step = self.step
-        f, l = 0, self.n - 1
+        """The interval of the pattern whose codes are ``ranks``, last first: one step
+        per ``(j, a)`` pair from the full interval, :data:`EMPTY` at the first empty one.
+
+        LF is increasing over the rows of one symbol, so the step maps
+        [f, l] to [``lf[j, r1]``, ``lf[j, r2]``] for the first and last rows
+        r1, r2 of the interval that hold ``a``.  ``bytes.find`` and ``rfind``
+        look for them within ``BLOCK`` rows of each end; an end whose window
+        holds no ``a`` takes :meth:`step`, so a step reads O(``BLOCK``) bytes
+        at any n.
+        """
+        find, rfind, lf, step = self._bytes.find, self._bytes.rfind, self._lf, self.step
+        n = self.n
+        f, l = 0, n - 1
         for j, a in zip(columns, ranks):
-            f, l = step(j, a, f), step(j, a, l + 1) - 1
+            at = j * n
+            lo, hi = at + f, at + l + 1
+            if hi - lo <= BLOCK:
+                r1 = find(a, lo, hi)
+                if r1 < 0:
+                    return EMPTY
+                f, l = lf[r1], lf[rfind(a, lo, hi)]
+                continue
+            r1, r2 = find(a, lo, lo + BLOCK), rfind(a, hi - BLOCK, hi)
+            f = lf[r1] if r1 >= 0 else step(j, a, f)
+            l = lf[r2] if r2 >= 0 else step(j, a, l + 1) - 1
             if f > l:
                 return EMPTY
         return Interval(f, l)

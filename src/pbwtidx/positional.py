@@ -4,7 +4,8 @@ A query asks for the strings containing pattern ``P`` starting exactly at
 position ``k``.  Strategy ``binary`` runs ``bisect.bisect_left`` and
 ``bisect_right`` over the ranks of the suffixes sorted by pi_k;
 ``backward`` starts from the full interval at column ``k+m`` and applies
-one two-lookup backward step per pattern character; ``rebuild`` recomputes
+one backward step per pattern character, two LF reads at the interval's
+ends; ``rebuild`` recomputes
 pi_k from the nearest stored column to its right and then bisects.  All three
 return the same interval of lexicographic ranks.  :func:`search_backward`
 runs :meth:`PbwtMatrix.backward`, as the FM index does; :func:`query` runs
@@ -152,7 +153,7 @@ def _check_span(index: PositionalIndex, m: int, k: int):
 def _check_query(index: PositionalIndex, pattern: str, k: int) -> bytes:
     """The pattern's rank codes as bytes, once ``k`` and every character are checked."""
     _check_span(index, len(pattern), k)
-    return index.collection.alphabet.encode(pattern).tobytes()
+    return index.collection.alphabet._code_bytes(pattern)
 
 
 def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSource:

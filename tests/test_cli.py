@@ -326,6 +326,22 @@ def test_build_substring_text_flags(tmp_path, capsys):
     assert exited.value.code == 2
 
 
+def test_build_substring_text_file_strips_only_line_breaks(tmp_path, capsys):
+    # CR and LF around the text go, as parse_collection's line breaks do;
+    # any other control character or space is refused with its column
+    out = str(tmp_path / "x.idx")
+    text_file = tmp_path / "text.txt"
+    text_file.write_bytes(b"\r\n" + DEMO_TEXT.encode() + b"\r\n\n")
+    assert main(["build", "--mode", "substring", "--text-file", str(text_file), "--output", out]) == 0
+    assert capsys.readouterr().out.startswith(f"n={len(DEMO_TEXT)} ")
+    for raw, message in ((b"GATTACA\x0c\x1c\n", r"character '\x0c' at column 8"),
+                         (b" GATTACA\n", "character ' ' at column 1"),
+                         (b"GATTACA\t\n", r"character '\t' at column 8")):
+        text_file.write_bytes(raw)
+        assert main(["build", "--mode", "substring", "--text-file", str(text_file), "--output", out]) == 2
+        assert f"{message} is not in alphabet 'ACGT'" in capsys.readouterr().err
+
+
 def test_build_substring_empty_text(tmp_path, capsys):
     out = str(tmp_path / "x.idx")
     assert main(["build", "--mode", "substring", "--text", "", "--output", out]) == 2

@@ -7,7 +7,7 @@ import pbwtidx as px
 from pbwtidx import fm
 from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError, UnknownCharacterError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
-from pbwtidx.pbwt import EMPTY, Interval
+from pbwtidx.pbwt import BLOCK, EMPTY, Interval
 
 from conftest import DEMO_BWT, DEMO_TEXT, all_patterns, random_text, sa_samples
 
@@ -319,3 +319,28 @@ def test_fm_matches_oracle_on_random_texts():
                 positions, steps = locate_with_steps(index, interval)
                 assert sorted(positions) == expected
                 assert all(d < stride for d in steps)
+
+
+def test_fm_count_with_a_rare_symbol_matches_the_oracle():
+    """Texts longer than BLOCK in which T is rare (about 1%): a wide interval
+    whose BLOCK rows at one end hold no T takes the checkpoint step there."""
+    rng = random.Random(21)
+    alphabet = px.Alphabet()
+    fell_back = 0
+    for size in (BLOCK + 1, 300, 1000):
+        text = "".join(rng.choices("ACGT", (33, 33, 33, 1), k=size))
+        index = px.fm_build(px.SentinelText(text, alphabet), 4)
+        calls, step = [], index.matrix.step
+
+        def counted(j, a, i, step=step):
+            calls.append(i)
+            return step(j, a, i)
+
+        index.matrix.step = counted
+        for pattern in all_patterns("ACGT", 3) + [text[at : at + 8] for at in range(0, size - 8, 7)]:
+            calls.clear()
+            interval = px.fm_count(index, pattern)
+            fell_back += bool(calls) and not interval.is_empty
+            assert interval == count_trace(index, pattern)[-1][1]
+            assert sorted(px.fm_locate(index, interval)) == px.naive_substring(text, pattern)
+    assert fell_back

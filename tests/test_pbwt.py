@@ -263,3 +263,42 @@ def test_backward_and_its_trace_match_the_oracle():
                     assert empty == list(range(empty[0], m + 1)) and trace[-1] == EMPTY
                     went_empty.add("first" if empty[0] == 1 else "last" if empty[0] == m else "middle")
     assert went_empty == {"first", "middle", "last"}
+
+
+def test_backward_at_the_window_edges_with_a_rare_symbol():
+    """n from BLOCK - 1 to 300 strings in which T is rare (about 1%): the
+    search steps intervals of width BLOCK - 1, BLOCK and BLOCK + 1, and a
+    wide interval whose BLOCK rows at one end hold no T takes :meth:`step`
+    at that end, at each end with a T further in."""
+    rng = random.Random(21)
+    widths, fell_back = set(), set()
+    for n in (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 300):
+        col = px.from_strings(["".join(rng.choices("ACGT", (33, 33, 33, 1), k=4)) for _ in range(n)])
+        matrix, perms = build_matrix(col), perm_table(col)
+        calls, step = [], matrix.step
+
+        def counted(j, a, i, step=step):
+            calls.append((j, i))
+            return step(j, a, i)
+
+        matrix.step = counted
+        for pattern in all_patterns("ACGT", 3)[1:]:
+            m = len(pattern)
+            ranks = col.alphabet.encode(pattern).tobytes()[::-1]
+            for k in range(col.length - m + 1):
+                columns = range(k + m - 1, k - 1, -1)
+                calls.clear()
+                interval = matrix.backward(columns, ranks)
+                fallbacks = calls[:]
+                trace = matrix.backward_trace(columns, ranks)
+                assert interval == trace[-1]
+                assert sorted(perms[k][interval.f : interval.l + 1].tolist()) == px.naive_positional(col, pattern, k)
+                widths.update(before.width for before in trace[:-1])
+                # column j is stepped from trace[t], t = k + m - 1 - j
+                for j, i in fallbacks:
+                    t = k + m - 1 - j
+                    before, after = trace[t], trace[t + 1]
+                    assert before.width > BLOCK and i in (before.f, before.l + 1)
+                    fell_back.add(("first" if i == before.f else "last", after.is_empty))
+    assert {BLOCK - 1, BLOCK, BLOCK + 1} <= widths
+    assert {("first", False), ("last", False)} <= fell_back
