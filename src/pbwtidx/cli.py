@@ -226,7 +226,7 @@ def cmd_dump(args) -> int:
             print("\t".join(map(str, row)))
         return 0
     # decode the matrix once; row i of the transpose is PBWT row i
-    rows = index.collection.alphabet.decode(index.matrix.cols.T)
+    rows = index.alphabet.decode(index.cols.T)
     for i in range(0, len(rows), index.length):
         print("\t".join(rows[i : i + index.length]))
     return 0

@@ -144,8 +144,8 @@ class FmIndex:
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.stride < 1:
-            raise ValueError("stride must be >= 1")
+        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, not {self.stride!r}")
         if self.bwt_codes.ndim != 1:
             raise PbwtIndexError(f"the BWT codes must be one row, not {self.bwt_codes.ndim}-D")
         rows = self.bwt_codes.shape[0]

@@ -17,15 +17,15 @@ Layout (common header, then one payload per mode, then a checksum):
 
     crc32           u32      zlib.crc32 of every preceding byte
 
-A file holds only the transform, and the loader inverts it: one right-to-left
-pass over the PBWT columns, sorting each once, yields their LF mapping, the
-collection and the kept permutations, and ranking the BWT's LF cycle yields
-the text and the suffix-array samples.  No section can contradict another,
-so the checksum is what catches an edit that decodes to another valid
-index.  Loading checks the magic, the checksum, section sizes,
-tags, that the row count fits the int32 LF mapping, the alphabet, code
-ranges, the BWT's LF cycle and trailing bytes, and raises
-:class:`PbwtIndexError` on any failure.
+A file holds only the transform, and the loader hands it to the index's
+constructor, which derives the rest: :class:`PositionalIndex` inverts the PBWT
+columns in one right-to-left pass, sorting each once, to their LF mapping, the
+collection and the kept permutations, and :class:`FmIndex` ranks the BWT's LF
+cycle to the text and the suffix-array samples.  No section can contradict
+another, so the checksum is what catches an edit that decodes to another valid
+index.  Loading checks the magic, the checksum, section sizes, tags, that the
+row count fits the int32 LF mapping, the alphabet, code ranges, the BWT's LF
+cycle and trailing bytes, and raises :class:`PbwtIndexError` on any failure.
 """
 
 import math
@@ -34,11 +34,10 @@ import zlib
 
 import numpy as np
 
-from .alphabet import Alphabet, check_codes
-from .collection import StringCollection
+from .alphabet import Alphabet
 from .errors import PbwtIndexError
 from .fm import FmIndex
-from .pbwt import PbwtMatrix, check_rows, invert_pbwt
+from .pbwt import check_rows
 from .positional import PositionalIndex, StoragePolicy
 
 MAGIC = b"PBWTIDX3"
@@ -66,24 +65,22 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def codes(self, shape, limit: int, section: str) -> np.ndarray:
-        """A uint8 rank-code section whose every code must be below ``limit``."""
-        codes = np.frombuffer(self.take(math.prod(shape)), np.uint8).reshape(shape)
-        check_codes(codes, limit, f"index file {section}")
-        return codes
+    def codes(self, shape) -> np.ndarray:
+        """A uint8 rank-code section, whose codes the index constructors check."""
+        return np.frombuffer(self.take(math.prod(shape)), np.uint8).reshape(shape)
 
 
 def to_bytes(index) -> bytes:
     if isinstance(index, PositionalIndex):
         policy = index.policy
         _check_u32(n=index.n, length=index.length, stride=policy.stride or 0)
-        body = (_header(MODE_POSITIONAL, index.collection.alphabet)
+        body = (_header(MODE_POSITIONAL, index.alphabet)
                 + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0)
-                + index.matrix.cols.astype(np.uint8, copy=False).tobytes())
+                + index.cols.tobytes())
     elif isinstance(index, FmIndex):
         _check_u32(n=index.n, stride=index.stride)
         body = (_header(MODE_SUBSTRING, index.alphabet) + struct.pack("<II", index.n, index.stride)
-                + index.bwt_codes.astype(np.uint8, copy=False).tobytes())
+                + index.bwt_codes.tobytes())
     else:
         raise TypeError(f"cannot serialize {type(index).__name__}")
     return body + struct.pack("<I", zlib.crc32(body))
@@ -137,13 +134,8 @@ def _read_positional(r: _Reader, alphabet: Alphabet) -> PositionalIndex:
         policy = StoragePolicy(_POLICY_NAMES[policy_tag], stride or None)
     except (KeyError, ValueError):
         raise PbwtIndexError(f"index file has invalid policy tag {policy_tag}, stride {stride}") from None
-    if n == 0 or length == 0:
-        raise PbwtIndexError(f"index file holds an empty collection ({n} strings of length {length})")
     check_rows(n)
-    cols = r.codes((length, n), alphabet.sigma, "PBWT columns")
-    codes, lf, stored = invert_pbwt(cols, policy.stored_columns(length))
-    return PositionalIndex(collection=StringCollection(alphabet=alphabet, codes=codes),
-                           matrix=PbwtMatrix(cols, alphabet.sigma, lf), policy=policy, stored_perms=stored)
+    return PositionalIndex(alphabet, r.codes((length, n)), policy)
 
 
 def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:
@@ -151,7 +143,7 @@ def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:
     if stride < 1:
         raise PbwtIndexError("index file has suffix-array stride 0")
     check_rows(n + 1)
-    bwt_codes = r.codes((n + 1,), alphabet.sigma + 1, "BWT")
+    bwt_codes = r.codes((n + 1,))
     try:
         return FmIndex(alphabet, bwt_codes, stride)
     except PbwtIndexError as exc:

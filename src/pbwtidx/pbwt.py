@@ -72,8 +72,8 @@ class PbwtMatrix:
 
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
-      A caller whose sweep has sorted the columns hands it in, as the build
-      and the loader do; otherwise a sweep over the columns derives it.
+      A caller whose sweep has sorted the columns hands it in, as the
+      positional index does; otherwise a sweep over the columns derives it.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -92,7 +92,7 @@ class PbwtMatrix:
         check_codes(cols, sigma, "code matrix")
         self._bytes = np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
-        self.sigma, self.n = sigma, n
+        self.n = n
         self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if lf is None else lf
         # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
         self._lf = memoryview(self.lf.reshape(-1))
@@ -170,7 +170,7 @@ class PbwtMatrix:
 
 
 def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -> PbwtMatrix:
-    """Assemble the PBWT from the columns and LF mapping of :func:`~pbwtidx.permutations.build_permutations`.
+    """Assemble the PBWT from the columns and the LF mapping that their sweep derived.
 
     Only the checkpoints are new: no column is gathered or sorted again.
     """

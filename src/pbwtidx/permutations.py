@@ -10,8 +10,8 @@ stably sorts PBWT column ``j`` (the column-``j`` codes in pi_{j+1} order)
 once, and that one sort yields the column's LF mapping (the sort's inverse)
 and pi_j = pi_{j+1}[order].  A permutation outlives its pass only where the
 caller keeps it.  The caller supplies the column: the build gathers it from
-the strings (:func:`build_permutations`), the loader scatters it back into
-them (:func:`~pbwtidx.pbwt.invert_pbwt`), a :class:`~pbwtidx.pbwt.PbwtMatrix`
+the strings (:func:`build_permutations`), an index made from its columns
+scatters it back (:func:`~pbwtidx.pbwt.invert_pbwt`), a :class:`~pbwtidx.pbwt.PbwtMatrix`
 handed no LF mapping reads its own columns, and the cyclic-shift check in
 :mod:`pbwtidx.fm` reads the shifts of the text, whose PBWT is the BWT.
 

@@ -22,13 +22,15 @@ reads the matches from the source the search read.
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
+from .alphabet import Alphabet, check_codes
 from .collection import StringCollection
-from .errors import IndexOutOfRangeError, PatternOverrunError, PbwtIndexError, PermutationNotStoredError
-from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt
+from .errors import (EmptyInputError, IndexOutOfRangeError, PatternOverrunError, PbwtIndexError,
+                     PermutationNotStoredError)
+from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt, check_rows, invert_pbwt
 from .permutations import build_permutations, rebuild_column
 
 STRATEGIES = ("binary", "backward", "rebuild")
@@ -50,8 +52,8 @@ class StoragePolicy:
         if self.kind not in ("full", "sampled", "none"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "sampled":
-            if self.stride is None or self.stride < 1:
-                raise ValueError("sampled policy needs a stride >= 1")
+            if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
+                raise ValueError(f"sampled policy needs an integer stride >= 1, not {self.stride!r}")
         elif self.stride is not None:
             raise ValueError(f"policy {self.kind!r} takes no stride")
 
@@ -98,42 +100,48 @@ def default_stride(n: int) -> int:
 
 @dataclass(frozen=True)
 class PositionalIndex:
-    """A collection's PBWT and kept permutations; equality compares the
-    collection and the policy, from which the rest is derived.
+    """The PBWT columns, with the collection and everything else derived from them.
 
-    ``stored_perms`` holds pi_j, n entries each, for exactly the columns of
-    ``policy.stored_columns(length)``, on which every pi_k lookup relies;
-    any other set of keys or shape raises :class:`PermutationNotStoredError`.
-    ``matrix`` must be (length, n) over the collection's alphabet; the
-    shape is checked, not that the columns are the collection's PBWT.
+    One sweep inverts ``cols`` to ``collection``, the LF mapping that
+    ``matrix`` holds and ``stored_perms``, pi_j for each column of
+    ``policy.stored_columns(length)``; ``cols`` becomes a read-only view of
+    ``matrix.cols``.  The columns determine the collection, so equality
+    compares the alphabet, the policy and the collection.
     """
 
-    collection: StringCollection
-    matrix: PbwtMatrix = field(repr=False, compare=False)
+    alphabet: Alphabet
+    cols: np.ndarray = field(repr=False, compare=False)
     policy: StoragePolicy
-    stored_perms: dict[int, np.ndarray] = field(repr=False, compare=False)
+    collection: StringCollection = field(init=False, repr=False)
+    matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
+    stored_perms: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    _sweep: InitVar[tuple | None] = field(default=None, kw_only=True)  # (collection, lf, stored_perms)
 
-    def __post_init__(self):
-        shape, sigma = (self.length, self.n), self.collection.alphabet.sigma
-        if self.matrix.cols.shape != shape or self.matrix.sigma != sigma:
-            raise PbwtIndexError(f"matrix of {self.matrix.cols.shape} codes below {self.matrix.sigma} "
-                                 f"does not fit a collection of {shape} codes below {sigma}")
-        differ = set(self.policy.stored_columns(self.length)).symmetric_difference(self.stored_perms)
-        if differ:
-            j = min(differ)
-            kept = "keeps" if j in self.stored_perms else "lacks"
-            raise PermutationNotStoredError(f"stored_perms {kept} pi_{j}, against policy {self.policy}")
-        for j, pi in self.stored_perms.items():
-            if pi.shape != (self.n,):
-                raise PermutationNotStoredError(f"stored pi_{j} has shape {pi.shape}, not ({self.n},)")
+    def __post_init__(self, _sweep):
+        # checked before the inversion, whose uint8 scatter would wrap a bad code
+        if self.cols.ndim != 2:
+            raise PbwtIndexError(f"PBWT columns must be a (length, n) matrix, not {self.cols.ndim}-D")
+        if not self.cols.size:
+            raise EmptyInputError(f"PBWT columns hold an empty collection ({self.n} strings of length {self.length})")
+        check_rows(self.n)
+        check_codes(self.cols, self.alphabet.sigma, "PBWT columns")
+        if _sweep is None:
+            codes, lf, stored = invert_pbwt(self.cols, self.policy.stored_columns(self.length))
+            _sweep = StringCollection(alphabet=self.alphabet, codes=codes), lf, stored
+        collection, lf, stored = _sweep
+        matrix = build_pbwt(collection, self.cols, lf)
+        object.__setattr__(self, "cols", matrix.cols)
+        object.__setattr__(self, "collection", collection)
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "stored_perms", stored)
 
     @property
     def n(self) -> int:
-        return self.collection.n
+        return self.cols.shape[1]
 
     @property
     def length(self) -> int:
-        return self.collection.length
+        return self.cols.shape[0]
 
 
 def build_index(collection: StringCollection, policy: StoragePolicy | None = None) -> PositionalIndex:
@@ -141,8 +149,7 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
     if policy is None:
         policy = StoragePolicy.sampled(default_stride(collection.n))
     cols, lf, stored = build_permutations(collection, policy.stored_columns(collection.length))
-    return PositionalIndex(collection=collection, matrix=build_pbwt(collection, cols, lf),
-                           policy=policy, stored_perms=stored)
+    return PositionalIndex(collection.alphabet, cols, policy, _sweep=(collection, lf, stored))
 
 
 def _check_span(index: PositionalIndex, m: int, k: int):
@@ -153,7 +160,7 @@ def _check_span(index: PositionalIndex, m: int, k: int):
 def _check_query(index: PositionalIndex, pattern: str, k: int) -> bytes:
     """The pattern's rank codes as bytes, once ``k`` and every character are checked."""
     _check_span(index, len(pattern), k)
-    return index.collection.alphabet._code_bytes(pattern)
+    return index.alphabet._code_bytes(pattern)
 
 
 def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSource:
@@ -219,7 +226,7 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
     pi_j order for patterns starting with ``c`` at column ``j``.  An empty
     input is absorbing, so search loops can run unconditionally.
     """
-    a = index.collection.alphabet.rank(c)
+    a = index.alphabet.rank(c)
     if not 0 <= j < index.length:
         raise IndexOutOfRangeError(f"column {j} not in [0, {index.length})")
     if interval.is_empty:

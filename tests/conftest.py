@@ -98,6 +98,13 @@ def build_matrix(col: px.StringCollection) -> px.PbwtMatrix:
     return px.build_pbwt(col, cols, lf)
 
 
+def storage_policies(n: int, length: int) -> list[px.StoragePolicy]:
+    """Every policy kind; stride 1 stores every column, a stride past ``length`` only columns 0 and L."""
+    strides = {1, 2, 3, px.default_stride(n), length + 1}
+    return ([px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
+            + [px.StoragePolicy.sampled(t) for t in sorted(strides)])
+
+
 def random_collection(rng: random.Random, max_n=16, max_len=12, max_sigma=4):
     sigma = rng.randint(2, max_sigma)
     symbols = "ACGT"[:sigma] if sigma <= 4 else "".join(chr(ord("A") + i) for i in range(sigma))

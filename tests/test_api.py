@@ -1,11 +1,14 @@
+import importlib
 import re
+import sys
 from pathlib import Path
 
 import pbwtidx as px
 
 from conftest import FIG1_STRINGS
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -27,3 +30,19 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     exec(snippet, names)
     assert sorted(names["matches"]) == px.naive_positional(px.from_strings(FIG1_STRINGS), "AGA", 3)
     assert sorted(names["positions"]) == [3, 7]
+
+
+def test_perfbench_span_table_resolves(monkeypatch):
+    # the traced benchmark run replaces module attributes by name; building
+    # its span table looks each one up, so a renamed or deleted one fails here
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    try:
+        spans, workloads = importlib.import_module("spans"), importlib.import_module("workloads")
+        tracer = spans.Tracer()
+        workloads.instrument(tracer)
+    finally:
+        for name in ("spans", "workloads"):
+            sys.modules.pop(name, None)
+    wrapped = {(module.__name__, attr) for module, attr, _, _ in tracer._patches}
+    assert {("pbwtidx.positional", "build_pbwt"), ("pbwtidx.positional", "build_permutations"),
+            ("pbwtidx.positional", "backward_trace")} <= wrapped

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import pbwtidx as px
@@ -210,13 +211,19 @@ def test_fm_build_stride_one_samples_everything(alphabet):
 
 
 def test_fm_build_rejects_bad_stride(alphabet):
-    with pytest.raises(ValueError):
-        px.fm_build(px.SentinelText("ACGT", alphabet), 0)
+    # a float stride was accepted, and save_index then ended in struct.error
+    st = px.SentinelText(DEMO_TEXT, alphabet)
+    for stride in (0, 2.5, 2.0, None):
+        with pytest.raises(ValueError, match="stride must be an integer >= 1"):
+            px.fm_build(st, stride)
+    # numpy integers are integer strides
+    for stride in (np.int64(5), np.uint32(5)):
+        assert px.to_bytes(px.fm_build(st, stride)) == px.to_bytes(px.fm_build(st, 5))
 
 
 def test_fm_index_rejects_bad_stride(demo_fm):
     # a stride below 1 would sample every row and write a file the loader refuses
-    for stride in (0, -3):
+    for stride in (0, -3, 2.5, "3"):
         with pytest.raises(ValueError):
             px.FmIndex(demo_fm.alphabet, demo_fm.bwt_codes, stride)
 

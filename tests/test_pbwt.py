@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import pbwtidx as px
-from pbwtidx.errors import IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError, UnknownCharacterError
+from pbwtidx.errors import (EmptyInputError, IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError,
+                            UnknownCharacterError)
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
+from pbwtidx.positional import STRATEGIES
 
 from conftest import (EDGE_COLLECTIONS, FIG1_STRINGS, PBWT_MATRIX, all_patterns, build_matrix, occ, perm_table,
-                      random_collection)
+                      random_collection, storage_policies)
 
 
 def test_fig4_matrix(fig1_matrix, alphabet):
@@ -55,26 +57,48 @@ def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
         assert np.array_equal(perms[j], fig1_perms[j])
 
 
-def test_every_column_matrix_inverts_to_its_collection():
-    """Every in-range column matrix is the PBWT of the collection it inverts
-    to, with the permutations the inversion passes through."""
+def _column_matrices():
+    """(cols, alphabet) pairs: the edge shapes n=1, L=1, sigma=1, then random
+    shapes, each with random and with equal columns; first, the columns of
+    ["GATT", "TAGA", "CATC", "GATA"], which a hand-built index of
+    ["GATT", "TAGA", "CATC", "GACA"] once held and answered wrongly from."""
+    yield build_matrix(px.from_strings(["GATT", "TAGA", "CATC", "GATA"])).cols, px.Alphabet()
     rng = np.random.default_rng(44)
-    # edge shapes first: n=1, L=1, sigma=1, then random shapes
     shapes = [(1, 1, 1), (1, 6, 4), (7, 1, 3), (5, 4, 1)]
     shapes += [tuple(int(x) for x in rng.integers(1, (31, 13, 5))) for _ in range(150)]
     for n, length, sigma in shapes:
-        random_cols = rng.integers(0, sigma, (length, n), dtype=np.uint8)
-        equal_cols = np.repeat(rng.integers(0, sigma, (length, 1), dtype=np.uint8), n, axis=1)
         alphabet = px.Alphabet("ACGT"[:sigma])
-        for cols in (random_cols, equal_cols):
-            keep = list(range(length + 1))
-            codes, lf, perms = invert_pbwt(cols, keep)
-            collection = px.StringCollection(alphabet=alphabet, codes=codes)
-            index = px.build_index(collection, px.StoragePolicy.full())
-            assert np.array_equal(index.matrix.cols, cols)
-            assert np.array_equal(index.matrix.lf, lf)
-            for j in keep:
-                assert np.array_equal(perms[j], index.stored_perms[j])
+        yield rng.integers(0, sigma, (length, n), dtype=np.uint8), alphabet
+        yield np.repeat(rng.integers(0, sigma, (length, 1), dtype=np.uint8), n, axis=1), alphabet
+
+
+def test_every_column_matrix_inverts_to_its_collection():
+    """Every in-range column matrix is the PBWT of the collection it inverts
+    to: the index made from the columns alone is, part for part and byte for
+    byte, the one the build makes from that collection, and every strategy
+    answers as the brute-force scan does."""
+    rng = random.Random(45)
+    for cols, alphabet in _column_matrices():
+        length, n = cols.shape
+        for policy in storage_policies(n, length):
+            index = px.PositionalIndex(alphabet, cols, policy)
+            built = px.build_index(index.collection, policy)
+            assert index == built and np.array_equal(index.cols, cols)
+            assert np.array_equal(index.cols, built.cols)
+            assert np.array_equal(index.matrix.lf, built.matrix.lf) and index.matrix.lf.dtype == np.int32
+            assert np.array_equal(index.matrix.base, built.matrix.base)
+            assert list(index.stored_perms) == list(built.stored_perms)
+            for j, pi in built.stored_perms.items():
+                assert index.stored_perms[j].dtype == np.int32 and np.array_equal(index.stored_perms[j], pi)
+            assert px.to_bytes(index) == px.to_bytes(built)
+            strings = index.collection.strings
+            for _ in range(2):
+                m = rng.randint(1, length)
+                k = rng.randint(0, length - m)
+                for pattern in (rng.choice(strings)[k : k + m], "".join(rng.choices(alphabet.symbols, k=m))):
+                    expected = px.naive_positional(index.collection, pattern, k)
+                    for strategy in STRATEGIES:
+                        assert sorted(px.query(index, pattern, k, strategy)[1]) == expected
 
 
 def test_rank_query_examples(fig1_matrix, alphabet):
@@ -169,6 +193,21 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
     for codes in (np.uint8(1), np.zeros((2, 4), np.uint8)):
         with pytest.raises(PbwtIndexError, match=f"must be one row, not {codes.ndim}-D"):
             px.FmIndex(px.Alphabet(), codes)
+    # the positional index checks its columns before the inversion's uint8
+    # scatter would wrap -1 to 255 and 256 to 0, or truncate 0.5 to 0
+    refused = [
+        (np.zeros(4, np.uint8), PbwtIndexError, "not 1-D"),
+        (np.zeros((1, 2, 4), np.uint8), PbwtIndexError, "not 3-D"),
+        (np.array([[0.5, 0, 1]]), RankOutOfRangeError, "not float64"),
+        (np.array([[1, -1, 0]]), RankOutOfRangeError, "rank code -1, below 0"),
+        (np.array([[0, 4, 1]], np.uint8), RankOutOfRangeError, "rank code 4, not below 4"),
+        (np.array([[0, 256, 1]], np.int16), RankOutOfRangeError, "rank code 256, not below 4"),
+        (np.zeros((3, 0), np.uint8), EmptyInputError, "0 strings of length 3"),
+        (np.zeros((0, 3), np.uint8), EmptyInputError, "3 strings of length 0"),
+    ]
+    for cols, error, message in refused:
+        with pytest.raises(error, match=message):
+            px.PositionalIndex(px.Alphabet(), cols, px.StoragePolicy.full())
 
 
 def test_row_counts_beyond_int32_are_refused():
@@ -178,6 +217,8 @@ def test_row_counts_beyond_int32_are_refused():
         px.PbwtMatrix(wide, 4)
     with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
         px.FmIndex(px.Alphabet(), wide[0])
+    with pytest.raises(PbwtIndexError, match="2147483648 rows do not fit the int32"):
+        px.PositionalIndex(px.Alphabet(), wide, px.StoragePolicy.full())
 
 
 def test_interval_normalization():

@@ -8,7 +8,6 @@ import pbwtidx as px
 from pbwtidx.errors import (
     IndexOutOfRangeError,
     PatternOverrunError,
-    PbwtIndexError,
     PermutationNotStoredError,
     UnknownCharacterError,
 )
@@ -16,7 +15,7 @@ from pbwtidx.pbwt import EMPTY, Interval
 from pbwtidx import positional
 from pbwtidx.positional import backward_trace
 
-from conftest import EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection
+from conftest import EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection, storage_policies
 
 
 @pytest.fixture(scope="module")
@@ -42,9 +41,15 @@ def test_default_policy_stride(fig1):
     assert px.default_stride(9) == 4
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        px.StoragePolicy.sampled(0)
+def test_policy_validation(fig1):
+    # a float stride was accepted, and build_index then ended in range's TypeError
+    for stride in (0, 2.5, 2.0, "3", None):
+        with pytest.raises(ValueError, match="integer stride >= 1"):
+            px.StoragePolicy.sampled(stride)
+    # numpy integers are integer strides
+    for stride in (np.int64(3), np.uint32(3)):
+        built = px.build_index(fig1, px.StoragePolicy.sampled(stride))
+        assert px.to_bytes(built) == px.to_bytes(px.build_index(fig1, px.StoragePolicy.sampled(3)))
     with pytest.raises(ValueError):
         px.StoragePolicy("full", 2)
     with pytest.raises(ValueError):
@@ -58,9 +63,7 @@ def test_policy_nearest_stored_columns_match_a_scan(fig1):
     collections += [random_collection(rng, max_n=20, max_len=20) for _ in range(10)]
     for col in collections:
         length = col.length
-        policies = [px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
-        policies += [px.StoragePolicy.sampled(t) for t in (1, 2, 3, px.default_stride(col.n), length + 1)]
-        for policy in policies:
+        for policy in storage_policies(col.n, length):
             stored = px.build_index(col, policy).stored_perms
             for k in range(length + 1):
                 assert policy.stored_at_or_below(k, length) == max((j for j in stored if j <= k), default=None)
@@ -169,17 +172,10 @@ def test_nine_strategy_policy_combinations(fig1):
         px.query(index, "AGA", 3, strategy="bogus")
 
 
-def _policies(col):
-    # stride 1 stores every column, a stride past L only columns 0 and L
-    strides = {1, 2, 3, px.default_stride(col.n), col.length + 1}
-    return ([px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
-            + [px.StoragePolicy.sampled(t) for t in sorted(strides)])
-
-
 def _assert_policies_and_strategies_agree(col, queries):
     # query hands its pi_k source to locate; the matches must be what locate
     # finds on its own, in the same rank order, under every policy
-    for policy in _policies(col):
+    for policy in storage_policies(col.n, col.length):
         index = px.build_index(col, policy)
         for pattern, k in queries:
             expected = px.naive_positional(col, pattern, k)
@@ -259,26 +255,6 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
     assert calls == []
 
 
-def test_index_refuses_stored_perms_that_differ_from_its_policy(fig1):
-    # every query trusts the policy to name the kept columns: a hand-built
-    # index that keeps others is refused when it is made, where a query
-    # would fail on a missing column with a KeyError
-    full = px.build_index(fig1, px.StoragePolicy.full())
-    sampled, bare = px.StoragePolicy.sampled(3), px.StoragePolicy.no_perms()
-    cases = [(bare, [], "lacks pi_8"), (sampled, [], "lacks pi_0"), (sampled, [8], "lacks pi_0"),
-             (sampled, [0, 1, 3, 6, 8], "keeps pi_1"), (bare, [5, 8], "keeps pi_5"),
-             (px.StoragePolicy.full(), range(8), "lacks pi_8")]
-    for policy, columns, message in cases:
-        with pytest.raises(PermutationNotStoredError, match=message):
-            px.PositionalIndex(collection=fig1, matrix=full.matrix, policy=policy,
-                               stored_perms={j: full.stored_perms[j] for j in columns})
-    # the kept columns may come in any order
-    index = px.PositionalIndex(collection=fig1, matrix=full.matrix, policy=sampled,
-                               stored_perms={j: full.stored_perms[j] for j in (8, 6, 3, 0)})
-    for strategy in positional.STRATEGIES:
-        assert sorted(px.query(index, "AGA", 1, strategy)[1]) == px.naive_positional(fig1, "AGA", 1)
-
-
 def _search_cases():
     # random collections and the edge shapes, with every short pattern at every position
     rng = random.Random(1818)
@@ -330,7 +306,7 @@ def test_locate_reads_pi_k_in_rank_order_at_and_above_the_source():
     walked = set()
     for col, _ in _search_cases():
         truth = px.build_index(col, px.StoragePolicy.full()).stored_perms
-        for policy in _policies(col):
+        for policy in storage_policies(col.n, col.length):
             index = px.build_index(col, policy)
             for k in range(col.length + 1):
                 h = positional._pi_source(index, k)[0]
@@ -343,22 +319,20 @@ def test_locate_reads_pi_k_in_rank_order_at_and_above_the_source():
     assert ("none", False, False) in walked and ("sampled", False, False) in walked
 
 
-def test_index_refuses_parts_of_the_wrong_shape():
-    col = px.from_strings(["GATT", "TAGA", "CATC", "GACA"])
-    full = px.build_index(col, px.StoragePolicy.full())
-    # kept permutations cut to 2 of 4 entries: binary and rebuild used to end in numpy IndexError
-    cut = {j: pi[:2] for j, pi in full.stored_perms.items()}
-    with pytest.raises(PermutationNotStoredError, match=r"pi_0 has shape \(2,\), not \(4,\)"):
-        px.PositionalIndex(collection=col, matrix=full.matrix, policy=full.policy, stored_perms=cut)
-    # the matrix of a 2-string build answered a backward query with [1, 2] for [0, 1, 2]
-    two = px.build_index(px.from_strings(["GATT", "TAGA"]), px.StoragePolicy.full())
-    short = px.build_index(px.from_strings(["GAT", "TAG", "CAT", "GAC"]), px.StoragePolicy.full())
-    sigma2 = px.build_index(px.from_strings(["ACCA", "CAAC", "CACA", "AACC"], px.Alphabet("AC")),
-                            px.StoragePolicy.full())
-    for other in (two, short, sigma2):
-        with pytest.raises(PbwtIndexError, match="does not fit a collection of"):
-            px.PositionalIndex(collection=col, matrix=other.matrix, policy=full.policy,
-                               stored_perms=full.stored_perms)
+def test_build_sweeps_once(monkeypatch):
+    # build_index hands its sweep's collection, lf and kept permutations to
+    # the index, which would otherwise invert the columns it was just given
+    def refuse(*_):
+        raise AssertionError("the build inverted its own columns")
+
+    monkeypatch.setattr(positional, "invert_pbwt", refuse)
+    for col, queries in _search_cases():
+        for policy in storage_policies(col.n, col.length):
+            index = px.build_index(col, policy)
+            assert index.collection is col and index.alphabet is col.alphabet
+            assert list(index.stored_perms) == policy.stored_columns(col.length)
+            pattern, k = queries[-1]
+            assert sorted(px.query(index, pattern, k)[1]) == px.naive_positional(col, pattern, k)
 
 
 def test_build_memory_keeps_only_the_stored_columns():
