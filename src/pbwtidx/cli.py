@@ -10,7 +10,7 @@ import sys
 
 from .alphabet import Alphabet
 from .collection import parse_collection
-from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError, UnknownCharacterError
+from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError
 from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_count, fm_locate
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
@@ -71,27 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_input(path: str) -> bytes:
-    """The collection's raw bytes from a file or stdin, which :func:`parse_collection` decodes as ASCII."""
+def _read(path: str) -> str:
+    """The file at ``path``, or stdin for ``-``, one character per byte: a byte above
+    127 decodes to a lone surrogate, which the alphabet refuses with its column."""
     if path == "-":
-        return sys.stdin.buffer.read()
+        return sys.stdin.buffer.read().decode("ascii", "surrogateescape")
     with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _read_text(path: str) -> str:
-    """The text in ``path`` without surrounding line breaks.
-
-    Only CR and LF are stripped, the characters :func:`parse_collection`
-    breaks lines at: any other control character or space reaches the
-    alphabet check and is refused there.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        return raw.decode("ascii").strip("\r\n")
-    except UnicodeDecodeError as exc:
-        raise UnknownCharacterError(f"{path} is not ASCII text: {exc}") from None
+        return fh.read().decode("ascii", "surrogateescape")
 
 
 def cmd_build(args) -> int:
@@ -113,7 +99,7 @@ def cmd_build(args) -> int:
     if args.mode == "positional":
         if not args.input:
             raise PbwtIndexError("positional build needs --input")
-        collection = parse_collection(_read_input(args.input), alphabet)
+        collection = parse_collection(_read(args.input), alphabet)
         kind = args.policy or "sampled"
         if kind == "sampled":
             policy = StoragePolicy.sampled(args.stride or default_stride(collection.n))
@@ -128,7 +114,8 @@ def cmd_build(args) -> int:
               f"policy={policy_desc} bytes={written}")
         return 0
     if args.text_file is not None:
-        text = _read_text(args.text_file)
+        # only CR and LF, where parse_collection breaks lines: any other space reaches the alphabet
+        text = _read(args.text_file).strip("\r\n")
     elif args.text is not None:
         text = args.text
     else:

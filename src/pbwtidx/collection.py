@@ -79,12 +79,10 @@ def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
 
 
 def parse_collection(text: str | bytes, alphabet: Alphabet | None = None) -> StringCollection:
-    """Parse strings one per non-empty line; a line ends at LF, CRLF or CR."""
+    """Parse strings one per non-empty line; a line ends at LF, CRLF or CR.  Bytes decode
+    one character per byte, and the alphabet refuses a non-ASCII one with its line and column."""
     if isinstance(text, bytes):
-        try:
-            text = text.decode("ascii")
-        except UnicodeDecodeError as exc:
-            raise UnknownCharacterError(f"input is not ASCII text: {exc}") from None
+        text = text.decode("ascii", "surrogateescape")
     # the line breaks bytes.splitlines knows: str.splitlines also splits at \x0b,
     # \x0c, \x85 and more, which would hide them from the alphabet check
     if "\r" in text:  # a one-character scan; replace's two-character search is slower

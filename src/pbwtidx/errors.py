@@ -1,4 +1,4 @@
-"""Exception types raised by the index and the CLI."""
+"""Exception types raised by the index and the CLI; each input is checked once, where it enters."""
 
 
 class PbwtIndexError(Exception):
@@ -22,10 +22,10 @@ class EmptyInputError(PbwtIndexError):
 
 
 class IndexOutOfRangeError(PbwtIndexError):
-    """A string index, column index, or row index is out of bounds."""
+    """A string index, column index, or row index is out of bounds, or not an integer."""
 
 
-class PatternOverrunError(PbwtIndexError):
+class PatternOverrunError(IndexOutOfRangeError):
     """The pattern does not fit between the query position and the string end."""
 
 

@@ -22,6 +22,7 @@ Conventions: rank codes are uint8, the LF mapping is int32, and text
 positions are int64.
 """
 
+import operator
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -134,18 +135,20 @@ class FmIndex:
     cycle, which is its text position; from those positions come the text,
     the check that the codes are a BWT, and ``sampled_pos[r]``, the text
     position of row ``r`` when it lies on the sampling grid and -1 otherwise.
+    ``stride`` may be any integer, a numpy one included, and is held as an ``int``.
     """
 
     alphabet: Alphabet
     bwt_codes: np.ndarray = field(repr=False, compare=False)
     stride: int = 1
-    text: str = field(init=False)
+    text: str = field(init=False, repr=False)
     matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
             raise ValueError(f"stride must be an integer >= 1, not {self.stride!r}")
+        object.__setattr__(self, "stride", operator.index(self.stride))
         if self.bwt_codes.ndim != 1:
             raise PbwtIndexError(f"the BWT codes must be one row, not {self.bwt_codes.ndim}-D")
         rows = self.bwt_codes.shape[0]

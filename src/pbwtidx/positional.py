@@ -21,6 +21,7 @@ reads the matches from the source the search read.
 """
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 
@@ -42,7 +43,8 @@ class StoragePolicy:
     """Which permutation columns the index retains: all, a stride grid, or none.
 
     The sampled grid is {0, t, 2t, ...} plus the final identity column, so a
-    backward locate walk always terminates at a stored column.
+    backward locate walk always terminates at a stored column.  The stride
+    may be any integer, a numpy one included, and is held as an ``int``.
     """
 
     kind: str
@@ -54,6 +56,7 @@ class StoragePolicy:
         if self.kind == "sampled":
             if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
                 raise ValueError(f"sampled policy needs an integer stride >= 1, not {self.stride!r}")
+            object.__setattr__(self, "stride", operator.index(self.stride))
         elif self.stride is not None:
             raise ValueError(f"policy {self.kind!r} takes no stride")
 
@@ -152,15 +155,22 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
     return PositionalIndex(collection.alphabet, cols, policy, _sweep=(collection, lf, stored))
 
 
-def _check_span(index: PositionalIndex, m: int, k: int):
+def _check_span(index: PositionalIndex, m: int, k) -> int:
+    """``k`` as an int once ``m`` columns from it fit: every entry point checks its
+    position here, so no numpy integer reaches the arithmetic, where an unsigned ``k - 1`` wraps."""
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise IndexOutOfRangeError(f"position {k!r} is not an integer") from None
     if k < 0 or k + m > index.length:
         raise PatternOverrunError(f"pattern of length {m} at position {k} overruns strings of length {index.length}")
+    return k
 
 
-def _check_query(index: PositionalIndex, pattern: str, k: int) -> bytes:
-    """The pattern's rank codes as bytes, once ``k`` and every character are checked."""
-    _check_span(index, len(pattern), k)
-    return index.alphabet._code_bytes(pattern)
+def _check_query(index: PositionalIndex, pattern: str, k) -> tuple[bytes, int]:
+    """The pattern's rank codes as bytes and ``k`` as an int, once both are checked."""
+    k = _check_span(index, len(pattern), k)
+    return index.alphabet._code_bytes(pattern), k
 
 
 def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSource:
@@ -213,7 +223,7 @@ def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSou
     """Match interval at column ``k`` via binary search on pi_k, read from
     the handed-over ``source`` or else through the greatest stored column at
     or below ``k``; without a source, raises when there is no such column."""
-    key = _check_query(index, pattern, k)
+    key, k = _check_query(index, pattern, k)
     if source is None and index.policy.stored_at_or_below(k, index.length) is None:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
     return _bisect_interval(index, *(source or _pi_source(index, k)), key, k)
@@ -227,8 +237,7 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
     input is absorbing, so search loops can run unconditionally.
     """
     a = index.alphabet.rank(c)
-    if not 0 <= j < index.length:
-        raise IndexOutOfRangeError(f"column {j} not in [0, {index.length})")
+    j = _check_span(index, 1, j)
     if interval.is_empty:
         return EMPTY
     index.matrix.check_interval(interval)
@@ -238,21 +247,21 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
 
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
     """Interval per column from ``k+m`` down to ``k``; an empty interval stays empty."""
-    key = _check_query(index, pattern, k)
+    key, k = _check_query(index, pattern, k)
     trace = index.matrix.backward_trace(range(k + len(key) - 1, k - 1, -1), key[::-1])
     return list(zip(range(k + len(key), k - 1, -1), trace))
 
 
 def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
     """Match interval at column ``k`` via one backward step per pattern character."""
-    key = _check_query(index, pattern, k)
+    key, k = _check_query(index, pattern, k)
     return index.matrix.backward(range(k + len(key) - 1, k - 1, -1), key[::-1])
 
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
     """Match interval at column ``k`` by bisecting pi_k, rebuilt in wide-digit
     radix passes unless the handed-over ``source`` holds it."""
-    key = _check_query(index, pattern, k)
+    key, k = _check_query(index, pattern, k)
     return _bisect_interval(index, *(source or _pi_source(index, k, rebuild=True)), key, k)
 
 
@@ -267,8 +276,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     """
     if interval.is_empty:
         return []
-    if not 0 <= k <= index.length:
-        raise IndexOutOfRangeError(f"column {k} not in [0, {index.length}]")
+    k = _check_span(index, 0, k)
     index.matrix.check_interval(interval)
     h, pi_h = source or _pi_source(index, k)
     if h == k:
@@ -292,6 +300,7 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
+    k = _check_span(index, len(pattern), k)
     trace = source = None
     if strategy == "backward" and with_trace:
         trace = backward_trace(index, pattern, k)
@@ -299,7 +308,6 @@ def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backwar
     elif strategy == "backward":
         interval = search_backward(index, pattern, k)
     else:
-        _check_span(index, len(pattern), k)  # _pi_source needs 0 <= k <= length
         source = _pi_source(index, k, rebuild=strategy == "rebuild")
         search = search_binary if strategy == "binary" else search_rebuild
         interval = search(index, pattern, k, source=source)

@@ -1,9 +1,11 @@
 import importlib
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pbwtidx as px
+from pbwtidx import cli
 
 from conftest import FIG1_STRINGS
 
@@ -30,6 +32,19 @@ def test_readme_library_snippet_runs(tmp_path, monkeypatch):
     exec(snippet, names)
     assert sorted(names["matches"]) == px.naive_positional(px.from_strings(FIG1_STRINGS), "AGA", 3)
     assert sorted(names["positions"]) == [3, 7]
+
+
+def test_readme_cli_lines_run(tmp_path, monkeypatch, capsys):
+    # every command line README's CLI section shows, in order, must exit 0,
+    # so a renamed flag or a stale example fails here
+    section = README.read_text().split("## CLI", 1)[1].split("## Library", 1)[0]
+    blocks = section.split("```")[1::2]
+    lines = [line for block in blocks for line in block.splitlines() if line.startswith("pbwtidx ")]
+    assert len(lines) >= 7
+    monkeypatch.chdir(tmp_path)
+    Path("strings.txt").write_text("\n".join(FIG1_STRINGS) + "\n")
+    for line in lines:
+        assert cli.main(shlex.split(line, comments=True)[1:]) == 0, (line, capsys.readouterr().err)
 
 
 def test_perfbench_span_table_resolves(monkeypatch):

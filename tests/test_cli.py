@@ -118,7 +118,9 @@ def test_build_non_ascii_input_file(tmp_path, capsys):
     out = tmp_path / "x.idx"
     code = main(["build", "--mode", "positional", "--input", str(bad), "--output", str(out)])
     assert code == 2
-    assert "not ASCII text" in capsys.readouterr().err
+    # each byte is one character, refused by the alphabet like any other
+    assert capsys.readouterr().err == (
+        "error: line 1: character '\\udcc3' at column 4 is not in alphabet 'ACGT'\n")
     assert not out.exists()
 
 
@@ -317,7 +319,7 @@ def test_build_substring_text_flags(tmp_path, capsys):
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"GAT\xffA")
     assert main(["build", "--mode", "substring", "--text-file", str(binary), "--output", out]) == 2
-    assert "not ASCII text" in capsys.readouterr().err
+    assert "character '\\udcff' at column 4 is not in alphabet 'ACGT'" in capsys.readouterr().err
     assert main(["build", "--mode", "substring", "--text-file", str(tmp_path / "nope.txt"),
                  "--output", out]) == 1
     with pytest.raises(SystemExit) as exited:
@@ -368,6 +370,12 @@ def test_build_from_stdin(tmp_path, capsys, monkeypatch):
     out = str(tmp_path / "stdin.idx")
     assert main(["build", "--mode", "positional", "--input", "-", "--output", out]) == 0
     assert capsys.readouterr().out.startswith("n=8 len=8")
+    # --text-file reads stdin through the same reader
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(DEMO_TEXT.encode() + b"\r\n")))
+    assert main(["build", "--mode", "substring", "--text-file", "-", "--output", out]) == 0
+    assert capsys.readouterr().out.startswith(f"n={len(DEMO_TEXT)} ")
+    assert main(["dump", "bwt", "--index", out]) == 0
+    assert capsys.readouterr().out == DEMO_BWT + "\n"
 
 
 def test_build_non_ascii_stdin_under_strict_utf8(tmp_path):
@@ -378,7 +386,7 @@ def test_build_non_ascii_stdin_under_strict_utf8(tmp_path):
                           input=b"GAT\xffA\nGATTA\n", capture_output=True,
                           env=child_env(PYTHONIOENCODING="utf-8:strict"))
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.decode().startswith("error: input is not ASCII text")
+    assert proc.stderr.decode() == "error: line 1: character '\\udcff' at column 4 is not in alphabet 'ACGT'\n"
     assert not out.exists()
 
 

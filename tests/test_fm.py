@@ -228,6 +228,13 @@ def test_fm_index_rejects_bad_stride(demo_fm):
             px.FmIndex(demo_fm.alphabet, demo_fm.bwt_codes, stride)
 
 
+def test_fm_index_repr_does_not_grow_with_the_text(alphabet):
+    # the repr printed the whole text: 200 075 characters at n = 200 000
+    short, long = (px.fm_build(px.SentinelText("ACGT" * reps, alphabet), 8) for reps in (1, 5000))
+    assert len(repr(long)) == len(repr(short)) < 100
+    assert short != long
+
+
 def test_lf_step_is_a_bijection(demo_fm):
     images = set(demo_fm.matrix.lf[0].tolist())
     assert images == set(range(demo_fm.rows))

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from pbwtidx.pbwt import EMPTY, Interval
 from pbwtidx import positional
 from pbwtidx.positional import backward_trace
 
-from conftest import EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection, storage_policies
+from conftest import DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection, storage_policies
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +149,56 @@ def test_locate_rejects_columns_and_rows_outside_the_index():
             px.locate(index, interval, k)
     assert sorted(px.locate(index, Interval(0, 2), 4)) == [0, 1, 2]
     assert px.locate(index, EMPTY, 9) == []
+
+
+def test_positions_and_strides_of_any_integer_type():
+    # an unsigned numpy position or stride used to wrap in k - 1 or -(-k // t)
+    # inside the index and answer wrongly, or end in a KeyError; each is now
+    # an int from where it enters, and a position that is no integer is refused
+    rng = random.Random(2323)
+    col = px.from_strings(["".join(rng.choice("ACGT") for _ in range(12)) for _ in range(40)])
+    queries = []
+    for _ in range(25):
+        m = rng.randint(0, 4)
+        queries.append(("".join(rng.choice("ACGT") for _ in range(m)), rng.randint(0, col.length - m)))
+    policies = [px.StoragePolicy.full(), px.StoragePolicy.no_perms()]
+    policies += [px.StoragePolicy.sampled(stride) for stride in (3, np.int64(3), np.uint32(3))]
+    for policy in policies:
+        built = px.build_index(col, policy)
+        for index in (built, px.from_bytes(px.to_bytes(built))):
+            assert type(index.policy.stride) is (int if policy.kind == "sampled" else type(None))
+            for pattern, k in queries:
+                expected = px.naive_positional(col, pattern, k)
+                searches = [px.search_backward, px.search_rebuild]
+                if policy.stored_at_or_below(k, col.length) is not None:
+                    searches.append(px.search_binary)
+                for kind in (int, np.int8, np.int64, np.uint8, np.uint32, np.uint64):
+                    typed = kind(k)
+                    for strategy in positional.STRATEGIES:
+                        assert sorted(px.query(index, pattern, typed, strategy)[1]) == expected
+                    for search in searches:
+                        assert sorted(px.locate(index, search(index, pattern, typed), typed)) == expected
+                    trace = backward_trace(index, pattern, typed)
+                    assert [j for j, _ in trace] == list(range(k + len(pattern), k - 1, -1))
+                    assert all(type(j) is int for j, _ in trace)
+                    interval = Interval(0, col.n - 1)
+                    for j in range(k + len(pattern) - 1, k - 1, -1):
+                        interval = px.backward_step(index, kind(j), interval, pattern[j - k])
+                    assert interval == trace[-1][1]
+    for stride in (5, np.int64(5), np.uint32(5)):
+        fm = px.fm_build(px.SentinelText(DEMO_TEXT, col.alphabet), stride)
+        for fm in (fm, px.from_bytes(px.to_bytes(fm))):
+            assert type(fm.stride) is int
+            assert sorted(px.fm_locate(fm, px.fm_count(fm, "TA"))) == px.naive_substring(DEMO_TEXT, "TA")
+    index = px.build_index(col, px.StoragePolicy.full())
+    for bad in (2.5, None, "3"):
+        calls = [(px.query, ("A", bad, strategy)) for strategy in positional.STRATEGIES]
+        calls += [(search, ("A", bad)) for search in
+                  (px.search_backward, px.search_binary, px.search_rebuild, backward_trace)]
+        calls += [(px.locate, (Interval(0, 1), bad)), (px.backward_step, (bad, Interval(0, 1), "A"))]
+        for call, args in calls:
+            with pytest.raises(IndexOutOfRangeError, match=re.escape(f"position {bad!r} is not an integer")):
+                call(index, *args)
 
 
 def test_locate_full_policy_reads_pi_k(full_index):
