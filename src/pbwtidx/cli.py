@@ -31,7 +31,7 @@ def _build_parser() -> argparse.ArgumentParser:
     text = build.add_mutually_exclusive_group()
     text.add_argument("--text", help="text to index, substring mode")
     text.add_argument("--text-file", dest="text_file",
-                      help="file holding the text to index, substring mode")
+                      help="file holding the text to index, substring mode; - for stdin")
     build.add_argument("--alphabet", default="ACGT", help="ordered symbol string (default ACGT)")
     build.add_argument("--policy", choices=["full", "sampled", "none"])  # None: sampled, positional mode only
     build.add_argument("--stride", type=int, help="sampled-policy stride (default ceil(lg n))")

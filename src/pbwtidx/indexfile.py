@@ -1,21 +1,27 @@
-"""On-disk index format: magic "PBWTIDX3", little-endian fixed-width integers.
+"""On-disk index format: magic "PBWTIDX4", little-endian fixed-width integers.
 
 Layout (common header, then one payload per mode, then a checksum):
 
-    magic           8 bytes  b"PBWTIDX3"
+    magic           8 bytes  b"PBWTIDX4"
     mode            u8       1 = positional, 2 = substring
     alphabet        u16 size + symbol bytes + 1 sentinel byte (ASCII)
 
     positional payload:
         n, length           u32, u32
         policy              u8 (0 full, 1 sampled, 2 none) + u32 stride (0 when unused)
-        pbwt columns        length*n u8 ranks
+        pbwt columns        one zlib stream of length*n u8 ranks, column by column
 
     substring payload:
         n (text), stride    u32, u32
-        bwt codes           n+1 u8 ranks: sentinel 0, symbols 1..sigma
+        bwt codes           one zlib stream of n+1 u8 ranks: sentinel 0, symbols 1..sigma
 
     crc32           u32      zlib.crc32 of every preceding byte
+
+The code section runs to the checksum.  It is deflated with the run-length
+strategy (``Z_RLE``, level 1): a PBWT column of related strings, like a
+BWT, is made of long runs of one symbol, and matches at distance 1 are what
+encode a run.  Another zlib build may write other valid deflate bytes for
+the same codes; what they inflate to is fixed.
 
 A file holds only the transform, and the loader hands it to the index's
 constructor, which derives the rest: :class:`PositionalIndex` inverts the PBWT
@@ -24,8 +30,11 @@ collection and the kept permutations, and :class:`FmIndex` ranks the BWT's LF
 cycle to the text and the suffix-array samples.  No section can contradict
 another, so the checksum is what catches an edit that decodes to another valid
 index.  Loading checks the magic, the checksum, section sizes, tags, that the
-row count fits the int32 LF mapping, the alphabet, code ranges, the BWT's LF
-cycle and trailing bytes, and raises :class:`PbwtIndexError` on any failure.
+row count fits the int32 LF mapping, the alphabet, that the code section is
+one deflate stream inflating to exactly the codes the header counts and
+nothing after it, code ranges and the BWT's LF cycle, and raises
+:class:`PbwtIndexError` on any failure.  The inflated bytes become the
+index's column bytes without a copy.
 """
 
 import math
@@ -40,8 +49,8 @@ from .fm import FmIndex
 from .pbwt import check_rows
 from .positional import PositionalIndex, StoragePolicy
 
-MAGIC = b"PBWTIDX3"
-OLD_MAGICS = (b"PBWTIDX1", b"PBWTIDX2")
+MAGIC = b"PBWTIDX4"
+OLD_MAGICS = (b"PBWTIDX1", b"PBWTIDX2", b"PBWTIDX3")
 MODE_POSITIONAL = 1
 MODE_SUBSTRING = 2
 U32_MAX = 0xFFFFFFFF
@@ -66,23 +75,42 @@ class _Reader:
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
     def codes(self, shape) -> np.ndarray:
-        """A uint8 rank-code section, whose codes the index constructors check."""
-        return np.frombuffer(self.take(math.prod(shape)), np.uint8).reshape(shape)
+        """The rest of the body, a deflated uint8 rank-code section, whose codes the index constructors check.
+
+        One byte past ``shape``'s size is the most ever inflated: a stream
+        that inflates too far is found without inflating all of it, and a
+        size of 0 stays a bound (a ``max_length`` of 0 would mean none).
+        """
+        size = math.prod(shape)
+        stream = zlib.decompressobj()
+        try:
+            codes = stream.decompress(self.take(len(self.data) - self.at), size + 1)
+        except zlib.error as exc:
+            raise PbwtIndexError(f"index file's code section is not deflate data ({exc})") from None
+        if len(codes) > size:
+            raise PbwtIndexError(f"index file's code section inflates to more than {size} bytes")
+        if not stream.eof:
+            raise PbwtIndexError("index file's code section ends inside its deflate stream")
+        if len(codes) < size:
+            raise PbwtIndexError(f"index file's code section inflates to {len(codes)} bytes, not {size}")
+        if stream.unused_data:
+            raise PbwtIndexError(f"index file has {len(stream.unused_data)} trailing bytes")
+        return np.frombuffer(codes, np.uint8).reshape(shape)
 
 
 def to_bytes(index) -> bytes:
     if isinstance(index, PositionalIndex):
         policy = index.policy
         _check_u32(n=index.n, length=index.length, stride=policy.stride or 0)
-        body = (_header(MODE_POSITIONAL, index.alphabet)
-                + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0)
-                + index.cols.tobytes())
+        head = (_header(MODE_POSITIONAL, index.alphabet)
+                + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0))
     elif isinstance(index, FmIndex):
         _check_u32(n=index.n, stride=index.stride)
-        body = (_header(MODE_SUBSTRING, index.alphabet) + struct.pack("<II", index.n, index.stride)
-                + index.bwt_codes.tobytes())
+        head = _header(MODE_SUBSTRING, index.alphabet) + struct.pack("<II", index.n, index.stride)
     else:
         raise TypeError(f"cannot serialize {type(index).__name__}")
+    deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    body = head + deflate.compress(index.matrix._bytes) + deflate.flush()
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -123,8 +151,6 @@ def from_bytes(data: bytes):
         index = _read_substring(r, alphabet)
     else:
         raise PbwtIndexError(f"unknown index mode tag {mode}")
-    if r.at != len(body):
-        raise PbwtIndexError(f"index file has {len(body) - r.at} trailing bytes")
     return index
 
 

@@ -78,10 +78,15 @@ class PbwtMatrix:
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
       checkpoint and a count over at most ``BLOCK - 1`` bytes of the column.
+      The checkpoints are counted on the first :meth:`step` or read of
+      ``base``: a build, a save or a search whose windows find every symbol
+      never reads them.
 
     The columns are kept as one ``bytes`` object, whose ``count`` is the
     in-block scan and whose ``find`` and ``rfind`` give :meth:`backward` the
     rows at an interval's ends, and ``cols`` is a read-only view of it.
+    Codes that already view a whole ``bytes`` object in order are kept
+    without a copy.
     """
 
     def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
@@ -90,30 +95,55 @@ class PbwtMatrix:
         width, n = cols.shape
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
-        self._bytes = np.asarray(cols, np.uint8).tobytes()
+        owner = cols
+        while isinstance(owner, np.ndarray):
+            owner = owner.base
+        # a C-ordered uint8 view of a whole bytes object, such as the loader's
+        # inflated section, already is the column bytes: keep it, not a copy
+        whole = (type(owner) is bytes and len(owner) == cols.nbytes and cols.dtype == np.uint8
+                 and cols.flags.c_contiguous)
+        self._bytes = owner if whole else np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.n = n
+        self.sigma = sigma
         self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if lf is None else lf
         # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
         self._lf = memoryview(self.lf.reshape(-1))
+
+    @property
+    def base(self) -> np.ndarray:
+        """The checkpoints, counted from the columns when first read and then kept."""
+        try:
+            return self._base
+        except AttributeError:
+            pass
+        width, n, sigma = self.cols.shape[0], self.n, self.sigma
         blocks = n // BLOCK + 2
-        self.base = np.empty((width, sigma, blocks), np.int32)
+        base = np.empty((width, sigma, blocks), np.int32)
         # row r's symbol counts towards every checkpoint after its block
         slot = (np.arange(n) // BLOCK + 1) * sigma
         for j, col in enumerate(self.cols):
-            self.base[j] = np.bincount(slot + col, minlength=blocks * sigma).reshape(blocks, sigma).T
-        np.cumsum(self.base, axis=2, out=self.base)
-        totals = self.base[:, :, -1]
-        self.base += (np.cumsum(totals, axis=1) - totals)[:, :, None]
+            base[j] = np.bincount(slot + col, minlength=blocks * sigma).reshape(blocks, sigma).T
+        np.cumsum(base, axis=2, out=base)
+        totals = base[:, :, -1]
+        base += (np.cumsum(totals, axis=1) - totals)[:, :, None]
+        self._base = base
+        return base
 
     def step(self, j: int, a: int, i: int) -> int:
         """``C_j[a] + occ_j(a, i)`` for a Python int ``a``, unchecked.
 
         A numpy integer ``a`` would be read by ``bytes.count`` as a byte
-        string of its own width, hence the int.
+        string of its own width, hence the int.  Steps read the checkpoints
+        from the plain attribute ``_base``: a property read, or a class
+        ``__getattr__``, would slow every step.
         """
         at = j * self.n
-        return self.base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
+        try:
+            base = self._base
+        except AttributeError:  # the first step builds them
+            base = self.base
+        return base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
 
     def check_interval(self, interval: Interval):
         """Raise :class:`IndexOutOfRangeError` unless a non-empty ``interval`` lies within rows [0, n)."""
@@ -172,7 +202,7 @@ class PbwtMatrix:
 def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -> PbwtMatrix:
     """Assemble the PBWT from the columns and the LF mapping that their sweep derived.
 
-    Only the checkpoints are new: no column is gathered or sorted again.
+    No column is gathered or sorted again, and the checkpoints wait for the first step.
     """
     return PbwtMatrix(cols, collection.alphabet.sigma, lf)
 

@@ -160,6 +160,37 @@ def test_lf_rank_matches_brute_force():
                 assert [occ(matrix, j, a, i) for i in range(n + 1)] == counts[a]
 
 
+def test_checkpoints_are_built_on_the_first_step_and_kept():
+    """A build, a save and a load leave the checkpoints unbuilt; the first
+    step or read of ``base`` builds them as a plain attribute, which later
+    steps and reads find."""
+    index = px.build_index(px.from_strings(FIG1_STRINGS))
+    loaded = px.from_bytes(px.to_bytes(index))
+    fm = px.from_bytes(px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5)))
+    for matrix in (index.matrix, loaded.matrix, fm.matrix):
+        assert "_base" not in vars(matrix)
+    px.fm_count(fm, "TA")  # every window holds the symbol: no step
+    assert "_base" not in vars(fm.matrix)
+    expected = [index.matrix.step(j, a, i) for j in range(8) for a in range(4) for i in range(9)]
+    base = vars(index.matrix)["_base"]
+    assert [loaded.matrix.step(j, a, i) for j in range(8) for a in range(4) for i in range(9)] == expected
+    assert index.matrix.base is base and np.array_equal(vars(loaded.matrix)["_base"], base)
+    assert fm.matrix.base is vars(fm.matrix)["_base"]
+
+
+def test_codes_viewing_whole_bytes_are_kept_without_a_copy():
+    """The loader's inflated section becomes the matrix's column bytes; a view
+    of part of a bytes object, or out of order, is copied."""
+    data = bytes([0, 1, 2, 3, 3, 2, 1, 0])
+    codes = np.frombuffer(data, np.uint8)
+    assert px.PbwtMatrix(codes.reshape(2, 4), 4)._bytes is data
+    bwt = bytes([1, 0])
+    assert px.FmIndex(px.Alphabet("A"), np.frombuffer(bwt, np.uint8)).matrix._bytes is bwt
+    for view in (codes[:4].reshape(1, 4), codes[::-1].reshape(2, 4), codes.reshape(4, 2).T):
+        matrix = px.PbwtMatrix(view, 4)
+        assert matrix._bytes is not data and matrix._bytes == np.ascontiguousarray(view).tobytes()
+
+
 def test_lf_rank_walk_composed_with_perms_is_identity():
     """Walking rows from column k to column h through the LF mapping, then
     reading pi_h, gives the strings pi_k names for those rows."""
