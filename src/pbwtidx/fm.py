@@ -7,10 +7,13 @@ suffix-array samples taken at regularly spaced text positions (sampling
 diagonals of the unsorted shift matrix), so every backward walk ends within
 one stride.
 
-Building and loading take O(n) memory and O(lg n) rounds of whole-array
-numpy operations: the shifts are sorted by prefix doubling over integer ranks
-(one O(n log n) sort per round), and the loader ranks the LF cycle by pointer
-jumping (two O(n) gathers per round).  The index holds the BWT as a
+Building takes O(n) memory and O(lg n) rounds of whole-array numpy
+operations: the shifts are sorted by prefix doubling over integer ranks (one
+O(n log n) sort per round), and the sorted order, the suffix array, gives
+every row its text position.  A loaded BWT has no suffix array, so the loader
+ranks each row by its distance along the LF cycle with a sparse ruling set
+(Helman & JaJa 2001): a lockstep walk from every ruler to the next, then
+pointer jumping over the rulers alone, O(n) work.  The index holds the BWT as a
 one-column :class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's
 PBWT backward search with every step in column 0: each step reads the LF
 values of the first and last rows of the interval that hold the symbol,
@@ -22,8 +25,9 @@ Conventions: rank codes are uint8, the LF mapping is int32, and text
 positions are int64.
 """
 
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -123,19 +127,103 @@ def verify_column_collapse(st: SentinelText) -> bool:
     return not differ
 
 
+def _ruler_spacing(rows: int) -> int:
+    """Rows between rulers: 1 below 2**16 rows, where pointer jumping over
+    every row measured faster than any walk, and above that about
+    sqrt(rows) / 32, at least 16, the fastest spacing measured from 2**16 to
+    2**22 rows of uniform ACGT text on a 2-vCPU VM."""
+    return 1 if rows < 1 << 16 else max(16, math.isqrt(rows) >> 5)
+
+
+def _walk_to_rulers(lf: np.ndarray, g: int):
+    """Walk from every ruler, rows 0, g, 2g, ..., along ``lf`` to the next ruler, in lockstep.
+
+    Returns ``(nxt, dist, passed)``: ruler ``w``, row ``w * g``, reaches
+    ruler ``nxt[w]`` after ``dist[w]`` steps, and ``passed[s - 1]`` pairs
+    the rows that walkers stand on ``s`` steps past their rulers with those
+    walkers.  A step is one gather over the walkers still out, so the walk
+    takes as many steps as the longest gap between rulers along a cycle:
+    5 to 15 g on the uniform and periodic texts measured.  The rows passed
+    are kept, not scattered, until the rulers' ranks give their positions.
+    """
+    ruler = np.zeros(lf.shape[0], bool)
+    ruler[::g] = True
+    at = lf[::g].astype(np.intp)
+    count = at.shape[0]
+    walker = np.arange(count, dtype=np.int32)
+    reached, finished, passed = [], [], []  # per step: rulers reached, by walkers finished
+    while True:
+        done = ruler.take(at)
+        reached.append(at[done])
+        finished.append(walker[done])
+        if reached[-1].shape[0] == at.shape[0]:
+            break
+        out = ~done
+        at, walker = at[out], walker[out]
+        passed.append((at, walker))
+        at = lf.take(at)
+    nxt, dist = np.empty(count, np.intp), np.empty(count, np.int64)
+    finished = np.concatenate(finished)
+    nxt[finished] = np.concatenate(reached) // g
+    dist[finished] = np.repeat(np.arange(1, len(reached) + 1), [r.shape[0] for r in reached])
+    return nxt, dist, passed
+
+
+def _text_positions(lf: np.ndarray) -> np.ndarray | None:
+    """Each row's text position, from its distance along the LF cycle to row
+    0, the rotation at position n; None unless that cycle covers every row.
+
+    A sparse ruling set (Helman & JaJa 2001) ranks the cycle in O(n) work.
+    The rulers are every g-th row (:func:`_ruler_spacing`), row 0 among
+    them.  :func:`_walk_to_rulers` links each ruler to the next along its
+    cycle, pointer jumping ranks the rulers alone by their distance to row
+    0, and a row ``s`` steps past its ruler is ``s`` steps nearer row 0.
+    The walks share no row and each stays on its own cycle, so they pass
+    every row exactly when every cycle holds a ruler, and then the cycle
+    through row 0 covers every row exactly when it meets every ruler.  With
+    g = 1 every row is a ruler and this is pointer jumping over all rows.
+    """
+    rows = lf.shape[0]
+    g = _ruler_spacing(rows)
+    if g == 1:  # every row a ruler, one step from the next: no walk
+        nxt, dist, passed = lf.astype(np.intp), np.ones(rows, np.int64), []
+    else:
+        nxt, dist, passed = _walk_to_rulers(lf, g)
+    # after round t, nxt[w] is 2**t rulers on from w, or ruler 0 if the walk
+    # met it first, and dist[w] counts the LF steps taken.  nxt is intp:
+    # numpy casts any other index array on every gather, which made the
+    # rounds 1.7x slower with int32 at 1M rows.
+    nxt[0], dist[0] = 0, 0
+    for _ in range((nxt.shape[0] - 1).bit_length()):
+        dist += dist[nxt]
+        nxt = nxt[nxt]
+    if nxt.any() or nxt.shape[0] + sum(at.shape[0] for at, _ in passed) != rows:
+        return None
+    # a row at text position p takes p + 1 steps to reach row 0, and row 0,
+    # position n, takes the whole cycle
+    dist[0] = rows
+    pos = np.empty(rows, np.int64)
+    pos[::g] = dist
+    for s, (at, walker) in enumerate(passed, 1):
+        pos[at] = dist.take(walker) - s
+    pos -= 1
+    return pos
+
+
 @dataclass(frozen=True)
 class FmIndex:
     """The BWT as rank codes, with the text and everything else derived from it.
 
     ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
     one.  ``matrix`` holds it as a one-column PBWT over ``sigma + 1`` codes,
-    and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.
-    Pointer jumping over its LF mapping ``matrix.lf[0]`` ranks every row by
-    its distance from row 0 (the rotation at text position n) along the LF
-    cycle, which is its text position; from those positions come the text,
-    the check that the codes are a BWT, and ``sampled_pos[r]``, the text
-    position of row ``r`` when it lies on the sampling grid and -1 otherwise.
-    ``stride`` may be any integer, a numpy one included, and is held as an ``int``.
+    and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.  Every
+    row's text position comes from the suffix array that :func:`fm_build`
+    hands over through the private ``_sa``, or else from ranking the LF
+    cycle of ``matrix.lf[0]`` (:func:`_text_positions`), which also checks
+    that the codes are a BWT.  From those positions come the text and
+    ``sampled_pos[r]``, the text position of row ``r`` when it lies on the
+    sampling grid and -1 otherwise.  ``stride`` may be any integer, a numpy
+    one included, but not a bool, and is held as an ``int``.
     """
 
     alphabet: Alphabet
@@ -144,36 +232,35 @@ class FmIndex:
     text: str = field(init=False, repr=False)
     matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
+    _sa: InitVar[np.ndarray | None] = field(default=None, kw_only=True)  # the suffix array: text position per row
 
-    def __post_init__(self):
-        if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
-            raise ValueError(f"stride must be an integer >= 1, not {self.stride!r}")
-        object.__setattr__(self, "stride", operator.index(self.stride))
+    def __post_init__(self, _sa):
+        stride = self.stride
+        if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
+            raise ValueError(f"stride must be an integer >= 1, not {stride!r}")
+        object.__setattr__(self, "stride", operator.index(stride))
+        if not isinstance(self.bwt_codes, (np.ndarray, np.generic)):
+            raise PbwtIndexError(f"the BWT codes must be a numpy array, not {type(self.bwt_codes).__name__}")
         if self.bwt_codes.ndim != 1:
             raise PbwtIndexError(f"the BWT codes must be one row, not {self.bwt_codes.ndim}-D")
-        rows = self.bwt_codes.shape[0]
-        if rows < 2:
+        if self.bwt_codes.shape[0] < 2:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
         matrix = PbwtMatrix(self.bwt_codes[None, :], self.alphabet.sigma + 1)
-        bwt, lf = matrix.cols[0], matrix.lf[0]
-        # list ranking: after round t, nxt[r] is 2**t LF steps on from r, or
-        # row 0 if the walk met it first, and dist[r] counts the steps taken.
-        # nxt is intp: numpy casts any other index array on every gather,
-        # which made the rounds 1.7x slower with int32 at 1M rows.
-        nxt, dist = lf.astype(np.intp), np.ones(rows, np.int64)
-        nxt[0], dist[0] = 0, 0
-        for _ in range((rows - 1).bit_length()):
-            dist += dist[nxt]
-            nxt = nxt[nxt]
-        # LF is a permutation, so the codes are a BWT exactly when the cycle
-        # through row 0 covers every row and meets the sentinel only at its
-        # last step.  A row on that cycle at text position p takes p + 1 steps
-        # to reach row 0, and row 0 itself is position n.
-        pos = (dist - 1) % rows
+        bwt = matrix.cols[0]
+        pos = _sa
+        if pos is None:
+            # LF is a permutation, and the first row that holds the sentinel
+            # maps to row 0, so the codes are a BWT exactly when they hold one
+            # sentinel and the cycle through row 0 covers every row
+            sentinels = matrix._bytes.count(0)
+            if sentinels != 1:
+                raise PbwtIndexError(f"the BWT codes are not a BWT: they hold {sentinels} sentinels, not 1")
+            pos = _text_positions(matrix.lf[0])
+            if pos is None:
+                raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
+        # the row at text position p holds the code at p - 1
         ext = np.empty_like(bwt)
         ext[pos - 1] = bwt
-        if nxt.any() or ext[-1] != 0 or not ext[:-1].all():
-            raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
         object.__setattr__(self, "bwt_codes", bwt)
         object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
         object.__setattr__(self, "matrix", matrix)
@@ -195,9 +282,13 @@ class FmIndex:
 
 
 def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
-    """Index the text for substring search, sampling text positions p with p % stride == 0."""
-    ext = st._ext
-    return FmIndex(st.alphabet, ext[(sorted_rotations(st) - 1) % ext.shape[0]], stride)
+    """Index the text for substring search, sampling text positions p with p % stride == 0.
+
+    The suffix array gives the BWT and, handed over, every row's text
+    position: its sort is the check that ranking a loaded BWT makes.
+    """
+    sa = sorted_rotations(st)
+    return FmIndex(st.alphabet, st._ext[sa - 1], stride, _sa=sa)
 
 
 _SHIFT_UP = bytes(range(1, 256)) + b"\0"  # rank code -> code in the terminated text

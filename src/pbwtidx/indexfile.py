@@ -32,8 +32,8 @@ another, so the checksum is what catches an edit that decodes to another valid
 index.  Loading checks the magic, the checksum, section sizes, tags, that the
 row count fits the int32 LF mapping, the alphabet, that the code section is
 one deflate stream inflating to exactly the codes the header counts and
-nothing after it, code ranges and the BWT's LF cycle, and raises
-:class:`PbwtIndexError` on any failure.  The inflated bytes become the
+nothing after it, code ranges, and that the BWT holds one sentinel and one
+LF cycle, and raises :class:`PbwtIndexError` on any failure.  The inflated bytes become the
 index's column bytes without a copy.
 """
 

@@ -54,9 +54,10 @@ class StoragePolicy:
         if self.kind not in ("full", "sampled", "none"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "sampled":
-            if not isinstance(self.stride, (int, np.integer)) or self.stride < 1:
-                raise ValueError(f"sampled policy needs an integer stride >= 1, not {self.stride!r}")
-            object.__setattr__(self, "stride", operator.index(self.stride))
+            stride = self.stride
+            if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
+                raise ValueError(f"sampled policy needs an integer stride >= 1, not {stride!r}")
+            object.__setattr__(self, "stride", operator.index(stride))
         elif self.stride is not None:
             raise ValueError(f"policy {self.kind!r} takes no stride")
 
@@ -122,6 +123,8 @@ class PositionalIndex:
 
     def __post_init__(self, _sweep):
         # checked before the inversion, whose uint8 scatter would wrap a bad code
+        if not isinstance(self.cols, (np.ndarray, np.generic)):
+            raise PbwtIndexError(f"PBWT columns must be a numpy array, not {type(self.cols).__name__}")
         if self.cols.ndim != 2:
             raise PbwtIndexError(f"PBWT columns must be a (length, n) matrix, not {self.cols.ndim}-D")
         if not self.cols.size:
@@ -157,11 +160,11 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
 
 def _check_span(index: PositionalIndex, m: int, k) -> int:
     """``k`` as an int once ``m`` columns from it fit: every entry point checks its
-    position here, so no numpy integer reaches the arithmetic, where an unsigned ``k - 1`` wraps."""
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise IndexOutOfRangeError(f"position {k!r} is not an integer") from None
+    position here, so no numpy integer reaches the arithmetic, where an unsigned
+    ``k - 1`` wraps, and no bool passes as 0 or 1."""
+    if isinstance(k, (bool, np.bool_)) or not hasattr(k, "__index__"):
+        raise IndexOutOfRangeError(f"position {k!r} is not an integer")
+    k = operator.index(k)
     if k < 0 or k + m > index.length:
         raise PatternOverrunError(f"pattern of length {m} at position {k} overruns strings of length {index.length}")
     return k

@@ -109,6 +109,109 @@ def test_fm_index_accepts_exactly_the_bwts():
                 assert index.bwt == bwt == brute_bwt(index.text)
 
 
+def test_fm_build_hands_over_what_the_constructor_derives():
+    # the build reads the text positions off its suffix array; the
+    # constructor ranks the LF cycle, with every row a ruler below 2**16 rows
+    # and with the ruling set above (the 70 000-character text)
+    rng = random.Random(91)
+    texts = [("A", "ACGT"), ("AAAAAAAAAAAAAAAAA", "A"), ("CCCCCCCC", "ACGT"), ("GATA" * 9, "ACGT"),
+             ("ACACACACA", "AC"), ("".join(rng.choices("ACGT", k=70_000)), "ACGT")]
+    texts += [(random_text(rng, max_len=200, sigma=rng.randint(1, 4)).text, "ACGT") for _ in range(20)]
+    for text, symbols in texts:
+        st = px.SentinelText(text, px.Alphabet(symbols))
+        for stride in (1, 3, st.n + 1):
+            built = px.fm_build(st, stride)
+            ranked = px.FmIndex(st.alphabet, built.bwt_codes.copy(), stride)
+            assert built.text == ranked.text == text
+            assert np.array_equal(built.sampled_pos, ranked.sampled_pos)
+            assert np.array_equal(built.bwt_codes, ranked.bwt_codes)
+            assert np.array_equal(built.matrix.lf, ranked.matrix.lf)
+    assert fm._ruler_spacing(70_001) > 1
+
+
+def _brute_lf(codes: list[int]) -> list[int]:
+    """Each row's row one text position earlier: its place in the stable sort of the codes."""
+    lf = [0] * len(codes)
+    for row, r in enumerate(sorted(range(len(codes)), key=codes.__getitem__)):
+        lf[r] = row
+    return lf
+
+
+def _walked_text(codes: list[int]) -> list[int] | None:
+    """The brute-force inversion: the codes read from row 0 along LF,
+    reversed; None when a sentinel comes up before the last step."""
+    lf, walked, r = _brute_lf(codes), [], 0
+    for _ in range(len(codes) - 1):
+        walked.append(codes[r])
+        r = lf[r]
+    return None if 0 in walked else walked[::-1]
+
+
+def _cycle_kinds(codes: list[int], g: int) -> set[str]:
+    """Whether the LF cycles other than row 0's hold rulers, rows 0, g, 2g, ..."""
+    lf, seen, kinds = _brute_lf(codes), set(), set()
+    for start in range(len(lf)):
+        cycle, r = [], start
+        while r not in seen:
+            seen.add(r)
+            cycle.append(r)
+            r = lf[r]
+        if cycle and 0 not in cycle:
+            kinds.add("with rulers" if any(r % g == 0 for r in cycle) else "without rulers")
+    return kinds
+
+
+def test_ruling_set_accepts_exactly_the_bwts(monkeypatch):
+    # BWTs of 300 to 3000 rows with rows swapped or shuffled, ranked with
+    # rulers every 2 to 16 rows, against the brute-force decision: invert
+    # the codes, transform the text again, compare.  Swapping rows i and i+1
+    # swaps their LF values, which cuts the cycle in two; the piece cut off
+    # is |sa[i] - sa[i+1]| rows long, so a short one may hold no ruler.
+    rng = random.Random(92)
+    seen = []
+    for case in range(80):
+        g = rng.choice([2, 3, 7, 16])
+        monkeypatch.setattr(fm, "_ruler_spacing", lambda rows, g=g: g)
+        symbols = "ACGT"[: rng.randint(2, 4)] if case % 4 == 1 else "ACGT"[: rng.randint(1, 4)]
+        st = px.SentinelText("".join(rng.choices(symbols, k=rng.randint(300, 3000))), px.Alphabet(symbols))
+        built = px.fm_build(st, 1)
+        codes, sa = built.bwt_codes.copy(), built.sampled_pos
+        if case % 4 == 0:
+            i, j = rng.sample(range(codes.shape[0]), 2)
+            codes[[i, j]] = codes[[j, i]]
+        elif case % 4 == 1:
+            close = np.flatnonzero((np.abs(np.diff(sa)) < 2 * g) & (codes[1:] != codes[:-1]))
+            i = rng.choice(close.tolist()) if close.size else rng.randrange(codes.shape[0] - 1)
+            codes[[i, i + 1]] = codes[[i + 1, i]]
+        elif case % 4 == 2:
+            at = rng.randrange(codes.shape[0] - 8)
+            window = codes[at : at + rng.randint(2, 8)]
+            window[:] = window[rng.sample(range(window.shape[0]), window.shape[0])]
+        seen.append(_cycle_kinds(codes.tolist(), g))
+        chars = "$" + symbols
+        walked = _walked_text(codes.tolist())
+        text = None if walked is None else "".join(chars[c] for c in walked)
+        is_bwt = text is not None and brute_bwt(text) == "".join(chars[c] for c in codes)
+        try:
+            index = px.FmIndex(st.alphabet, codes, 1)
+        except PbwtIndexError:
+            assert not is_bwt
+            continue
+        assert is_bwt and index.text == text
+        assert sa_samples(index) == dict(enumerate(px.naive_sorted_rotations(text + "$")))
+    # each check refuses a case alone: a second cycle that no walker reaches,
+    # and one whose rulers the chain from row 0 misses
+    assert {"without rulers"} in seen and {"with rulers"} in seen
+
+
+def test_fm_index_refuses_codes_without_one_sentinel():
+    # the LF cycle through row 0 covers every row of each, so only the
+    # sentinel count refuses them
+    for codes, count in (([2, 1], 0), ([2, 1, 2, 1], 0), ([1, 0, 0], 2), ([1, 0, 2, 0], 2), ([1, 0, 0, 0], 3)):
+        with pytest.raises(PbwtIndexError, match=f"not a BWT: they hold {count} sentinels, not 1"):
+            px.FmIndex(px.Alphabet("AC"), np.array(codes, np.uint8))
+
+
 def test_fm_build_memory_is_linear(alphabet):
     # a byte count, not a timer: the comparison sort over materialized
     # rotations peaked at about 260 MB on this text
@@ -211,9 +314,10 @@ def test_fm_build_stride_one_samples_everything(alphabet):
 
 
 def test_fm_build_rejects_bad_stride(alphabet):
-    # a float stride was accepted, and save_index then ended in struct.error
+    # a float stride was accepted, and save_index then ended in struct.error;
+    # a bool one held stride 1
     st = px.SentinelText(DEMO_TEXT, alphabet)
-    for stride in (0, 2.5, 2.0, None):
+    for stride in (0, 2.5, 2.0, None, True):
         with pytest.raises(ValueError, match="stride must be an integer >= 1"):
             px.fm_build(st, stride)
     # numpy integers are integer strides
@@ -223,7 +327,7 @@ def test_fm_build_rejects_bad_stride(alphabet):
 
 def test_fm_index_rejects_bad_stride(demo_fm):
     # a stride below 1 would sample every row and write a file the loader refuses
-    for stride in (0, -3, 2.5, "3"):
+    for stride in (0, -3, 2.5, "3", True, False):
         with pytest.raises(ValueError):
             px.FmIndex(demo_fm.alphabet, demo_fm.bwt_codes, stride)
 

@@ -224,6 +224,9 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
     for codes in (np.uint8(1), np.zeros((2, 4), np.uint8)):
         with pytest.raises(PbwtIndexError, match=f"must be one row, not {codes.ndim}-D"):
             px.FmIndex(px.Alphabet(), codes)
+    # a list ended in AttributeError: 'list' object has no attribute 'ndim'
+    with pytest.raises(PbwtIndexError, match="must be a numpy array, not list"):
+        px.FmIndex(px.Alphabet(), [1, 0])
     # the positional index checks its columns before the inversion's uint8
     # scatter would wrap -1 to 255 and 256 to 0, or truncate 0.5 to 0
     refused = [
@@ -235,6 +238,7 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
         (np.array([[0, 256, 1]], np.int16), RankOutOfRangeError, "rank code 256, not below 4"),
         (np.zeros((3, 0), np.uint8), EmptyInputError, "0 strings of length 3"),
         (np.zeros((0, 3), np.uint8), EmptyInputError, "3 strings of length 0"),
+        ([[0, 1]], PbwtIndexError, "must be a numpy array, not list"),
     ]
     for cols, error, message in refused:
         with pytest.raises(error, match=message):

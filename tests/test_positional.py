@@ -43,8 +43,9 @@ def test_default_policy_stride(fig1):
 
 
 def test_policy_validation(fig1):
-    # a float stride was accepted, and build_index then ended in range's TypeError
-    for stride in (0, 2.5, 2.0, "3", None):
+    # a float stride was accepted, and build_index then ended in range's
+    # TypeError; a bool one held stride 1
+    for stride in (0, 2.5, 2.0, "3", None, True, False):
         with pytest.raises(ValueError, match="integer stride >= 1"):
             px.StoragePolicy.sampled(stride)
     # numpy integers are integer strides
@@ -191,7 +192,8 @@ def test_positions_and_strides_of_any_integer_type():
             assert type(fm.stride) is int
             assert sorted(px.fm_locate(fm, px.fm_count(fm, "TA"))) == px.naive_substring(DEMO_TEXT, "TA")
     index = px.build_index(col, px.StoragePolicy.full())
-    for bad in (2.5, None, "3"):
+    # a bool passed as position 0 or 1
+    for bad in (2.5, None, "3", True, False, np.True_):
         calls = [(px.query, ("A", bad, strategy)) for strategy in positional.STRATEGIES]
         calls += [(search, ("A", bad)) for search in
                   (px.search_backward, px.search_binary, px.search_rebuild, backward_trace)]
