@@ -12,14 +12,16 @@ operations: the shifts are sorted by prefix doubling over integer ranks (one
 O(n log n) sort per round), and the sorted order, the suffix array, gives
 every row its text position.  A loaded BWT has no suffix array, so the loader
 ranks each row by its distance along the LF cycle with a sparse ruling set
-(Helman & JaJa 2001): a lockstep walk from every ruler to the next, then
-pointer jumping over the rulers alone, O(n) work.  The index holds the BWT as a
-one-column :class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's
-PBWT backward search with every step in column 0: each step reads the LF
-values of the first and last rows of the interval that hold the symbol,
-found by a byte search of at most 64 rows from each end (a checkpoint
-lookup and a short byte count where that window holds none), and each
-locate step one read of the int32 LF mapping.
+(Helman & JaJa 2001), O(n) work: one ruler in each block of rows, at an
+offset hashed from the block so that no repeat in the text lines the rulers
+up, a lockstep walk from every ruler to the next, then pointer jumping over
+the rulers alone.  The index holds the BWT as a one-column
+:class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's PBWT backward
+search with every step in column 0: each step reads the LF values of the
+first and last rows of the interval that hold the symbol, found by a byte
+search of at most 64 rows from each end (a checkpoint lookup and a short
+byte count where that window holds none), and each locate step one read of
+the int32 LF mapping.
 
 Conventions: rank codes are uint8, the LF mapping is int32, and text
 positions are int64.
@@ -135,60 +137,65 @@ def _ruler_spacing(rows: int) -> int:
     return 1 if rows < 1 << 16 else max(16, math.isqrt(rows) >> 5)
 
 
-def _walk_to_rulers(lf: np.ndarray, g: int):
-    """Walk from every ruler, rows 0, g, 2g, ..., along ``lf`` to the next ruler, in lockstep.
+def _rank_cycle(matrix: PbwtMatrix) -> np.ndarray:
+    """Each row's text position, from its distance along the LF cycle of the
+    one-column ``matrix`` to row 0, the rotation at position n.
 
-    Returns ``(nxt, dist, passed)``: ruler ``w``, row ``w * g``, reaches
-    ruler ``nxt[w]`` after ``dist[w]`` steps, and ``passed[s - 1]`` pairs
-    the rows that walkers stand on ``s`` steps past their rulers with those
-    walkers.  A step is one gather over the walkers still out, so the walk
-    takes as many steps as the longest gap between rulers along a cycle:
-    5 to 15 g on the uniform and periodic texts measured.  The rows passed
-    are kept, not scattered, until the rulers' ranks give their positions.
-    """
-    ruler = np.zeros(lf.shape[0], bool)
-    ruler[::g] = True
-    at = lf[::g].astype(np.intp)
-    count = at.shape[0]
-    walker = np.arange(count, dtype=np.int32)
-    reached, finished, passed = [], [], []  # per step: rulers reached, by walkers finished
-    while True:
-        done = ruler.take(at)
-        reached.append(at[done])
-        finished.append(walker[done])
-        if reached[-1].shape[0] == at.shape[0]:
-            break
-        out = ~done
-        at, walker = at[out], walker[out]
-        passed.append((at, walker))
-        at = lf.take(at)
-    nxt, dist = np.empty(count, np.intp), np.empty(count, np.int64)
-    finished = np.concatenate(finished)
-    nxt[finished] = np.concatenate(reached) // g
-    dist[finished] = np.repeat(np.arange(1, len(reached) + 1), [r.shape[0] for r in reached])
-    return nxt, dist, passed
-
-
-def _text_positions(lf: np.ndarray) -> np.ndarray | None:
-    """Each row's text position, from its distance along the LF cycle to row
-    0, the rotation at position n; None unless that cycle covers every row.
+    Raises :class:`PbwtIndexError` unless the codes are a BWT.  LF is a
+    permutation, and the first row that holds the sentinel maps to row 0, so
+    they are one exactly when they hold one sentinel and the cycle through
+    row 0 covers every row.
 
     A sparse ruling set (Helman & JaJa 2001) ranks the cycle in O(n) work.
-    The rulers are every g-th row (:func:`_ruler_spacing`), row 0 among
-    them.  :func:`_walk_to_rulers` links each ruler to the next along its
-    cycle, pointer jumping ranks the rulers alone by their distance to row
-    0, and a row ``s`` steps past its ruler is ``s`` steps nearer row 0.
+    Each block of g rows (:func:`_ruler_spacing`) holds one ruler, at an
+    offset hashed from the block's first row, and row 0 is the first block's.
+    A lockstep walk, one gather per step over the walkers still out, leads
+    every ruler along LF to the next ruler on its cycle, in as many steps as
+    the longest gap between rulers along a cycle.  Rulers on a grid, every
+    g-th row, let a repeat line up with them.  In a text of copies of one
+    piece, the rows of the copies at one offset into the piece lie next to
+    each other, and LF keeps a walk on its copy to the piece's start.  With a
+    multiple of g copies, the grid's rulers fall on the same few copies at
+    every offset, so the walk crosses each other copy whole: 32 copies of a
+    32 768-character piece took 918 287 steps against 364 for a uniform text
+    of the same length.  Hashed offsets follow no period of the text, so the
+    rulers fall as Helman and JaJa's random ones would, and the walk stays
+    short.  Pointer jumping then ranks the rulers alone by their distance to
+    row 0, and a row ``s`` steps past its ruler is ``s`` steps nearer row 0.
     The walks share no row and each stays on its own cycle, so they pass
     every row exactly when every cycle holds a ruler, and then the cycle
     through row 0 covers every row exactly when it meets every ruler.  With
     g = 1 every row is a ruler and this is pointer jumping over all rows.
     """
-    rows = lf.shape[0]
+    sentinels = matrix._bytes.count(0)
+    if sentinels != 1:
+        raise PbwtIndexError(f"the BWT codes are not a BWT: they hold {sentinels} sentinels, not 1")
+    lf, rows = matrix.lf[0], matrix.n
     g = _ruler_spacing(rows)
+    # per step s: the rows that walkers stand on s steps past their rulers,
+    # with those walkers, and the rulers reached, by the walkers finished
+    passed, reached, finished = [], [], []
     if g == 1:  # every row a ruler, one step from the next: no walk
-        nxt, dist, passed = lf.astype(np.intp), np.ones(rows, np.int64), []
+        rulers, nxt, dist = slice(None), lf.astype(np.intp), np.ones(rows, np.int64)
     else:
-        nxt, dist, passed = _walk_to_rulers(lf, g)
+        start = np.arange(0, rows, g)
+        rulers = start + (start * 0x9E3779B1 >> 16) % np.minimum(g, rows - start)
+        is_ruler = np.zeros(rows, bool)
+        is_ruler[rulers] = True
+        at, walker = lf.take(rulers), np.arange(rulers.shape[0], dtype=np.int32)
+        while at.size:
+            done = is_ruler.take(at)
+            reached.append(at[done])
+            finished.append(walker[done])
+            out = ~done
+            at, walker = at[out], walker[out]
+            passed.append((at, walker))
+            at = lf.take(at)
+        # ruler w reaches ruler nxt[w], the one in block row // g, after dist[w] steps
+        nxt, dist = np.empty(rulers.shape[0], np.intp), np.empty(rulers.shape[0], np.int64)
+        finished = np.concatenate(finished)
+        nxt[finished] = np.concatenate(reached) // g
+        dist[finished] = np.repeat(np.arange(1, len(reached) + 1), [r.shape[0] for r in reached])
     # after round t, nxt[w] is 2**t rulers on from w, or ruler 0 if the walk
     # met it first, and dist[w] counts the LF steps taken.  nxt is intp:
     # numpy casts any other index array on every gather, which made the
@@ -198,12 +205,12 @@ def _text_positions(lf: np.ndarray) -> np.ndarray | None:
         dist += dist[nxt]
         nxt = nxt[nxt]
     if nxt.any() or nxt.shape[0] + sum(at.shape[0] for at, _ in passed) != rows:
-        return None
+        raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
     # a row at text position p takes p + 1 steps to reach row 0, and row 0,
     # position n, takes the whole cycle
     dist[0] = rows
     pos = np.empty(rows, np.int64)
-    pos[::g] = dist
+    pos[rulers] = dist
     for s, (at, walker) in enumerate(passed, 1):
         pos[at] = dist.take(walker) - s
     pos -= 1
@@ -219,7 +226,7 @@ class FmIndex:
     and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.  Every
     row's text position comes from the suffix array that :func:`fm_build`
     hands over through the private ``_sa``, or else from ranking the LF
-    cycle of ``matrix.lf[0]`` (:func:`_text_positions`), which also checks
+    cycle of ``matrix.lf[0]`` (:func:`_rank_cycle`), which also checks
     that the codes are a BWT.  From those positions come the text and
     ``sampled_pos[r]``, the text position of row ``r`` when it lies on the
     sampling grid and -1 otherwise.  ``stride`` may be any integer, a numpy
@@ -247,17 +254,7 @@ class FmIndex:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
         matrix = PbwtMatrix(self.bwt_codes[None, :], self.alphabet.sigma + 1)
         bwt = matrix.cols[0]
-        pos = _sa
-        if pos is None:
-            # LF is a permutation, and the first row that holds the sentinel
-            # maps to row 0, so the codes are a BWT exactly when they hold one
-            # sentinel and the cycle through row 0 covers every row
-            sentinels = matrix._bytes.count(0)
-            if sentinels != 1:
-                raise PbwtIndexError(f"the BWT codes are not a BWT: they hold {sentinels} sentinels, not 1")
-            pos = _text_positions(matrix.lf[0])
-            if pos is None:
-                raise PbwtIndexError("the BWT codes are not a BWT: the LF cycle through row 0 misses rows")
+        pos = _rank_cycle(matrix) if _sa is None else _sa
         # the row at text position p holds the code at p - 1
         ext = np.empty_like(bwt)
         ext[pos - 1] = bwt

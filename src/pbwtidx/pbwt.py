@@ -90,9 +90,15 @@ class PbwtMatrix:
     """
 
     def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
+        if not isinstance(cols, (np.ndarray, np.generic)):
+            raise PbwtIndexError(f"codes must be a numpy array, not {type(cols).__name__}")
         if cols.ndim != 2:
             raise PbwtIndexError(f"codes must be a (width, n) matrix, not {cols.ndim}-D")
         width, n = cols.shape
+        if lf is not None and not (isinstance(lf, np.ndarray) and lf.shape == cols.shape
+                                   and np.issubdtype(lf.dtype, np.integer)):
+            got = f"{lf.dtype} {lf.shape}" if isinstance(lf, np.ndarray) else type(lf).__name__
+            raise PbwtIndexError(f"lf must be an integer array of the codes' shape {cols.shape}, not {got}")
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
         owner = cols
@@ -146,9 +152,15 @@ class PbwtMatrix:
         return base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
 
     def check_interval(self, interval: Interval):
-        """Raise :class:`IndexOutOfRangeError` unless a non-empty ``interval`` lies within rows [0, n)."""
-        if interval.f < 0 or interval.l >= self.n:
-            raise IndexOutOfRangeError(f"interval [{interval.f}, {interval.l}] not within [0, {self.n})")
+        """Raise :class:`IndexOutOfRangeError` unless a non-empty ``interval`` lies within rows [0, n)
+        and its ends are integers, numpy ones included, but not bools."""
+        f, l = interval.f, interval.l
+        if type(f) is not int or type(l) is not int:  # the searches' plain ints skip this loop
+            for end in (f, l):
+                if isinstance(end, bool) or not isinstance(end, (int, np.integer)):
+                    raise IndexOutOfRangeError(f"interval end {end!r} is not an integer")
+        if f < 0 or l >= self.n:
+            raise IndexOutOfRangeError(f"interval [{f}, {l}] not within [0, {self.n})")
 
     def backward(self, columns, ranks) -> Interval:
         """The interval of the pattern whose codes are ``ranks``, last first: one step

@@ -147,9 +147,14 @@ def _walked_text(codes: list[int]) -> list[int] | None:
     return None if 0 in walked else walked[::-1]
 
 
+def _rulers(rows: int, g: int) -> set[int]:
+    """One ruler in each block of g rows, at an offset hashed from the block's first row."""
+    return {start + (start * 0x9E3779B1 >> 16) % min(g, rows - start) for start in range(0, rows, g)}
+
+
 def _cycle_kinds(codes: list[int], g: int) -> set[str]:
-    """Whether the LF cycles other than row 0's hold rulers, rows 0, g, 2g, ..."""
-    lf, seen, kinds = _brute_lf(codes), set(), set()
+    """Whether the LF cycles other than row 0's hold rulers."""
+    lf, seen, kinds, rulers = _brute_lf(codes), set(), set(), _rulers(len(codes), g)
     for start in range(len(lf)):
         cycle, r = [], start
         while r not in seen:
@@ -157,7 +162,7 @@ def _cycle_kinds(codes: list[int], g: int) -> set[str]:
             cycle.append(r)
             r = lf[r]
         if cycle and 0 not in cycle:
-            kinds.add("with rulers" if any(r % g == 0 for r in cycle) else "without rulers")
+            kinds.add("with rulers" if rulers.intersection(cycle) else "without rulers")
     return kinds
 
 
@@ -202,6 +207,41 @@ def test_ruling_set_accepts_exactly_the_bwts(monkeypatch):
     # each check refuses a case alone: a second cycle that no walker reaches,
     # and one whose rulers the chain from row 0 misses
     assert {"without rulers"} in seen and {"with rulers"} in seen
+
+
+def test_ruling_set_walk_is_not_lined_up_by_repeats(monkeypatch):
+    # a text of g or 2g copies of one piece puts the rows of the copies at
+    # each offset into the piece next to each other, and LF keeps a walk on
+    # its copy.  Rulers every g-th row fell on the same copies at every
+    # offset, so the walk crossed the other copies whole: 6152 gathers for 8
+    # copies of 1024 characters at g = 8, against 50 for a uniform text.
+    # Count the walk's gathers from lf against a uniform text of the same length.
+    class Counted(np.ndarray):
+        takes = 0
+
+        def take(self, *args, **kwargs):
+            Counted.takes += 1
+            return super().take(*args, **kwargs).view(np.ndarray)
+
+    class CountingMatrix(px.PbwtMatrix):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.lf = self.lf.view(Counted)
+
+    monkeypatch.setattr(fm, "PbwtMatrix", CountingMatrix)
+    rng = random.Random(93)
+    for g in (8, 16):
+        monkeypatch.setattr(fm, "_ruler_spacing", lambda rows, g=g: g)
+        piece = "".join(rng.choices("ACGT", k=1024))
+        for copies in (g, 2 * g):
+            steps = {}
+            for kind, text in (("repeat", piece * copies), ("uniform", "".join(rng.choices("ACGT", k=1024 * copies)))):
+                st = px.SentinelText(text, px.Alphabet())
+                codes = px.fm_build(st, 1).bwt_codes.copy()
+                Counted.takes = 0
+                assert px.FmIndex(st.alphabet, codes, 1).text == text
+                steps[kind] = Counted.takes
+            assert 0 < steps["repeat"] <= 3 * steps["uniform"], (g, copies, steps)
 
 
 def test_fm_index_refuses_codes_without_one_sentinel():
@@ -407,6 +447,15 @@ def test_fm_locate_rejects_rows_outside_the_index(demo_fm):
             px.fm_locate(demo_fm, interval)
     assert sorted(px.fm_locate(demo_fm, Interval(0, rows - 1))) == list(range(rows))
     assert locate_with_steps(demo_fm, Interval(5, 2)) == ([], [])
+
+
+def test_fm_locate_refuses_interval_ends_that_are_not_integers(alphabet):
+    index = px.fm_build(px.SentinelText("GATTACA", alphabet), 2)
+    # Interval(0.5, 2) answered [7, 6, 4]
+    for interval in (Interval(0.5, 2), Interval(0, 2.0), Interval(False, 2), Interval(0, np.float64(2))):
+        with pytest.raises(IndexOutOfRangeError, match="interval end .* is not an integer"):
+            px.fm_locate(index, interval)
+    assert px.fm_locate(index, Interval(np.int64(0), np.uint32(2))) == px.fm_locate(index, Interval(0, 2))
 
 
 def test_fm_locate_step_bound(demo_fm):

@@ -227,6 +227,15 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
     # a list ended in AttributeError: 'list' object has no attribute 'ndim'
     with pytest.raises(PbwtIndexError, match="must be a numpy array, not list"):
         px.FmIndex(px.Alphabet(), [1, 0])
+    with pytest.raises(PbwtIndexError, match="must be a numpy array, not list"):
+        px.PbwtMatrix([[0, 1]], 4)
+    # an lf given as a list ended in AttributeError, and one of the wrong shape was kept
+    cols = np.array([[0, 1]], np.uint8)
+    for lf, got in (([[1, 0]], "list"), (np.zeros((1, 5), np.int32), r"int32 \(1, 5\)"),
+                    (np.array([[1.0, 0.0]]), r"float64 \(1, 2\)")):
+        with pytest.raises(PbwtIndexError, match=rf"lf must be an integer array of the codes' shape \(1, 2\), not {got}"):
+            px.PbwtMatrix(cols, 4, lf)
+    assert px.PbwtMatrix(cols, 4, np.array([[0, 1]], np.int32)).lf.tolist() == [[0, 1]]
     # the positional index checks its columns before the inversion's uint8
     # scatter would wrap -1 to 255 and 256 to 0, or truncate 0.5 to 0
     refused = [
@@ -282,6 +291,15 @@ def test_backward_step_errors(full_index):
         px.backward_step(full_index, 8, Interval(0, 7), "A")
     with pytest.raises(IndexOutOfRangeError):
         px.backward_step(full_index, 3, Interval(0, 8), "A")
+
+
+def test_backward_step_refuses_interval_ends_that_are_not_integers(full_index):
+    # Interval(0, 2.5) ended in a TypeError inside the rank step
+    for interval in (Interval(0, 2.5), Interval(0.5, 2), Interval(True, 2), Interval(0, np.float32(2))):
+        with pytest.raises(IndexOutOfRangeError, match="interval end .* is not an integer"):
+            px.backward_step(full_index, 1, interval, "A")
+    expected = px.backward_step(full_index, 1, Interval(0, 2), "A")
+    assert px.backward_step(full_index, 1, Interval(np.int64(0), np.uint8(2)), "A") == expected
 
 
 def _binary_interval(col, perms, pattern, k):

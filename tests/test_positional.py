@@ -152,6 +152,14 @@ def test_locate_rejects_columns_and_rows_outside_the_index():
     assert px.locate(index, EMPTY, 9) == []
 
 
+def test_locate_refuses_interval_ends_that_are_not_integers(full_index):
+    # Interval(0, 1.5) ended in a TypeError in the slice of pi_k
+    for interval in (Interval(0, 1.5), Interval(0.5, 2), Interval(True, 2), Interval(0, np.float32(2))):
+        with pytest.raises(IndexOutOfRangeError, match="interval end .* is not an integer"):
+            px.locate(full_index, interval, 0)
+    assert px.locate(full_index, Interval(np.int64(0), np.uint8(2)), 0) == px.locate(full_index, Interval(0, 2), 0)
+
+
 def test_positions_and_strides_of_any_integer_type():
     # an unsigned numpy position or stride used to wrap in k - 1 or -(-k // t)
     # inside the index and answer wrongly, or end in a KeyError; each is now
