@@ -5,6 +5,7 @@ sorts strictly below all of them.  The sentinel is rejected in user input;
 only the substring indexer appends it internally.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +29,16 @@ def check_codes(codes: np.ndarray, limit: int, what: str):
         raise RankOutOfRangeError(f"{what} holds rank code {codes.min()}, below 0")
     if codes.max() >= limit:
         raise RankOutOfRangeError(f"{what} holds rank code {codes.max()}, not below {limit}")
+
+
+def as_int(value, error: type[Exception], message: str, least: int | None = None) -> int:
+    """``value`` as an ``int``: any integer, a numpy one of any width included, but not a bool.
+    Anything else, or an integer below ``least``, raises ``error(message.format(value))``."""
+    if not isinstance(value, (bool, np.bool_)) and hasattr(value, "__index__"):
+        converted = operator.index(value)
+        if least is None or converted >= least:
+            return converted
+    raise error(message.format(value))
 
 
 @dataclass(frozen=True)

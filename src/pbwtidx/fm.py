@@ -28,13 +28,12 @@ positions are int64.
 """
 
 import math
-import operator
 from dataclasses import InitVar, dataclass, field
 from itertools import repeat
 
 import numpy as np
 
-from .alphabet import Alphabet
+from .alphabet import Alphabet, as_int
 from .errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
 from .pbwt import Interval, PbwtMatrix
 from .permutations import radix_sweep
@@ -242,10 +241,8 @@ class FmIndex:
     _sa: InitVar[np.ndarray | None] = field(default=None, kw_only=True)  # the suffix array: text position per row
 
     def __post_init__(self, _sa):
-        stride = self.stride
-        if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
-            raise ValueError(f"stride must be an integer >= 1, not {stride!r}")
-        object.__setattr__(self, "stride", operator.index(stride))
+        stride = as_int(self.stride, ValueError, "stride must be an integer >= 1, not {!r}", least=1)
+        object.__setattr__(self, "stride", stride)
         if not isinstance(self.bwt_codes, (np.ndarray, np.generic)):
             raise PbwtIndexError(f"the BWT codes must be a numpy array, not {type(self.bwt_codes).__name__}")
         if self.bwt_codes.ndim != 1:
@@ -345,8 +342,8 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
     """Text positions for an interval, plus the number of LF steps each walk took."""
     if interval.is_empty:
         return [], []
-    index.matrix.check_interval(interval)
-    rows = np.arange(interval.f, interval.l + 1, dtype=np.int64)
+    f, l = index.matrix.check_interval(interval)
+    rows = np.arange(f, l + 1, dtype=np.int64)
     pos, steps = _lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]
 

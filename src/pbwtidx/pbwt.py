@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import check_codes
+from .alphabet import as_int, check_codes
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError, PbwtIndexError
 from .permutations import radix_sweep
@@ -151,16 +151,16 @@ class PbwtMatrix:
             base = self.base
         return base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
 
-    def check_interval(self, interval: Interval):
-        """Raise :class:`IndexOutOfRangeError` unless a non-empty ``interval`` lies within rows [0, n)
-        and its ends are integers, numpy ones included, but not bools."""
+    def check_interval(self, interval: Interval) -> tuple[int, int]:
+        """The ends ``(f, l)`` of a non-empty ``interval`` as ints, in which ``l + 1`` cannot wrap
+        as a numpy end's would.  Raises :class:`IndexOutOfRangeError` unless both ends are
+        integers (:func:`as_int`) and the interval lies within rows [0, n)."""
         f, l = interval.f, interval.l
-        if type(f) is not int or type(l) is not int:  # the searches' plain ints skip this loop
-            for end in (f, l):
-                if isinstance(end, bool) or not isinstance(end, (int, np.integer)):
-                    raise IndexOutOfRangeError(f"interval end {end!r} is not an integer")
+        if type(f) is not int or type(l) is not int:  # the searches' plain ints skip the conversion
+            f, l = (as_int(end, IndexOutOfRangeError, "interval end {!r} is not an integer") for end in (f, l))
         if f < 0 or l >= self.n:
             raise IndexOutOfRangeError(f"interval [{f}, {l}] not within [0, {self.n})")
+        return f, l
 
     def backward(self, columns, ranks) -> Interval:
         """The interval of the pattern whose codes are ``ranks``, last first: one step

@@ -20,14 +20,12 @@ below ``k`` is stored.  The bisect walks only the rows it probes, about
 reads the matches from the source the search read.
 """
 
-import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .alphabet import Alphabet, check_codes
+from .alphabet import Alphabet, as_int, check_codes
 from .collection import StringCollection
 from .errors import (EmptyInputError, IndexOutOfRangeError, PatternOverrunError, PbwtIndexError,
                      PermutationNotStoredError)
@@ -42,9 +40,11 @@ PiSource = tuple[int, np.ndarray]  # (h, pi_h), h <= k: pi_k at rank i is pi_h a
 class StoragePolicy:
     """Which permutation columns the index retains: all, a stride grid, or none.
 
-    The sampled grid is {0, t, 2t, ...} plus the final identity column, so a
-    backward locate walk always terminates at a stored column.  The stride
-    may be any integer, a numpy one included, and is held as an ``int``.
+    :meth:`stored_columns` alone states the grid: {0, t, 2t, ...}, with t = 1
+    for ``full`` and no such column for ``none``, plus the final identity
+    column, so a backward locate walk always terminates at a stored column.
+    The stride may be any integer but a bool, a numpy one included, and is
+    held as an ``int``.
     """
 
     kind: str
@@ -54,10 +54,8 @@ class StoragePolicy:
         if self.kind not in ("full", "sampled", "none"):
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "sampled":
-            stride = self.stride
-            if not isinstance(stride, (int, np.integer)) or isinstance(stride, bool) or stride < 1:
-                raise ValueError(f"sampled policy needs an integer stride >= 1, not {stride!r}")
-            object.__setattr__(self, "stride", operator.index(stride))
+            stride = as_int(self.stride, ValueError, "sampled policy needs an integer stride >= 1, not {!r}", least=1)
+            object.__setattr__(self, "stride", stride)
         elif self.stride is not None:
             raise ValueError(f"policy {self.kind!r} takes no stride")
 
@@ -73,33 +71,17 @@ class StoragePolicy:
     def no_perms(cls) -> "StoragePolicy":
         return cls("none")
 
-    @property
-    def _spacing(self) -> int | None:
-        """The distance between stored columns below the final one: 1, the stride, or None when none is."""
-        return 1 if self.kind == "full" else self.stride
-
     def stored_columns(self, length: int) -> list[int]:
-        t = self._spacing
+        """The retained columns in ascending order, ``length`` last: the order of ``stored_perms``."""
+        t = 1 if self.kind == "full" else self.stride
         cols = [] if t is None else list(range(0, length, t))
         cols.append(length)
         return cols
 
-    def stored_at_or_below(self, k: int, length: int) -> int | None:
-        """The greatest of :meth:`stored_columns` that is at most ``k``, 0 <= k <= length, or None."""
-        if k == length:
-            return k
-        t = self._spacing
-        return None if t is None else k - k % t
-
-    def stored_at_or_above(self, k: int, length: int) -> int:
-        """The least of :meth:`stored_columns` that is at least ``k``, 0 <= k <= length."""
-        t = self._spacing
-        return length if t is None else min(-(-k // t) * t, length)
-
 
 def default_stride(n: int) -> int:
-    """ceil(lg n), clamped to at least 1."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
+    """ceil(lg n), clamped to at least 1: the least t >= 1 with 2**t >= n."""
+    return max(1, (n - 1).bit_length())
 
 
 @dataclass(frozen=True)
@@ -162,9 +144,7 @@ def _check_span(index: PositionalIndex, m: int, k) -> int:
     """``k`` as an int once ``m`` columns from it fit: every entry point checks its
     position here, so no numpy integer reaches the arithmetic, where an unsigned
     ``k - 1`` wraps, and no bool passes as 0 or 1."""
-    if isinstance(k, (bool, np.bool_)) or not hasattr(k, "__index__"):
-        raise IndexOutOfRangeError(f"position {k!r} is not an integer")
-    k = operator.index(k)
+    k = as_int(k, IndexOutOfRangeError, "position {!r} is not an integer")
     if k < 0 or k + m > index.length:
         raise PatternOverrunError(f"pattern of length {m} at position {k} overruns strings of length {index.length}")
     return k
@@ -179,15 +159,19 @@ def _check_query(index: PositionalIndex, pattern: str, k) -> tuple[bytes, int]:
 def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSource:
     """The pair ``(h, pi_h)``, h <= k, that a query reads pi_k from.
 
-    The greatest stored column at or below ``k``; or, for ``rebuild`` and
-    where there is no such column, ``(k, pi_k)`` rebuilt from the nearest
-    stored column to the right.
+    ``(k, pi_k)`` when it is stored, else the greatest stored column below
+    ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
+    rebuilt from the nearest stored column to the right.  Only a miss lists
+    and bisects the keys, which ascend to ``length`` (:meth:`StoragePolicy.stored_columns`).
     """
-    h = None if rebuild else index.policy.stored_at_or_below(k, index.length)
-    if h is not None:
-        return h, index.stored_perms[h]
-    j = index.policy.stored_at_or_above(k, index.length)
-    return k, rebuild_column(index.collection, index.stored_perms[j], j, k)
+    stored = index.stored_perms
+    if k in stored:
+        return k, stored[k]
+    columns = list(stored)
+    i = bisect_left(columns, k)
+    if i and not rebuild:
+        return columns[i - 1], stored[columns[i - 1]]
+    return k, rebuild_column(index.collection, stored[columns[i]], columns[i], k)
 
 
 def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
@@ -227,7 +211,7 @@ def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSou
     the handed-over ``source`` or else through the greatest stored column at
     or below ``k``; without a source, raises when there is no such column."""
     key, k = _check_query(index, pattern, k)
-    if source is None and index.policy.stored_at_or_below(k, index.length) is None:
+    if source is None and next(iter(index.stored_perms)) > k:  # the least stored column
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
     return _bisect_interval(index, *(source or _pi_source(index, k)), key, k)
 
@@ -243,9 +227,9 @@ def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) ->
     j = _check_span(index, 1, j)
     if interval.is_empty:
         return EMPTY
-    index.matrix.check_interval(interval)
+    f, l = index.matrix.check_interval(interval)
     step = index.matrix.step
-    return Interval(step(j, a, interval.f), step(j, a, interval.l + 1) - 1)
+    return Interval(step(j, a, f), step(j, a, l + 1) - 1)
 
 
 def backward_trace(index: PositionalIndex, pattern: str, k: int) -> list[tuple[int, Interval]]:
@@ -280,12 +264,12 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     if interval.is_empty:
         return []
     k = _check_span(index, 0, k)
-    index.matrix.check_interval(interval)
+    f, l = index.matrix.check_interval(interval)
     h, pi_h = source or _pi_source(index, k)
     if h == k:
-        return pi_h[interval.f : interval.l + 1].tolist()
+        return pi_h[f : l + 1].tolist()
     # the walk's first gather is a slice of lf: rows f..l of column k map to lf[k-1, f..l]
-    rows = index.matrix.walk(index.matrix.lf[k - 1, interval.f : interval.l + 1], k - 1, h)
+    rows = index.matrix.walk(index.matrix.lf[k - 1, f : l + 1], k - 1, h)
     return pi_h.take(rows).tolist()
 
 

@@ -6,6 +6,7 @@ import pytest
 import pbwtidx as px
 from pbwtidx.errors import (EmptyInputError, IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError,
                             UnknownCharacterError)
+from pbwtidx.fm import locate_with_steps
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
 from pbwtidx.positional import STRATEGIES
 
@@ -300,6 +301,31 @@ def test_backward_step_refuses_interval_ends_that_are_not_integers(full_index):
             px.backward_step(full_index, 1, interval, "A")
     expected = px.backward_step(full_index, 1, Interval(0, 2), "A")
     assert px.backward_step(full_index, 1, Interval(np.int64(0), np.uint8(2)), "A") == expected
+
+
+def test_interval_ends_of_any_integer_width_answer_as_int_ends():
+    # l + 1 wrapped at a numpy end's width: on 300 strings, Interval(np.int8(0),
+    # np.int8(127)) located 172 rows instead of 128, fm_locate answered [] and
+    # backward_step raised a bare OverflowError
+    rng = random.Random(2727)
+    col = px.from_strings(["".join(rng.choices("ACGT", k=12)) for _ in range(300)])
+    fm = px.fm_build(px.SentinelText("".join(rng.choices("ACGT", k=300)), col.alphabet), 4)
+    typed = [Interval(np.int8(0), np.int8(127)), Interval(np.uint8(0), np.uint8(255)),
+             Interval(np.uint8(200), np.uint8(255))]
+    indexes = [px.build_index(col, policy) for policy in
+               (px.StoragePolicy.full(), px.StoragePolicy.sampled(5), px.StoragePolicy.no_perms())]
+    for interval in typed:
+        plain = Interval(int(interval.f), int(interval.l))
+        for index in indexes:
+            for k in (0, 5, 7, col.length):
+                located = px.locate(index, interval, k)
+                assert located == px.locate(index, plain, k) and len(located) == plain.width
+            for j in (0, 7, col.length - 1):
+                for c in "ACGT":
+                    assert px.backward_step(index, j, interval, c) == px.backward_step(index, j, plain, c)
+        assert locate_with_steps(fm, interval) == locate_with_steps(fm, plain)
+        located = px.fm_locate(fm, interval)
+        assert located == px.fm_locate(fm, plain) and len(located) == plain.width
 
 
 def _binary_interval(col, perms, pattern, k):

@@ -25,14 +25,15 @@ def bare_index(fig1):
 
 
 def test_policy_stored_columns(fig1):
+    # in order, not sorted: _pi_source bisects the keys as they come, ascending to length
+    for policy, columns in ((px.StoragePolicy.full(), list(range(9))), (px.StoragePolicy.sampled(3), [0, 3, 6, 8]),
+                            (px.StoragePolicy.no_perms(), [8])):
+        built = px.build_index(fig1, policy)
+        for index in (built, px.from_bytes(px.to_bytes(built))):
+            assert list(index.stored_perms) == columns == policy.stored_columns(fig1.length)
     full = px.build_index(fig1, px.StoragePolicy.full())
-    assert sorted(full.stored_perms) == list(range(9))
     for j in range(8):
         assert full.stored_perms[j].tolist() == [PI_MATRIX[i][j] for i in range(8)]
-    sampled = px.build_index(fig1, px.StoragePolicy.sampled(3))
-    assert sorted(sampled.stored_perms) == [0, 3, 6, 8]
-    bare = px.build_index(fig1, px.StoragePolicy.no_perms())
-    assert sorted(bare.stored_perms) == [8]
 
 
 def test_default_policy_stride(fig1):
@@ -40,6 +41,19 @@ def test_default_policy_stride(fig1):
     assert index.policy == px.StoragePolicy.sampled(3)  # ceil(lg 8)
     assert px.default_stride(1) == 1
     assert px.default_stride(9) == 4
+
+
+def test_default_stride_matches_an_integer_reference():
+    # the least t >= 1 with 2**t >= n, with no float logarithm to round
+    def least_power(n):
+        t = 1
+        while 2**t < n:
+            t += 1
+        return t
+
+    sizes = list(range(1, 4097)) + [2**k + d for k in range(13, 33) for d in (-1, 0, 1)]
+    for n in sizes:
+        assert px.default_stride(n) == least_power(n), n
 
 
 def test_policy_validation(fig1):
@@ -56,20 +70,6 @@ def test_policy_validation(fig1):
         px.StoragePolicy("full", 2)
     with pytest.raises(ValueError):
         px.StoragePolicy("bogus")
-
-
-def test_policy_nearest_stored_columns_match_a_scan(fig1):
-    # the policy's arithmetic answers what a scan of the built index's columns finds
-    rng = random.Random(606)
-    collections = [fig1, px.from_strings(["A", "C"], px.Alphabet("AC"))]
-    collections += [random_collection(rng, max_n=20, max_len=20) for _ in range(10)]
-    for col in collections:
-        length = col.length
-        for policy in storage_policies(col.n, length):
-            stored = px.build_index(col, policy).stored_perms
-            for k in range(length + 1):
-                assert policy.stored_at_or_below(k, length) == max((j for j in stored if j <= k), default=None)
-                assert policy.stored_at_or_above(k, length) == min(j for j in stored if j >= k)
 
 
 def test_search_binary_worked_example(full_index):
@@ -179,7 +179,7 @@ def test_positions_and_strides_of_any_integer_type():
             for pattern, k in queries:
                 expected = px.naive_positional(col, pattern, k)
                 searches = [px.search_backward, px.search_rebuild]
-                if policy.stored_at_or_below(k, col.length) is not None:
+                if min(index.stored_perms) <= k:
                     searches.append(px.search_binary)
                 for kind in (int, np.int8, np.int64, np.uint8, np.uint32, np.uint64):
                     typed = kind(k)
@@ -242,7 +242,7 @@ def _assert_policies_and_strategies_agree(col, queries):
             expected = px.naive_positional(col, pattern, k)
             backward = px.search_backward(index, pattern, k)
             assert px.search_rebuild(index, pattern, k) == backward
-            if policy.stored_at_or_below(k, col.length) is not None:
+            if min(index.stored_perms) <= k:
                 assert px.search_binary(index, pattern, k) == backward
             for strategy in positional.STRATEGIES:
                 interval, matches, _ = px.query(index, pattern, k, strategy=strategy)
