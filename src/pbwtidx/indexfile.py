@@ -1,27 +1,35 @@
-"""On-disk index format: magic "PBWTIDX4", little-endian fixed-width integers.
+"""On-disk index format: magic "PBWTIDX5", little-endian fixed-width integers.
 
 Layout (common header, then one payload per mode, then a checksum):
 
-    magic           8 bytes  b"PBWTIDX4"
+    magic           8 bytes  b"PBWTIDX5"
     mode            u8       1 = positional, 2 = substring
     alphabet        u16 size + symbol bytes + 1 sentinel byte (ASCII)
 
     positional payload:
         n, length           u32, u32
         policy              u8 (0 full, 1 sampled, 2 none) + u32 stride (0 when unused)
-        pbwt columns        one zlib stream of length*n u8 ranks, column by column
+        pbwt columns        one zlib stream of the length*n packed ranks, column by column
 
     substring payload:
         n (text), stride    u32, u32
-        bwt codes           one zlib stream of n+1 u8 ranks: sentinel 0, symbols 1..sigma
+        sentinel row        u32, the BWT row that holds the sentinel, at most n
+        bwt codes           one zlib stream of the other n rows' packed symbol ranks 0..sigma-1
 
     crc32           u32      zlib.crc32 of every preceding byte
 
-The code section runs to the checksum.  It is deflated with the run-length
-strategy (``Z_RLE``, level 1): a PBWT column of related strings, like a
-BWT, is made of long runs of one symbol, and matches at distance 1 are what
-encode a run.  Another zlib build may write other valid deflate bytes for
-the same codes; what they inflate to is fixed.
+Both modes pack symbol ranks, below the alphabet's size sigma, at
+b = ``(sigma - 1).bit_length()`` bits (at least 1), rounded up to 1, 2, 4
+or 8, so 8 // b to a byte: ACGT packs 4 to a byte in both modes.  The
+first code of a byte is in its high bits, and the last byte is padded
+with zero bits.  A BWT holds exactly one sentinel, so its row is a header
+field and the rows around it store their symbol ranks, one below their BWT
+codes (sentinel 0, symbols 1..sigma).  The packed codes are deflated with
+the run-length strategy (``Z_RLE``, level 1): a PBWT column of related
+strings, like a BWT, is made of long runs of one symbol, and a run of
+packed codes is a run of bytes, which matches at distance 1 encode.  The
+code section runs to the checksum.  Another zlib build may write other
+valid deflate bytes for the same codes; what they inflate to is fixed.
 
 A file holds only the transform, and the loader hands it to the index's
 constructor, which derives the rest: :class:`PositionalIndex` inverts the PBWT
@@ -30,14 +38,14 @@ collection and the kept permutations, and :class:`FmIndex` ranks the BWT's LF
 cycle to the text and the suffix-array samples.  No section can contradict
 another, so the checksum is what catches an edit that decodes to another valid
 index.  Loading checks the magic, the checksum, section sizes, tags, that the
-row count fits the int32 LF mapping, the alphabet, that the code section is
-one deflate stream inflating to exactly the codes the header counts and
-nothing after it, code ranges, and that the BWT holds one sentinel and one
-LF cycle, and raises :class:`PbwtIndexError` on any failure.  The inflated bytes become the
-index's column bytes without a copy.
+row count fits the int32 LF mapping, the alphabet, the sentinel row, that the
+code section is one deflate stream inflating to exactly the packed codes the
+header counts and nothing after it, that its padding bits are zero, code
+ranges, and that the BWT holds one sentinel and one LF cycle, and raises
+:class:`PbwtIndexError` on any failure.  The codes are unpacked into the
+``bytearray`` that the index keeps as its column bytes, without a copy.
 """
 
-import math
 import struct
 import zlib
 
@@ -49,14 +57,67 @@ from .fm import FmIndex
 from .pbwt import check_rows
 from .positional import PositionalIndex, StoragePolicy
 
-MAGIC = b"PBWTIDX4"
-OLD_MAGICS = (b"PBWTIDX1", b"PBWTIDX2", b"PBWTIDX3")
+MAGIC = b"PBWTIDX5"
+OLD_MAGICS = (b"PBWTIDX1", b"PBWTIDX2", b"PBWTIDX3", b"PBWTIDX4")
 MODE_POSITIONAL = 1
 MODE_SUBSTRING = 2
 U32_MAX = 0xFFFFFFFF
+# codes packed or unpacked at a time, a multiple of every 8 // b: it bounds
+# the packing's temporaries and the int index array that a take casts to
+_CHUNK = 1 << 20
 
 _POLICY_TAGS = {"full": 0, "sampled": 1, "none": 2}
 _POLICY_NAMES = {v: k for k, v in _POLICY_TAGS.items()}
+
+
+def _code_width(sigma: int) -> int:
+    """Bits per packed code of ranks below ``sigma``: 1, 2, 4 or 8."""
+    bits = max(1, (sigma - 1).bit_length())
+    return 1 << (bits - 1).bit_length()
+
+
+def _pack(codes: np.ndarray, width: int) -> bytes:
+    """The uint8 ``codes``, each below ``2**width``, packed ``8 // width`` to a
+    byte, the first in the high bits, the last byte padded with zero bits.
+
+    Each group of ``per = 8 // width`` codes is read as one little-endian
+    integer, code i at bit 8i, and one multiply adds a copy of it shifted by
+    (per - 1 - k) * (width + 8) bits for every k: the copy of code i with
+    k = i lands at bit 8 (per - 1) + (per - 1 - i) * width, its place in
+    the top byte.  No two copies share a bit, so no carry reaches that byte.
+    """
+    per = 8 // width
+    if codes.shape[0] % per:
+        codes = np.concatenate([codes, np.zeros(-codes.shape[0] % per, np.uint8)])
+    group = codes.view(f"<u{per}")
+    spread = group * group.dtype.type(sum(1 << k * (width + 8) for k in range(per)))
+    spread >>= 8 * (per - 1)
+    return spread.astype(np.uint8).tobytes()
+
+
+def _unpack(packed: bytes, width: int, out: np.ndarray, offset: int = 0):
+    """Write the codes that :func:`_pack` packed, each plus ``offset`` and
+    held at 255, into ``out``, a C-ordered uint8 array of their count.
+
+    A 256-row table holds the ``per = 8 // width`` codes of every byte, and
+    one ``take`` per chunk gathers its rows as ``per``-byte integers.
+    """
+    per = 8 // width
+    table = np.arange(256)[:, None] >> np.arange(8 - width, -1, -width) & (1 << width) - 1
+    table = np.minimum(table + offset, 255).astype(np.uint8)
+    wide = table.view(f"u{per}").reshape(256)
+    full = out.shape[0] // per
+    rows, flat = np.frombuffer(packed, np.uint8), out[: full * per].view(wide.dtype)
+    for at in range(0, full, _CHUNK):
+        # "clip" writes into out directly, where the default mode buffers it
+        wide.take(rows[at : min(at + _CHUNK, full)], out=flat[at : at + _CHUNK], mode="clip")
+    out[full * per :] = table[rows[full:]].reshape(-1)[: out.shape[0] - full * per]
+
+
+def _deflated(codes: np.ndarray, width: int) -> bytes:
+    deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
+    parts = [deflate.compress(_pack(codes[at : at + _CHUNK], width)) for at in range(0, codes.shape[0], _CHUNK)]
+    return b"".join(parts) + deflate.flush()
 
 
 class _Reader:
@@ -74,28 +135,39 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def codes(self, shape) -> np.ndarray:
-        """The rest of the body, a deflated uint8 rank-code section, whose codes the index constructors check.
+    def codes(self, count: int, width: int, offset: int = 0, spare: int = 0) -> np.ndarray:
+        """The rest of the body, a deflated section of ``count`` codes packed
+        at ``width`` bits, unpacked, each plus ``offset``, into the first
+        ``count`` bytes of a new ``bytearray`` ``spare`` bytes longer, which
+        the returned uint8 array views whole; the index constructors check
+        the codes.
 
-        One byte past ``shape``'s size is the most ever inflated: a stream
+        One byte past the packed size is the most ever inflated: a stream
         that inflates too far is found without inflating all of it, and a
         size of 0 stays a bound (a ``max_length`` of 0 would mean none).
+        The buffer is made once the section has inflated to its size, so
+        a header's counts alone allocate nothing.
         """
-        size = math.prod(shape)
+        size = -(-count * width // 8)
         stream = zlib.decompressobj()
         try:
-            codes = stream.decompress(self.take(len(self.data) - self.at), size + 1)
+            packed = stream.decompress(self.take(len(self.data) - self.at), size + 1)
         except zlib.error as exc:
             raise PbwtIndexError(f"index file's code section is not deflate data ({exc})") from None
-        if len(codes) > size:
+        if len(packed) > size:
             raise PbwtIndexError(f"index file's code section inflates to more than {size} bytes")
         if not stream.eof:
             raise PbwtIndexError("index file's code section ends inside its deflate stream")
-        if len(codes) < size:
-            raise PbwtIndexError(f"index file's code section inflates to {len(codes)} bytes, not {size}")
+        if len(packed) < size:
+            raise PbwtIndexError(f"index file's code section inflates to {len(packed)} bytes, not {size}")
         if stream.unused_data:
             raise PbwtIndexError(f"index file has {len(stream.unused_data)} trailing bytes")
-        return np.frombuffer(codes, np.uint8).reshape(shape)
+        padding = size * 8 - count * width
+        if padding and packed[-1] & (1 << padding) - 1:
+            raise PbwtIndexError("index file's code section has non-zero padding bits")
+        codes = np.frombuffer(bytearray(count + spare), np.uint8)
+        _unpack(packed, width, codes[:count], offset)
+        return codes
 
 
 def to_bytes(index) -> bytes:
@@ -104,13 +176,15 @@ def to_bytes(index) -> bytes:
         _check_u32(n=index.n, length=index.length, stride=policy.stride or 0)
         head = (_header(MODE_POSITIONAL, index.alphabet)
                 + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0))
+        codes = np.frombuffer(index.matrix._bytes, np.uint8)
     elif isinstance(index, FmIndex):
         _check_u32(n=index.n, stride=index.stride)
-        head = _header(MODE_SUBSTRING, index.alphabet) + struct.pack("<II", index.n, index.stride)
+        sentinel = index.matrix._bytes.find(0)
+        head = _header(MODE_SUBSTRING, index.alphabet) + struct.pack("<III", index.n, index.stride, sentinel)
+        codes = np.delete(index.bwt_codes, sentinel) - 1
     else:
         raise TypeError(f"cannot serialize {type(index).__name__}")
-    deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
-    body = head + deflate.compress(index.matrix._bytes) + deflate.flush()
+    body = head + _deflated(codes, _code_width(index.alphabet.sigma))
     return body + struct.pack("<I", zlib.crc32(body))
 
 
@@ -161,15 +235,21 @@ def _read_positional(r: _Reader, alphabet: Alphabet) -> PositionalIndex:
     except (KeyError, ValueError):
         raise PbwtIndexError(f"index file has invalid policy tag {policy_tag}, stride {stride}") from None
     check_rows(n)
-    return PositionalIndex(alphabet, r.codes((length, n)), policy)
+    cols = r.codes(length * n, _code_width(alphabet.sigma))
+    return PositionalIndex(alphabet, cols.reshape(length, n), policy)
 
 
 def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:
-    n, stride = r.unpack("II")
+    n, stride, sentinel = r.unpack("III")
     if stride < 1:
         raise PbwtIndexError("index file has suffix-array stride 0")
     check_rows(n + 1)
-    bwt_codes = r.codes((n + 1,))
+    if sentinel > n:
+        raise PbwtIndexError(f"index file has sentinel row {sentinel}, not below {n + 1}")
+    # the rows around the sentinel's hold their symbol ranks plus one
+    bwt_codes = r.codes(n, _code_width(alphabet.sigma), offset=1, spare=1)
+    bwt_codes[sentinel + 1 :] = bwt_codes[sentinel:n]
+    bwt_codes[sentinel] = 0
     try:
         return FmIndex(alphabet, bwt_codes, stride)
     except PbwtIndexError as exc:

@@ -72,8 +72,9 @@ class PbwtMatrix:
 
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
-      A caller whose sweep has sorted the columns hands it in, as the
-      positional index does; otherwise a sweep over the columns derives it.
+      :func:`build_pbwt`, whose sweep has sorted the columns, hands it in
+      through the private ``_lf``, whose values are not checked; otherwise
+      a sweep over the columns derives it.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -82,39 +83,45 @@ class PbwtMatrix:
       ``base``: a build, a save or a search whose windows find every symbol
       never reads them.
 
-    The columns are kept as one ``bytes`` object, whose ``count`` is the
-    in-block scan and whose ``find`` and ``rfind`` give :meth:`backward` the
-    rows at an interval's ends, and ``cols`` is a read-only view of it.
-    Codes that already view a whole ``bytes`` object in order are kept
-    without a copy.
+    The columns are kept as one ``bytes`` or ``bytearray`` object, whose
+    ``count`` is the in-block scan and whose ``find`` and ``rfind`` give
+    :meth:`backward` the rows at an interval's ends, and ``cols`` is a
+    read-only view of it.  Codes that already view a whole ``bytes`` or
+    ``bytearray`` object in order are kept without a copy: the build's
+    sweep and the loader write the columns into a buffer that they hand
+    over and no longer write to.
     """
 
-    def __init__(self, cols: np.ndarray, sigma: int, lf: np.ndarray | None = None):
+    def __init__(self, cols: np.ndarray, sigma: int, *, _lf: np.ndarray | None = None):
         if not isinstance(cols, (np.ndarray, np.generic)):
             raise PbwtIndexError(f"codes must be a numpy array, not {type(cols).__name__}")
         if cols.ndim != 2:
             raise PbwtIndexError(f"codes must be a (width, n) matrix, not {cols.ndim}-D")
         width, n = cols.shape
-        if lf is not None and not (isinstance(lf, np.ndarray) and lf.shape == cols.shape
-                                   and np.issubdtype(lf.dtype, np.integer)):
-            got = f"{lf.dtype} {lf.shape}" if isinstance(lf, np.ndarray) else type(lf).__name__
+        if _lf is not None and not (isinstance(_lf, np.ndarray) and _lf.shape == cols.shape
+                                    and np.issubdtype(_lf.dtype, np.integer)):
+            got = f"{_lf.dtype} {_lf.shape}" if isinstance(_lf, np.ndarray) else type(_lf).__name__
             raise PbwtIndexError(f"lf must be an integer array of the codes' shape {cols.shape}, not {got}")
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
         owner = cols
         while isinstance(owner, np.ndarray):
             owner = owner.base
-        # a C-ordered uint8 view of a whole bytes object, such as the loader's
-        # inflated section, already is the column bytes: keep it, not a copy
-        whole = (type(owner) is bytes and len(owner) == cols.nbytes and cols.dtype == np.uint8
+        if isinstance(owner, memoryview):  # np.frombuffer's base for a bytearray
+            owner = owner.obj
+        # a C-ordered uint8 view of a whole bytes or bytearray object, such as
+        # the sweep's columns or the loader's unpacked section, already is the
+        # column bytes: keep it, not a copy
+        whole = (type(owner) in (bytes, bytearray) and len(owner) == cols.nbytes and cols.dtype == np.uint8
                  and cols.flags.c_contiguous)
         self._bytes = owner if whole else np.asarray(cols, np.uint8).tobytes()
         self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
+        self.cols.flags.writeable = False
         self.n = n
         self.sigma = sigma
-        self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if lf is None else lf
+        self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if _lf is None else _lf
         # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
-        self._lf = memoryview(self.lf.reshape(-1))
+        self._flat_lf = memoryview(self.lf.reshape(-1))
 
     @property
     def base(self) -> np.ndarray:
@@ -173,7 +180,7 @@ class PbwtMatrix:
         holds no ``a`` takes :meth:`step`, so a step reads O(``BLOCK``) bytes
         at any n.
         """
-        find, rfind, lf, step = self._bytes.find, self._bytes.rfind, self._lf, self.step
+        find, rfind, lf, step = self._bytes.find, self._bytes.rfind, self._flat_lf, self.step
         n = self.n
         f, l = 0, n - 1
         for j, a in zip(columns, ranks):
@@ -216,7 +223,7 @@ def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -
 
     No column is gathered or sorted again, and the checkpoints wait for the first step.
     """
-    return PbwtMatrix(cols, collection.alphabet.sigma, lf)
+    return PbwtMatrix(cols, collection.alphabet.sigma, _lf=lf)
 
 
 def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:

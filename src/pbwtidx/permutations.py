@@ -62,14 +62,15 @@ def build_permutations(collection: StringCollection,
                        keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """The collection's (length, n) uint8 PBWT columns, their LF mapping and
     pi_j for each ``j`` in ``keep``, from one :func:`radix_sweep` that
-    gathers each column from the strings."""
-    codes = collection.codes
-    cols = np.empty((collection.length, collection.n), np.uint8)
+    gathers each column from the strings.  The columns view a whole
+    ``bytearray``, which :class:`~pbwtidx.pbwt.PbwtMatrix` keeps without a copy."""
+    codes, length, n = collection.codes, collection.length, collection.n
+    cols = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
     def gather(j, pi):
         return np.take(codes[:, j], pi, out=cols[j])
 
-    return cols, *radix_sweep(collection.n, collection.length, gather, keep=keep)
+    return cols, *radix_sweep(n, length, gather, keep=keep)
 
 
 def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:

@@ -376,6 +376,10 @@ def test_build_from_stdin(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out.startswith(f"n={len(DEMO_TEXT)} ")
     assert main(["dump", "bwt", "--index", out]) == 0
     assert capsys.readouterr().out == DEMO_BWT + "\n"
+    # and the help of both flags says so
+    with pytest.raises(SystemExit):
+        main(["build", "--help"])
+    assert " ".join(capsys.readouterr().out.split()).count("; - for stdin") == 2
 
 
 def test_build_non_ascii_stdin_under_strict_utf8(tmp_path):

@@ -99,34 +99,55 @@ def _patched(blob: bytes, at: int, new: bytes) -> bytes:
     return _sealed(body[:at] + new + body[at + len(new):])
 
 
-def _deflated(codes: bytes) -> bytes:
+def _deflated(packed: bytes) -> bytes:
     deflate = zlib.compressobj(1, zlib.DEFLATED, 15, 9, zlib.Z_RLE)
-    return deflate.compress(codes) + deflate.flush()
+    return deflate.compress(packed) + deflate.flush()
 
 
 def _inflated(blob: bytes, start: int) -> bytes:
-    """The codes of the section that starts at ``start`` and runs to the checksum."""
+    """The packed codes of the section that starts at ``start`` and runs to the checksum."""
     return zlib.decompress(blob[start:-4])
 
 
-def _recoded(blob: bytes, start: int, at: int, new: bytes) -> bytes:
-    """``blob`` with its code section inflated, the codes at ``at`` replaced,
-    deflated again and the checksum recomputed."""
-    codes = _inflated(blob, start)
-    return _sealed(blob[:start] + _deflated(codes[:at] + new + codes[at + len(new):]))
+def _packed(codes: bytes, width: int) -> bytes:
+    """``codes`` packed the slow way: ``8 // width`` to a byte, the first in
+    the high bits, the last byte padded with zero bits."""
+    per = 8 // width
+    codes += bytes(-len(codes) % per)
+    return bytes(sum(c << 8 - width * (k + 1) for k, c in enumerate(codes[at : at + per]))
+                 for at in range(0, len(codes), per))
+
+
+def _unpacked(packed: bytes, count: int, width: int) -> bytes:
+    per, mask = 8 // width, (1 << width) - 1
+    return bytes(byte >> 8 - width * (k + 1) & mask for byte in packed for k in range(per))[:count]
+
+
+def _recoded(blob: bytes, start: int, count: int, at: int, new: bytes) -> bytes:
+    """``blob`` with its 2-bit code section unpacked, the codes at ``at``
+    replaced, packed and deflated again and the checksum recomputed."""
+    codes = _unpacked(_inflated(blob, start), count, 2)
+    return _sealed(blob[:start] + _deflated(_packed(codes[:at] + new + codes[at + len(new):], 2)))
 
 
 # 3 strings of length 8 over ACGT; sampled(2) keeps pi_0, pi_2, pi_4, pi_6, pi_8
 POSITIONAL = px.to_bytes(px.build_index(px.from_strings(["GATTACAT", "TAGAGATA", "CATCACAT"]),
                                         px.StoragePolicy.sampled(2)))
 SUBSTRING = px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5))
+# over ACG, whose 3 symbols pack at 2 bits, so a code section can hold the code 3
+POSITIONAL_ACG = px.to_bytes(px.build_index(px.from_strings(["GACCA", "CAGAG"], px.Alphabet("ACG"))))
+SUBSTRING_ACG = px.to_bytes(px.fm_build(px.SentinelText("GAGACCAG", px.Alphabet("ACG"))))
+# 7 codes of 2 bits leave 2 padding bits in the last byte
+SUBSTRING_PADDED = px.to_bytes(px.fm_build(px.SentinelText("GATTACA", px.Alphabet())))
 # header: magic (8), mode (1), u16 symbol count, "ACGT", "$"; payloads start at 16
 HEADER = 16
 POLICY_TAG = HEADER + 8
 PBWT_COLUMNS = HEADER + 13
-BWT = HEADER + 8
-POSITIONAL_CODES = _inflated(POSITIONAL, PBWT_COLUMNS)
-SUBSTRING_CODES = _inflated(SUBSTRING, BWT)
+SENTINEL_ROW = HEADER + 8
+BWT = HEADER + 12
+POSITIONAL_PACKED = _inflated(POSITIONAL, PBWT_COLUMNS)
+POSITIONAL_CODES = _unpacked(POSITIONAL_PACKED, 24, 2)
+PADDED_PACKED = _inflated(SUBSTRING_PADDED, BWT)
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -136,25 +157,31 @@ SUBSTRING_CODES = _inflated(SUBSTRING, BWT)
     pytest.param(_patched(POSITIONAL, POLICY_TAG + 1, bytes(4)), "stride 0", id="sampled-stride-0"),
     pytest.param(_sealed(_patched(POSITIONAL, HEADER + 4, bytes(4))[:PBWT_COLUMNS] + _deflated(b"")),
                  "empty collection", id="length-0"),
-    pytest.param(_recoded(POSITIONAL, PBWT_COLUMNS, 0, b"\x04"), "PBWT columns holds rank code 4",
+    # ACG's headers are one byte shorter than ACGT's
+    pytest.param(_recoded(POSITIONAL_ACG, PBWT_COLUMNS - 1, 10, 0, b"\x03"), "PBWT columns holds rank code 3",
                  id="pbwt-column-code"),
     pytest.param(_sealed(POSITIONAL[:-4] + b"\x00"), "1 trailing bytes", id="positional-trailing"),
     pytest.param(_patched(SUBSTRING, HEADER + 4, bytes(4)), "stride 0", id="sa-stride-0"),
-    pytest.param(_recoded(SUBSTRING, BWT, 0, b"\x05"), "invalid substring index: .* rank code 5, not below 5",
-                 id="bwt-code"),
-    pytest.param(_recoded(SUBSTRING, BWT, 0, b"\x01"), "not a BWT", id="bwt-counts"),
-    # swapping BWT rows 8 and 9 splits the LF cycle; a locate walk never reached a sample
-    pytest.param(_recoded(SUBSTRING, BWT, 8, SUBSTRING_CODES[9:7:-1]), "not a BWT", id="bwt-swap"),
+    pytest.param(_recoded(SUBSTRING_ACG, BWT - 1, 8, 0, b"\x03"),
+                 "invalid substring index: .* rank code 4, not below 4", id="bwt-code"),
+    pytest.param(_recoded(SUBSTRING, BWT, 12, 0, b"\x00"), "not a BWT", id="bwt-counts"),
+    # the sentinel one row on swaps BWT rows 8 and 9, which splits the LF cycle;
+    # a locate walk never reached a sample
+    pytest.param(_patched(SUBSTRING, SENTINEL_ROW, struct.pack("<I", 9)), "not a BWT", id="bwt-swap"),
+    pytest.param(_patched(SUBSTRING, SENTINEL_ROW, struct.pack("<I", 13)), "sentinel row 13, not below 13",
+                 id="sentinel-row"),
     pytest.param(_sealed(SUBSTRING[:-4] + b"\x00"), "1 trailing bytes", id="substring-trailing"),
-    pytest.param(_sealed(SUBSTRING[:HEADER] + struct.pack("<II", 0, 5) + _deflated(b"\x00")), "non-empty text",
+    pytest.param(_sealed(SUBSTRING[:HEADER] + struct.pack("<III", 0, 5, 0) + _deflated(b"")), "non-empty text",
                  id="substring-empty"),
-    # a code section that is not one deflate stream of exactly n x L codes
-    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + _deflated(POSITIONAL_CODES[:-1])),
-                 "inflates to 23 bytes, not 24", id="inflates-short"),
-    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + _deflated(POSITIONAL_CODES + b"\x00")),
-                 "inflates to more than 24 bytes", id="inflates-past"),
-    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + POSITIONAL_CODES), "not deflate data", id="not-deflate"),
+    # a code section that is not one deflate stream of exactly the packed n x L codes
+    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + _deflated(POSITIONAL_PACKED[:-1])),
+                 "inflates to 5 bytes, not 6", id="inflates-short"),
+    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + _deflated(POSITIONAL_PACKED + b"\x00")),
+                 "inflates to more than 6 bytes", id="inflates-past"),
+    pytest.param(_sealed(POSITIONAL[:PBWT_COLUMNS] + POSITIONAL_PACKED), "not deflate data", id="not-deflate"),
     pytest.param(_sealed(POSITIONAL[:-5]), "ends inside its deflate stream", id="stream-cut"),
+    pytest.param(_sealed(SUBSTRING_PADDED[:BWT] + _deflated(PADDED_PACKED[:-1] + bytes([PADDED_PACKED[-1] | 1]))),
+                 "non-zero padding bits", id="padding-bits"),
     # row counts the int32 LF mapping cannot hold, refused before the section is read
     pytest.param(_patched(POSITIONAL, HEADER, struct.pack("<I", 2**31)), "2147483648 rows do not fit",
                  id="positional-n-2**31"),
@@ -165,8 +192,9 @@ SUBSTRING_CODES = _inflated(SUBSTRING, BWT)
     pytest.param(b"PBWTIDX1" + POSITIONAL[8:], "PBWTIDX1.*rebuild", id="version-1"),
     pytest.param(b"PBWTIDX2" + POSITIONAL[8:], "PBWTIDX2.*rebuild", id="version-2"),
     pytest.param(b"PBWTIDX3" + POSITIONAL[8:], "PBWTIDX3.*rebuild", id="version-3"),
+    pytest.param(b"PBWTIDX4" + POSITIONAL[8:], "PBWTIDX4.*rebuild", id="version-4"),
     # a valid edit (another PBWT column order) that was not resealed
-    pytest.param(_recoded(POSITIONAL, PBWT_COLUMNS, 0, POSITIONAL_CODES[1::-1])[:-4] + POSITIONAL[-4:],
+    pytest.param(_recoded(POSITIONAL, PBWT_COLUMNS, 24, 0, POSITIONAL_CODES[1::-1])[:-4] + POSITIONAL[-4:],
                  "corrupt or truncated", id="checksum"),
 ])
 def test_corrupt_file_raises_index_error(blob, message):
@@ -256,26 +284,31 @@ def test_to_bytes_rejects_fields_beyond_u32(fig1):
 
 
 # the worked examples' index files: the header byte for byte, and the code
-# section as it inflates, which is what PBWTIDX3 stored as it was; any change
-# to the sweep or the format that alters either fails here.  Another zlib
-# build may deflate the codes to other valid bytes, so those are only
-# required to inflate to the codes and to be written again on a round trip.
+# section as it inflates, which is its codes packed 4 to a byte; any change to
+# the sweep or the format that alters either fails here.  Another zlib build
+# may deflate the packed codes to other valid bytes, so those are only
+# required to inflate to them and to be written again on a round trip.  The
+# packed codes unpack to the PBWT columns (FIG1_PBWT) and, around the header's
+# sentinel row 8, to the demo text's BWT (DEMO_BWT), as PBWTIDX4 stored them.
 FIG1_PBWT = ("03030302010200000001000003000000030002030103030003010000000000030303020202000001"
              "010101000000000003010302000000010300030000010303")
+DEMO_BWT = "04040402030301010001010401"
 GOLDEN_FILES = {
-    "full": ("5042575449445834010400414347542408000000080000000000000000", FIG1_PBWT),
-    "sampled": ("5042575449445834010400414347542408000000080000000102000000", FIG1_PBWT),
-    "none": ("5042575449445834010400414347542408000000080000000200000000", FIG1_PBWT),
-    "fm": ("504257544944583402040041434754240c00000005000000", "04040402030301010001010401"),
+    "full": ("5042575449445835010400414347542408000000080000000000000000", "fe6010c0cb7cd003fa815400de01cc1f"),
+    "sampled": ("5042575449445835010400414347542408000000080000000102000000", "fe6010c0cb7cd003fa815400de01cc1f"),
+    "none": ("5042575449445835010400414347542408000000080000000200000000", "fe6010c0cb7cd003fa815400de01cc1f"),
+    "fm": ("504257544944583502040041434754240c0000000500000008000000", "fda00c"),
 }
 
 
-def _check_golden(blob: bytes, name: str):
-    head, codes = (bytes.fromhex(part) for part in GOLDEN_FILES[name])
+def _check_golden(blob: bytes, name: str) -> bytes:
+    """Check ``blob`` against its golden file; returns its codes, unpacked."""
+    head, packed = (bytes.fromhex(part) for part in GOLDEN_FILES[name])
     assert blob[: len(head)] == head
     assert zlib.crc32(blob[:-4]) == int.from_bytes(blob[-4:], "little")
-    assert _inflated(blob, len(head)) == codes
+    assert _inflated(blob, len(head)) == packed
     assert px.to_bytes(px.from_bytes(blob)) == blob
+    return _unpacked(packed, 4 * len(packed), 2)
 
 
 @pytest.mark.parametrize("name, policy", [("full", px.StoragePolicy.full()),
@@ -283,12 +316,15 @@ def _check_golden(blob: bytes, name: str):
                                           ("none", px.StoragePolicy.no_perms())])
 def test_fig1_index_file_is_golden(name, policy):
     index = px.build_index(px.from_strings(FIG1_STRINGS), policy)
-    _check_golden(px.to_bytes(index), name)
+    assert _check_golden(px.to_bytes(index), name).hex() == FIG1_PBWT
     assert bytes(index.cols).hex() == FIG1_PBWT
 
 
 def test_demo_text_index_file_is_golden():
-    _check_golden(px.to_bytes(px.fm_build(px.SentinelText(DEMO_TEXT, px.Alphabet()), 5)), "fm")
+    index = px.fm_build(px.SentinelText(DEMO_TEXT, px.Alphabet()), 5)
+    codes = bytes(c + 1 for c in _check_golden(px.to_bytes(index), "fm")[: index.n])
+    assert (codes[:8] + b"\x00" + codes[8:]).hex() == DEMO_BWT
+    assert bytes(index.bwt_codes).hex() == DEMO_BWT
 
 
 @pytest.mark.parametrize("index", [
@@ -306,3 +342,34 @@ def test_edge_shape_files_round_trip_byte_for_byte(index):
     loaded = px.from_bytes(blob)
     assert px.to_bytes(loaded) == blob
     assert _agrees_with_oracle(loaded)
+
+
+@pytest.mark.parametrize("sigma, width", [(1, 1), (2, 1), (3, 2), (4, 2), (5, 4), (16, 4), (17, 8)])
+def test_codes_pack_at_their_width_and_round_trip(sigma, width):
+    """Both modes pack symbol ranks at 1, 2, 4 or 8 bits, the first code of a
+    byte in its high bits, for code counts that fill the last byte and
+    counts that leave padding; loading unpacks the same codes."""
+    symbols = "ABCDEFGHIJKLMNOPQ"[:sigma]
+    alphabet = px.Alphabet(symbols)
+    rng = random.Random(sigma)
+    # the header is the magic, the mode, a u16 symbol count, the symbols and the sentinel
+    header = 12 + sigma
+    for n, length in [(1, 1), (1, 7), (3, 1), (2, 3), (5, 3), (7, 9), (33, 5)]:
+        strings = ["".join(rng.choice(symbols) for _ in range(length)) for _ in range(n)]
+        index = px.build_index(px.from_strings(strings, alphabet), px.StoragePolicy.full())
+        blob = px.to_bytes(index)
+        assert _inflated(blob, header + 13) == _packed(bytes(index.cols), width)
+        loaded = px.from_bytes(blob)
+        assert bytes(loaded.cols) == bytes(index.cols) and list(loaded.collection.strings) == strings
+        assert px.to_bytes(loaded) == blob
+    for size in (1, 2, 3, 5, 7, 9, 33):
+        text = "".join(rng.choice(symbols) for _ in range(size))
+        index = px.fm_build(px.SentinelText(text, alphabet))
+        blob = px.to_bytes(index)
+        sentinel = bytes(index.bwt_codes).index(0)
+        assert blob[header + 8 : header + 12] == struct.pack("<I", sentinel)
+        ranks = bytes(c - 1 for c in np.delete(index.bwt_codes, sentinel))
+        assert _inflated(blob, header + 12) == _packed(ranks, width)
+        loaded = px.from_bytes(blob)
+        assert loaded.bwt == index.bwt and loaded.text == text
+        assert px.to_bytes(loaded) == blob

@@ -180,16 +180,31 @@ def test_checkpoints_are_built_on_the_first_step_and_kept():
 
 
 def test_codes_viewing_whole_bytes_are_kept_without_a_copy():
-    """The loader's inflated section becomes the matrix's column bytes; a view
-    of part of a bytes object, or out of order, is copied."""
-    data = bytes([0, 1, 2, 3, 3, 2, 1, 0])
-    codes = np.frombuffer(data, np.uint8)
-    assert px.PbwtMatrix(codes.reshape(2, 4), 4)._bytes is data
-    bwt = bytes([1, 0])
-    assert px.FmIndex(px.Alphabet("A"), np.frombuffer(bwt, np.uint8)).matrix._bytes is bwt
-    for view in (codes[:4].reshape(1, 4), codes[::-1].reshape(2, 4), codes.reshape(4, 2).T):
-        matrix = px.PbwtMatrix(view, 4)
-        assert matrix._bytes is not data and matrix._bytes == np.ascontiguousarray(view).tobytes()
+    """The build's sweep columns and the loader's unpacked section become the
+    matrix's column bytes, whether a ``bytes`` or a ``bytearray`` holds them;
+    a view of part of a buffer, or out of order, is copied, and ``cols`` is
+    read-only either way."""
+    for owner in (bytes, bytearray):
+        data = owner([0, 1, 2, 3, 3, 2, 1, 0])
+        codes = np.frombuffer(data, np.uint8)
+        matrix = px.PbwtMatrix(codes.reshape(2, 4), 4)
+        assert matrix._bytes is data and not matrix.cols.flags.writeable
+        bwt = owner([1, 0])
+        fm = px.FmIndex(px.Alphabet("A"), np.frombuffer(bwt, np.uint8))
+        assert fm.matrix._bytes is bwt and not fm.bwt_codes.flags.writeable
+        for view in (codes[:4].reshape(1, 4), codes[::-1].reshape(2, 4), codes.reshape(4, 2).T):
+            matrix = px.PbwtMatrix(view, 4)
+            assert matrix._bytes is not data and matrix._bytes == np.ascontiguousarray(view).tobytes()
+            assert not matrix.cols.flags.writeable
+
+
+def test_built_and_loaded_columns_are_kept_without_a_copy(fig1):
+    """The sweep writes the columns into the bytearray that the matrix keeps,
+    and the loader unpacks a file's codes into one."""
+    for index in (px.build_index(fig1), px.from_bytes(px.to_bytes(px.build_index(fig1))),
+                  px.from_bytes(px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5)))):
+        assert type(index.matrix._bytes) is bytearray
+        assert not index.matrix.cols.flags.writeable
 
 
 def test_lf_rank_walk_composed_with_perms_is_identity():
@@ -235,8 +250,8 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
     for lf, got in (([[1, 0]], "list"), (np.zeros((1, 5), np.int32), r"int32 \(1, 5\)"),
                     (np.array([[1.0, 0.0]]), r"float64 \(1, 2\)")):
         with pytest.raises(PbwtIndexError, match=rf"lf must be an integer array of the codes' shape \(1, 2\), not {got}"):
-            px.PbwtMatrix(cols, 4, lf)
-    assert px.PbwtMatrix(cols, 4, np.array([[0, 1]], np.int32)).lf.tolist() == [[0, 1]]
+            px.PbwtMatrix(cols, 4, _lf=lf)
+    assert px.PbwtMatrix(cols, 4, _lf=np.array([[0, 1]], np.int32)).lf.tolist() == [[0, 1]]
     # the positional index checks its columns before the inversion's uint8
     # scatter would wrap -1 to 255 and 256 to 0, or truncate 0.5 to 0
     refused = [
