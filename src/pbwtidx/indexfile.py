@@ -14,7 +14,7 @@ Layout (common header, then one payload per mode, then a checksum):
     substring payload:
         n (text), stride    u32, u32
         sentinel row        u32, the BWT row that holds the sentinel, at most n
-        bwt codes           one zlib stream of the other n rows' packed symbol ranks 0..sigma-1
+        bwt ranks           one zlib stream of the other n rows' packed symbol ranks 0..sigma-1
 
     crc32           u32      zlib.crc32 of every preceding byte
 
@@ -23,13 +23,15 @@ b = ``(sigma - 1).bit_length()`` bits (at least 1), rounded up to 1, 2, 4
 or 8, so 8 // b to a byte: ACGT packs 4 to a byte in both modes.  The
 first code of a byte is in its high bits, and the last byte is padded
 with zero bits.  A BWT holds exactly one sentinel, so its row is a header
-field and the rows around it store their symbol ranks, one below their BWT
-codes (sentinel 0, symbols 1..sigma).  The packed codes are deflated with
-the run-length strategy (``Z_RLE``, level 1): a PBWT column of related
-strings, like a BWT, is made of long runs of one symbol, and a run of
-packed codes is a run of bytes, which matches at distance 1 encode.  The
-code section runs to the checksum.  Another zlib build may write other
-valid deflate bytes for the same codes; what they inflate to is fixed.
+field and the rows around it store their symbol ranks: this stored form
+is :func:`pbwtidx.fm.stored_bwt` of the index, and
+:func:`pbwtidx.fm.bwt_from_stored` turns it back into the BWT.  The packed
+codes are deflated with the run-length strategy (``Z_RLE``, level 1): a
+PBWT column of related strings, like a BWT, is made of long runs of one
+symbol, and a run of packed codes is a run of bytes, which matches at
+distance 1 encode.  The code section runs to the checksum.  Another zlib
+build may write other valid deflate bytes for the same codes; what they
+inflate to is fixed.
 
 A file holds only the transform, and the loader hands it to the index's
 constructor, which derives the rest: :class:`PositionalIndex` inverts the PBWT
@@ -42,8 +44,10 @@ row count fits the int32 LF mapping, the alphabet, the sentinel row, that the
 code section is one deflate stream inflating to exactly the packed codes the
 header counts and nothing after it, that its padding bits are zero, code
 ranges, and that the BWT holds one sentinel and one LF cycle, and raises
-:class:`PbwtIndexError` on any failure.  The codes are unpacked into the
-``bytearray`` that the index keeps as its column bytes, without a copy.
+:class:`PbwtIndexError` on any failure.  A positional index keeps the
+``bytearray`` that its codes are unpacked into as its column bytes, and a
+substring index the one that :func:`pbwtidx.fm.bwt_from_stored` writes,
+each without a copy.
 """
 
 import struct
@@ -53,7 +57,7 @@ import numpy as np
 
 from .alphabet import Alphabet
 from .errors import PbwtIndexError
-from .fm import FmIndex
+from .fm import FmIndex, bwt_from_stored, stored_bwt
 from .pbwt import check_rows
 from .positional import PositionalIndex, StoragePolicy
 
@@ -95,16 +99,15 @@ def _pack(codes: np.ndarray, width: int) -> bytes:
     return spread.astype(np.uint8).tobytes()
 
 
-def _unpack(packed: bytes, width: int, out: np.ndarray, offset: int = 0):
-    """Write the codes that :func:`_pack` packed, each plus ``offset`` and
-    held at 255, into ``out``, a C-ordered uint8 array of their count.
+def _unpack(packed: bytes, width: int, out: np.ndarray):
+    """Write the codes that :func:`_pack` packed into ``out``, a C-ordered
+    uint8 array of their count.
 
     A 256-row table holds the ``per = 8 // width`` codes of every byte, and
     one ``take`` per chunk gathers its rows as ``per``-byte integers.
     """
     per = 8 // width
-    table = np.arange(256)[:, None] >> np.arange(8 - width, -1, -width) & (1 << width) - 1
-    table = np.minimum(table + offset, 255).astype(np.uint8)
+    table = (np.arange(256)[:, None] >> np.arange(8 - width, -1, -width) & (1 << width) - 1).astype(np.uint8)
     wide = table.view(f"u{per}").reshape(256)
     full = out.shape[0] // per
     rows, flat = np.frombuffer(packed, np.uint8), out[: full * per].view(wide.dtype)
@@ -135,12 +138,10 @@ class _Reader:
     def unpack(self, fmt: str):
         return struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
 
-    def codes(self, count: int, width: int, offset: int = 0, spare: int = 0) -> np.ndarray:
+    def codes(self, count: int, width: int) -> np.ndarray:
         """The rest of the body, a deflated section of ``count`` codes packed
-        at ``width`` bits, unpacked, each plus ``offset``, into the first
-        ``count`` bytes of a new ``bytearray`` ``spare`` bytes longer, which
-        the returned uint8 array views whole; the index constructors check
-        the codes.
+        at ``width`` bits, unpacked into a new ``bytearray``, which the
+        returned uint8 array views; the index constructors check the codes.
 
         One byte past the packed size is the most ever inflated: a stream
         that inflates too far is found without inflating all of it, and a
@@ -165,8 +166,8 @@ class _Reader:
         padding = size * 8 - count * width
         if padding and packed[-1] & (1 << padding) - 1:
             raise PbwtIndexError("index file's code section has non-zero padding bits")
-        codes = np.frombuffer(bytearray(count + spare), np.uint8)
-        _unpack(packed, width, codes[:count], offset)
+        codes = np.frombuffer(bytearray(count), np.uint8)
+        _unpack(packed, width, codes)
         return codes
 
 
@@ -176,12 +177,11 @@ def to_bytes(index) -> bytes:
         _check_u32(n=index.n, length=index.length, stride=policy.stride or 0)
         head = (_header(MODE_POSITIONAL, index.alphabet)
                 + struct.pack("<IIBI", index.n, index.length, _POLICY_TAGS[policy.kind], policy.stride or 0))
-        codes = np.frombuffer(index.matrix._bytes, np.uint8)
+        codes = index.cols.reshape(-1)
     elif isinstance(index, FmIndex):
         _check_u32(n=index.n, stride=index.stride)
-        sentinel = index.matrix._bytes.find(0)
+        sentinel, codes = stored_bwt(index)
         head = _header(MODE_SUBSTRING, index.alphabet) + struct.pack("<III", index.n, index.stride, sentinel)
-        codes = np.delete(index.bwt_codes, sentinel) - 1
     else:
         raise TypeError(f"cannot serialize {type(index).__name__}")
     body = head + _deflated(codes, _code_width(index.alphabet.sigma))
@@ -204,7 +204,7 @@ def _header(mode: int, alphabet: Alphabet) -> bytes:
 def from_bytes(data: bytes):
     magic = data[: len(MAGIC)]
     if magic in OLD_MAGICS:
-        raise PbwtIndexError(f"index file uses the old {magic.decode()} format; rebuild it with this version")
+        raise PbwtIndexError(f"index file uses the old {bytes(magic).decode()} format; rebuild it with this version")
     if magic != MAGIC:
         raise PbwtIndexError("not a pbwtidx index file (bad magic)")
     body = memoryview(data)[:-4]
@@ -246,10 +246,8 @@ def _read_substring(r: _Reader, alphabet: Alphabet) -> FmIndex:
     check_rows(n + 1)
     if sentinel > n:
         raise PbwtIndexError(f"index file has sentinel row {sentinel}, not below {n + 1}")
-    # the rows around the sentinel's hold their symbol ranks plus one
-    bwt_codes = r.codes(n, _code_width(alphabet.sigma), offset=1, spare=1)
-    bwt_codes[sentinel + 1 :] = bwt_codes[sentinel:n]
-    bwt_codes[sentinel] = 0
+    # the ranks' buffer is freed before the index is built
+    bwt_codes = bwt_from_stored(sentinel, r.codes(n, _code_width(alphabet.sigma)))
     try:
         return FmIndex(alphabet, bwt_codes, stride)
     except PbwtIndexError as exc:

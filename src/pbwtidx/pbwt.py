@@ -73,8 +73,8 @@ class PbwtMatrix:
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
       :func:`build_pbwt`, whose sweep has sorted the columns, hands it in
-      through the private ``_lf``, whose values are not checked; otherwise
-      a sweep over the columns derives it.
+      through the private ``_lf``, which is not checked; otherwise a sweep
+      over the columns derives it.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -98,10 +98,6 @@ class PbwtMatrix:
         if cols.ndim != 2:
             raise PbwtIndexError(f"codes must be a (width, n) matrix, not {cols.ndim}-D")
         width, n = cols.shape
-        if _lf is not None and not (isinstance(_lf, np.ndarray) and _lf.shape == cols.shape
-                                    and np.issubdtype(_lf.dtype, np.integer)):
-            got = f"{_lf.dtype} {_lf.shape}" if isinstance(_lf, np.ndarray) else type(_lf).__name__
-            raise PbwtIndexError(f"lf must be an integer array of the codes' shape {cols.shape}, not {got}")
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
         owner = cols

@@ -120,6 +120,41 @@ def test_criterion_6_column_collapse(alphabet):
     return f"201 texts, {elapsed:.2f} s"
 
 
+@_report("6c", "prefix search at k = 0 over the padded suffixes of T$ answers as substring search on T")
+def test_criterion_6c_prefix_search_over_suffixes_is_substring_search():
+    # the paper's second step: each suffix of T$, padded on the right with $
+    # to n + 1 characters, is one string of a positional index whose $ is a
+    # symbol, the smallest; the padding follows the suffix's own $, so the
+    # strings sort as the suffixes do and the rows are the FM index's rows
+    rng = random.Random(616)
+    texts = [(DEMO_TEXT, "ACGT"), ("G", "ACGT"), ("AAAAA", "A"), ("GATAGATAGATA", "ACGT"), ("TTTTTTTT", "ACGT")]
+    texts += [("".join(rng.choices("ACGT", k=rng.randint(1, 40))), "ACGT") for _ in range(15)]
+    queries = 0
+    for text, symbols in texts:
+        n = len(text)
+        fm_index = px.fm_build(px.SentinelText(text, px.Alphabet(symbols)), rng.randint(1, 4))
+        terminated = text + "$"
+        suffixes = px.from_strings([terminated[p:].ljust(n + 1, "$") for p in range(n + 1)],
+                                   px.Alphabet("$" + symbols, sentinel="!"))
+        patterns = [p for m in (1, 2, 3) for p in _patterns(symbols, m)]
+        patterns += [text[p : p + rng.randint(4, 12)] for p in rng.choices(range(n), k=8)]
+        patterns += ["".join(rng.choices(symbols, k=rng.randint(4, 12))) for _ in range(4)]
+        expected = {}
+        for pattern in patterns:
+            interval = px.fm_count(fm_index, pattern)
+            expected[pattern] = interval, sorted(px.fm_locate(fm_index, interval))
+        for policy in (px.StoragePolicy.full(), px.StoragePolicy.sampled(2), px.StoragePolicy.no_perms()):
+            index = px.build_index(suffixes, policy)
+            for pattern in patterns:
+                if len(pattern) > n + 1:
+                    continue
+                for strategy in ("binary", "backward", "rebuild"):
+                    interval, matches, _ = px.query(index, pattern, 0, strategy)
+                    assert (interval, sorted(matches)) == expected[pattern], (text, pattern, policy, strategy)
+                    queries += 1
+    return f"{len(texts)} texts, {queries} queries"
+
+
 @_report(7, "stride-5 samples are text positions {0, 5, 10}; every locate walk < 5 LF steps")
 def test_criterion_7_sampling(demo_fm):
     assert sorted(sa_samples(demo_fm).values()) == [0, 5, 10]

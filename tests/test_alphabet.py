@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ def test_unknown_character(alphabet):
         alphabet.rank("N")
     with pytest.raises(UnknownCharacterError):
         alphabet.rank(alphabet.sentinel)
+    # more or less than one character, non-ASCII ones and what is no str
+    for c in ("AC", "", "\xe9", "\u20ac", b"A", 0, None, ["A"]):
+        with pytest.raises(UnknownCharacterError, match=re.escape(f"character {c!r} is not in alphabet 'ACGT'")):
+            alphabet.rank(c)
 
 
 def test_char_inverse(alphabet):

@@ -87,6 +87,19 @@ def _is_bwt(codes: str) -> bool:
     return any(row.endswith("$") and brute_bwt(row[:-1]) == codes for row in table)
 
 
+def test_stored_form_is_the_sentinel_row_and_the_other_rows_ranks():
+    # the sentinel's row is 1 for a one-character text, n when the text is its
+    # largest suffix ("TA"), and in between for the others
+    twenty = "ACDEFGHIKLMNPQRSTVWY"
+    for text, symbols in [("A", "ACGT"), ("TA", "ACGT"), (DEMO_TEXT, "ACGT"), ("AAAA", "A"), (twenty[::-2], twenty)]:
+        index = px.fm_build(px.SentinelText(text, px.Alphabet(symbols)))
+        sentinel, ranks = fm.stored_bwt(index)
+        assert sentinel == index.bwt.index("$")
+        assert ranks.dtype == np.uint8 and ranks.tolist() == [symbols.index(c) for c in index.bwt if c != "$"]
+        codes = fm.bwt_from_stored(sentinel, ranks)
+        assert codes.dtype == np.uint8 and np.array_equal(codes, index.bwt_codes)
+
+
 def test_fm_index_accepts_exactly_the_bwts():
     # every swap of two BWT rows keeps the symbol counts; the loader must
     # accept exactly the swaps that are the BWT of some text, and read that text

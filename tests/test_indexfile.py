@@ -148,6 +148,10 @@ BWT = HEADER + 12
 POSITIONAL_PACKED = _inflated(POSITIONAL, PBWT_COLUMNS)
 POSITIONAL_CODES = _unpacked(POSITIONAL_PACKED, 24, 2)
 PADDED_PACKED = _inflated(SUBSTRING_PADDED, BWT)
+# over 20 symbols, whose ranks pack at 8 bits, so its code section inflates to
+# the stored ranks themselves; its header is 16 bytes longer than ACGT's
+SUBSTRING_20 = px.to_bytes(px.fm_build(px.SentinelText("GATTACA", px.Alphabet("ACDEFGHIKLMNPQRSTVWY"))))
+RANKS_20 = _inflated(SUBSTRING_20, BWT + 16)
 
 
 @pytest.mark.parametrize("blob, message", [
@@ -171,6 +175,11 @@ PADDED_PACKED = _inflated(SUBSTRING_PADDED, BWT)
     pytest.param(_patched(SUBSTRING, SENTINEL_ROW, struct.pack("<I", 13)), "sentinel row 13, not below 13",
                  id="sentinel-row"),
     pytest.param(_sealed(SUBSTRING[:-4] + b"\x00"), "1 trailing bytes", id="substring-trailing"),
+    # stored ranks of 20 and above; a stored 255 shifts up to the sentinel's code 0
+    *(pytest.param(_sealed(SUBSTRING_20[:BWT + 16] + _deflated(bytes([rank]) + RANKS_20[1:])), message,
+                   id=f"bwt-rank-{rank}")
+      for rank, message in [(20, "rank code 21, not below 21"), (254, "rank code 255, not below 21"),
+                            (255, "hold 2 sentinels, not 1")]),
     pytest.param(_sealed(SUBSTRING[:HEADER] + struct.pack("<III", 0, 5, 0) + _deflated(b"")), "non-empty text",
                  id="substring-empty"),
     # a code section that is not one deflate stream of exactly the packed n x L codes
@@ -193,6 +202,9 @@ PADDED_PACKED = _inflated(SUBSTRING_PADDED, BWT)
     pytest.param(b"PBWTIDX2" + POSITIONAL[8:], "PBWTIDX2.*rebuild", id="version-2"),
     pytest.param(b"PBWTIDX3" + POSITIONAL[8:], "PBWTIDX3.*rebuild", id="version-3"),
     pytest.param(b"PBWTIDX4" + POSITIONAL[8:], "PBWTIDX4.*rebuild", id="version-4"),
+    pytest.param(bytearray(b"PBWTIDX4" + POSITIONAL[8:]), "PBWTIDX4.*rebuild", id="version-4-bytearray"),
+    # a memoryview's magic ended in AttributeError: a memoryview has no decode
+    pytest.param(memoryview(b"PBWTIDX4" + POSITIONAL[8:]), "PBWTIDX4.*rebuild", id="version-4-memoryview"),
     # a valid edit (another PBWT column order) that was not resealed
     pytest.param(_recoded(POSITIONAL, PBWT_COLUMNS, 24, 0, POSITIONAL_CODES[1::-1])[:-4] + POSITIONAL[-4:],
                  "corrupt or truncated", id="checksum"),

@@ -245,13 +245,6 @@ def test_lf_rank_refuses_codes_outside_the_alphabet():
         px.FmIndex(px.Alphabet(), [1, 0])
     with pytest.raises(PbwtIndexError, match="must be a numpy array, not list"):
         px.PbwtMatrix([[0, 1]], 4)
-    # an lf given as a list ended in AttributeError, and one of the wrong shape was kept
-    cols = np.array([[0, 1]], np.uint8)
-    for lf, got in (([[1, 0]], "list"), (np.zeros((1, 5), np.int32), r"int32 \(1, 5\)"),
-                    (np.array([[1.0, 0.0]]), r"float64 \(1, 2\)")):
-        with pytest.raises(PbwtIndexError, match=rf"lf must be an integer array of the codes' shape \(1, 2\), not {got}"):
-            px.PbwtMatrix(cols, 4, _lf=lf)
-    assert px.PbwtMatrix(cols, 4, _lf=np.array([[0, 1]], np.int32)).lf.tolist() == [[0, 1]]
     # the positional index checks its columns before the inversion's uint8
     # scatter would wrap -1 to 255 and 256 to 0, or truncate 0.5 to 0
     refused = [
