@@ -189,10 +189,8 @@ def _color_enabled() -> bool:
 
 
 def cmd_dump(args) -> int:
-    index = load_index(args.index)
+    index = _load(args.index, FmIndex if args.what == "bwt" else PositionalIndex)
     if args.what == "bwt":
-        if not isinstance(index, FmIndex):
-            raise ModeMismatchError("dump bwt needs a substring index")
         if _color_enabled():
             # a BWT character sits on the sampling grid exactly when its
             # LF image is a sampled row, mirroring the highlighted figures
@@ -201,8 +199,6 @@ def cmd_dump(args) -> int:
         else:
             print(index.bwt)
         return 0
-    if not isinstance(index, PositionalIndex):
-        raise ModeMismatchError(f"dump {args.what} needs a positional index")
     if args.what == "pi":
         for j in range(index.length):
             if j not in index.stored_perms:

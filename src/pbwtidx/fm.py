@@ -303,10 +303,11 @@ def stored_bwt(index: FmIndex) -> tuple[int, np.ndarray]:
 def bwt_from_stored(sentinel: int, ranks: np.ndarray) -> np.ndarray:
     """The BWT codes whose stored form (:func:`stored_bwt`) is ``sentinel``,
     a row at most n, and the n ``ranks``, as a uint8 array over a new
-    ``bytearray``, which :class:`FmIndex` keeps without a copy.  A rank of
-    255 becomes a second sentinel, which the index refuses."""
+    ``bytearray``, handed over read-only (:class:`PbwtMatrix` states the
+    rule).  A rank of 255 becomes a second sentinel, which the index refuses."""
     codes = np.frombuffer(bytearray(ranks.shape[0] + 1), np.uint8)
     codes[:sentinel], codes[sentinel + 1 :] = ranks[:sentinel] + 1, ranks[sentinel:] + 1
+    codes.setflags(write=False)
     return codes
 
 

@@ -44,10 +44,9 @@ row count fits the int32 LF mapping, the alphabet, the sentinel row, that the
 code section is one deflate stream inflating to exactly the packed codes the
 header counts and nothing after it, that its padding bits are zero, code
 ranges, and that the BWT holds one sentinel and one LF cycle, and raises
-:class:`PbwtIndexError` on any failure.  A positional index keeps the
-``bytearray`` that its codes are unpacked into as its column bytes, and a
-substring index the one that :func:`pbwtidx.fm.bwt_from_stored` writes,
-each without a copy.
+:class:`PbwtIndexError` on any failure.  The unpacked codes, and the BWT
+that :func:`pbwtidx.fm.bwt_from_stored` writes from them, are handed over
+to the index under :class:`~pbwtidx.pbwt.PbwtMatrix`'s rule, without a copy.
 """
 
 import struct
@@ -140,8 +139,9 @@ class _Reader:
 
     def codes(self, count: int, width: int) -> np.ndarray:
         """The rest of the body, a deflated section of ``count`` codes packed
-        at ``width`` bits, unpacked into a new ``bytearray``, which the
-        returned uint8 array views; the index constructors check the codes.
+        at ``width`` bits, unpacked into a new ``bytearray`` and handed over
+        read-only (:class:`~pbwtidx.pbwt.PbwtMatrix` states the rule); the
+        index constructors check the codes.
 
         One byte past the packed size is the most ever inflated: a stream
         that inflates too far is found without inflating all of it, and a
@@ -168,6 +168,7 @@ class _Reader:
             raise PbwtIndexError("index file's code section has non-zero padding bits")
         codes = np.frombuffer(bytearray(count), np.uint8)
         _unpack(packed, width, codes)
+        codes.setflags(write=False)
         return codes
 
 

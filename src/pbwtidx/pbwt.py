@@ -86,10 +86,13 @@ class PbwtMatrix:
     The columns are kept as one ``bytes`` or ``bytearray`` object, whose
     ``count`` is the in-block scan and whose ``find`` and ``rfind`` give
     :meth:`backward` the rows at an interval's ends, and ``cols`` is a
-    read-only view of it.  Codes that already view a whole ``bytes`` or
-    ``bytearray`` object in order are kept without a copy: the build's
-    sweep and the loader write the columns into a buffer that they hand
-    over and no longer write to.
+    read-only view of it.  The hand-over rule: codes that are a read-only,
+    C-ordered uint8 view of a whole ``bytearray`` are handed over, and the
+    matrix keeps that view as ``cols`` without a copy; the code producers
+    (the build's sweep, the loader and :func:`pbwtidx.fm.bwt_from_stored`)
+    make their columns so.  Any other array, a writable one included, is
+    copied into ``bytes``, so a caller who writes to it later changes no
+    answer.
     """
 
     def __init__(self, cols: np.ndarray, sigma: int, *, _lf: np.ndarray | None = None):
@@ -105,14 +108,10 @@ class PbwtMatrix:
             owner = owner.base
         if isinstance(owner, memoryview):  # np.frombuffer's base for a bytearray
             owner = owner.obj
-        # a C-ordered uint8 view of a whole bytes or bytearray object, such as
-        # the sweep's columns or the loader's unpacked section, already is the
-        # column bytes: keep it, not a copy
-        whole = (type(owner) in (bytes, bytearray) and len(owner) == cols.nbytes and cols.dtype == np.uint8
-                 and cols.flags.c_contiguous)
+        whole = (type(owner) is bytearray and len(owner) == cols.nbytes and type(cols) is np.ndarray
+                 and cols.dtype == np.uint8 and cols.flags.c_contiguous and not cols.flags.writeable)
         self._bytes = owner if whole else np.asarray(cols, np.uint8).tobytes()
-        self.cols = np.frombuffer(self._bytes, np.uint8).reshape(width, n)
-        self.cols.flags.writeable = False
+        self.cols = cols if whole else np.frombuffer(self._bytes, np.uint8).reshape(width, n)
         self.n = n
         self.sigma = sigma
         self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if _lf is None else _lf

@@ -62,15 +62,17 @@ def build_permutations(collection: StringCollection,
                        keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
     """The collection's (length, n) uint8 PBWT columns, their LF mapping and
     pi_j for each ``j`` in ``keep``, from one :func:`radix_sweep` that
-    gathers each column from the strings.  The columns view a whole
-    ``bytearray``, which :class:`~pbwtidx.pbwt.PbwtMatrix` keeps without a copy."""
+    gathers each column from the strings.  The columns are handed over
+    read-only, as :class:`~pbwtidx.pbwt.PbwtMatrix` states."""
     codes, length, n = collection.codes, collection.length, collection.n
     cols = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
     def gather(j, pi):
         return np.take(codes[:, j], pi, out=cols[j])
 
-    return cols, *radix_sweep(n, length, gather, keep=keep)
+    lf, perms = radix_sweep(n, length, gather, keep=keep)
+    cols.setflags(write=False)  # a flags.writeable store keeps 57 B per array on numpy 2.4
+    return cols, lf, perms
 
 
 def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:

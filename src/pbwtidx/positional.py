@@ -90,8 +90,8 @@ class PositionalIndex:
 
     One sweep inverts ``cols`` to ``collection``, the LF mapping that
     ``matrix`` holds and ``stored_perms``, pi_j for each column of
-    ``policy.stored_columns(length)``; ``cols`` becomes a read-only view of
-    ``matrix.cols``.  The columns determine the collection, so equality
+    ``policy.stored_columns(length)``; ``cols`` becomes ``matrix.cols``,
+    which is read-only.  The columns determine the collection, so equality
     compares the alphabet, the policy and the collection.
     """
 

@@ -170,8 +170,11 @@ def test_dump_bwt_color_never(demo_idx, capsys, monkeypatch):
 
 
 def test_dump_mode_mismatch(fig1_idx, demo_idx, capsys):
-    assert main(["dump", "bwt", "--index", fig1_idx]) == 2
-    assert main(["dump", "pbwt", "--index", demo_idx]) == 2
+    for what, idx, built in [("bwt", fig1_idx, "positional"), ("pbwt", demo_idx, "substring"),
+                             ("pi", demo_idx, "substring")]:
+        assert main(["dump", what, "--index", idx]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: index was built for {built} queries\n"
 
 
 def test_query_positional_trace_and_results(fig1_idx, capsys):

@@ -97,7 +97,7 @@ def test_stored_form_is_the_sentinel_row_and_the_other_rows_ranks():
         assert sentinel == index.bwt.index("$")
         assert ranks.dtype == np.uint8 and ranks.tolist() == [symbols.index(c) for c in index.bwt if c != "$"]
         codes = fm.bwt_from_stored(sentinel, ranks)
-        assert codes.dtype == np.uint8 and np.array_equal(codes, index.bwt_codes)
+        assert codes.dtype == np.uint8 and np.array_equal(codes, index.bwt_codes) and not codes.flags.writeable
 
 
 def test_fm_index_accepts_exactly_the_bwts():

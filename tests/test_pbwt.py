@@ -179,23 +179,62 @@ def test_checkpoints_are_built_on_the_first_step_and_kept():
     assert fm.matrix.base is vars(fm.matrix)["_base"]
 
 
-def test_codes_viewing_whole_bytes_are_kept_without_a_copy():
-    """The build's sweep columns and the loader's unpacked section become the
-    matrix's column bytes, whether a ``bytes`` or a ``bytearray`` holds them;
-    a view of part of a buffer, or out of order, is copied, and ``cols`` is
-    read-only either way."""
-    for owner in (bytes, bytearray):
-        data = owner([0, 1, 2, 3, 3, 2, 1, 0])
-        codes = np.frombuffer(data, np.uint8)
-        matrix = px.PbwtMatrix(codes.reshape(2, 4), 4)
-        assert matrix._bytes is data and not matrix.cols.flags.writeable
-        bwt = owner([1, 0])
-        fm = px.FmIndex(px.Alphabet("A"), np.frombuffer(bwt, np.uint8))
-        assert fm.matrix._bytes is bwt and not fm.bwt_codes.flags.writeable
-        for view in (codes[:4].reshape(1, 4), codes[::-1].reshape(2, 4), codes.reshape(4, 2).T):
-            matrix = px.PbwtMatrix(view, 4)
-            assert matrix._bytes is not data and matrix._bytes == np.ascontiguousarray(view).tobytes()
-            assert not matrix.cols.flags.writeable
+def test_only_a_read_only_view_of_a_whole_bytearray_is_kept_without_a_copy():
+    """The hand-over rule: a read-only, C-ordered uint8 view of a whole
+    ``bytearray`` becomes the matrix's ``cols`` as it is.  A writable view,
+    a view of ``bytes``, a view of part of a buffer or out of order, and an
+    ndarray subclass are copied into ``bytes``, and ``cols`` is a read-only
+    ndarray either way."""
+    data = bytearray([0, 1, 2, 3, 3, 2, 1, 0])
+    handed = np.frombuffer(data, np.uint8).reshape(2, 4)
+    handed.flags.writeable = False
+    matrix = px.PbwtMatrix(handed, 4)
+    assert matrix._bytes is data and matrix.cols is handed
+    bwt = bytearray([1, 0])
+    bwt_codes = np.frombuffer(bwt, np.uint8)
+    bwt_codes.flags.writeable = False
+    fm = px.FmIndex(px.Alphabet("A"), bwt_codes)
+    assert fm.matrix._bytes is bwt and not fm.bwt_codes.flags.writeable
+    codes, frozen = np.frombuffer(data, np.uint8), bytes(data)
+    read_only = codes.view()
+    read_only.flags.writeable = False
+    for view in (codes.reshape(2, 4), np.frombuffer(frozen, np.uint8).reshape(2, 4),
+                 read_only[:4].reshape(1, 4), read_only[::-1].reshape(2, 4), read_only.reshape(4, 2).T,
+                 read_only.reshape(2, 4).view(type("Subclass", (np.ndarray,), {}))):
+        matrix = px.PbwtMatrix(view, 4)
+        assert type(matrix._bytes) is bytes and matrix._bytes is not frozen
+        assert matrix._bytes == np.ascontiguousarray(view).tobytes() and not matrix.cols.flags.writeable
+        assert type(matrix.cols) is np.ndarray
+    for codes in (np.frombuffer(bytearray(bwt), np.uint8), np.frombuffer(bytes(bwt), np.uint8)):
+        fm = px.FmIndex(px.Alphabet("A"), codes)
+        assert type(fm.matrix._bytes) is bytes and not fm.bwt_codes.flags.writeable
+
+
+def test_indexes_made_from_a_callers_writable_codes_ignore_later_writes(fig1):
+    """A matrix or index made from an array its caller can still write
+    answers from its own copy: zeroing the array afterwards changes no
+    search, locate or decoded BWT."""
+    cols = np.frombuffer(bytearray(px.build_index(fig1).cols.tobytes()), np.uint8).reshape(fig1.length, fig1.n)
+    matrix = px.PbwtMatrix(cols, fig1.alphabet.sigma)
+    indexes = [px.PositionalIndex(fig1.alphabet, cols, policy) for policy in storage_policies(fig1.n, fig1.length)]
+    st = px.SentinelText("GATTAGATACAT", px.Alphabet())
+    bwt_codes = np.frombuffer(bytearray(px.fm_build(st).bwt_codes.tobytes()), np.uint8)
+    fm = px.FmIndex(st.alphabet, bwt_codes, 3)
+    cols[:] = 0
+    bwt_codes[:] = 0
+    perms = perm_table(fig1)
+    for pattern in all_patterns("ACGT", 3):
+        for k in range(fig1.length - len(pattern) + 1):
+            expected = px.naive_positional(fig1, pattern, k)
+            ranks = fig1.alphabet.encode(pattern).tobytes()[::-1]
+            interval = matrix.backward(range(k + len(pattern) - 1, k - 1, -1), ranks)
+            assert sorted(perms[k][interval.f : interval.l + 1].tolist()) == expected
+            for index in indexes:
+                for strategy in STRATEGIES:
+                    assert sorted(px.query(index, pattern, k, strategy)[1]) == expected
+        interval = px.fm_count(fm, pattern)
+        assert sorted(px.fm_locate(fm, interval)) == px.naive_substring(st.text, pattern)
+    assert fm.bwt == "TTTCGGAA$AATA" and fm.text == st.text
 
 
 def test_built_and_loaded_columns_are_kept_without_a_copy(fig1):

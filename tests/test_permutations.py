@@ -28,6 +28,12 @@ def test_single_string(alphabet):
     assert perms[1].tolist() == [0]
 
 
+def test_columns_are_handed_over_read_only(fig1):
+    cols = px.build_permutations(fig1, ())[0]
+    assert not cols.flags.writeable and cols.flags.c_contiguous and cols.dtype == np.uint8
+    assert px.build_pbwt(fig1, cols, px.build_permutations(fig1, ())[1]).cols is cols
+
+
 def test_column_counts_fig1(fig1, fig1_matrix):
     # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T; the C-arrays are
     # the first checkpoint of PbwtMatrix.base and the column totals its last
