@@ -31,6 +31,21 @@ def check_codes(codes: np.ndarray, limit: int, what: str):
         raise RankOutOfRangeError(f"{what} holds rank code {codes.max()}, not below {limit}")
 
 
+def handed_over(codes) -> bytearray | None:
+    """The ``bytearray`` that ``codes`` views whole, when ``codes`` is a
+    read-only, C-ordered uint8 ndarray, and None otherwise: the one kind of
+    code array that an index keeps without a copy
+    (:class:`~pbwtidx.pbwt.PbwtMatrix` states the rule)."""
+    owner = codes
+    while isinstance(owner, np.ndarray):
+        owner = owner.base
+    if isinstance(owner, memoryview):  # np.frombuffer's base for a bytearray
+        owner = owner.obj
+    whole = (type(owner) is bytearray and len(owner) == codes.nbytes and type(codes) is np.ndarray
+             and codes.dtype == np.uint8 and codes.flags.c_contiguous and not codes.flags.writeable)
+    return owner if whole else None
+
+
 def as_int(value, error: type[Exception], message: str, least: int | None = None) -> int:
     """``value`` as an ``int``: any integer, a numpy one of any width included, but not a bool.
     Anything else, or an integer below ``least``, raises ``error(message.format(value))``."""

@@ -194,7 +194,7 @@ def cmd_dump(args) -> int:
         if _color_enabled():
             # a BWT character sits on the sampling grid exactly when its
             # LF image is a sampled row, mirroring the highlighted figures
-            sampled = (index.sampled_pos[index.matrix.lf[0]] >= 0).tolist()
+            sampled = (index.sampled_pos[index.lf] >= 0).tolist()
             print("".join(f"{_RED}{c}{_RESET}" if hit else c for c, hit in zip(index.bwt, sampled)))
         else:
             print(index.bwt)

@@ -5,7 +5,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .alphabet import Alphabet, check_codes
+from .alphabet import Alphabet, check_codes, handed_over
 from .errors import EmptyInputError, IndexOutOfRangeError, RaggedCollectionError, UnknownCharacterError
 
 
@@ -16,9 +16,13 @@ class StringCollection:
     on first use.
 
     ``codes`` may be any 2-D integer matrix whose codes lie in [0, sigma);
-    it is kept as uint8 in column-major (Fortran) order, copied only when it
-    is not already, so each column is one contiguous read for the radix
-    passes, which gather whole columns.
+    it is kept as uint8 in column-major (Fortran) order, so each column is
+    one contiguous read for the radix passes, which gather whole columns.
+    It is kept without a copy only under :class:`~pbwtidx.pbwt.PbwtMatrix`'s
+    hand-over rule, as the transpose of a read-only view of a whole
+    ``bytearray`` (:func:`~pbwtidx.pbwt.invert_pbwt` makes its codes so);
+    any other matrix is copied into a read-only array, so a caller who
+    writes to it later changes no answer.
     """
 
     alphabet: Alphabet
@@ -31,7 +35,10 @@ class StringCollection:
         if codes.ndim != 2:
             raise RaggedCollectionError(f"codes must be an (n, length) matrix, not {codes.ndim}-D")
         check_codes(codes, self.alphabet.sigma, "collection codes")
-        object.__setattr__(self, "codes", np.asfortranarray(codes, dtype=np.uint8))
+        if handed_over(codes.T) is None:
+            codes = np.array(codes, np.uint8, order="F")
+            codes.setflags(write=False)
+        object.__setattr__(self, "codes", codes)
 
     def __eq__(self, other):
         if not isinstance(other, StringCollection):

@@ -127,7 +127,7 @@ def verify_column_collapse(st: SentinelText) -> bool:
             differ.append(j)
         return col
 
-    first = radix_sweep(size, size, shifted, keep=[0])[1][0]
+    first = radix_sweep(size, size, shifted, keep=[0])[0]
     radix_sweep(size, size, compared, first)
     return not differ
 
@@ -226,11 +226,13 @@ class FmIndex:
 
     ``bwt_codes`` holds the codes of the terminated text (``_SHIFT_UP``).
     ``matrix`` holds it as a one-column PBWT over ``sigma + 1`` codes,
-    and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.  Every
-    row's text position comes from the suffix array that :func:`fm_build`
-    hands over through the private ``_sa``, or else from ranking the LF
-    cycle of ``matrix.lf[0]`` (:func:`_rank_cycle`), which also checks
-    that the codes are a BWT.  From those positions come the text and
+    and ``bwt_codes`` becomes a read-only view of ``matrix.cols[0]``.  The
+    matrix fills its one LF column on construction, and ``lf`` is
+    ``matrix.lf[0]``, which the count and the locate walk read with no
+    check.  Every row's text position comes from the suffix array that
+    :func:`fm_build` hands over through the private ``_sa``, or else from
+    ranking the LF cycle (:func:`_rank_cycle`), which also checks that the
+    codes are a BWT.  From those positions come the text and
     ``sampled_pos[r]``, the text position of row ``r`` when it lies on the
     sampling grid and -1 otherwise.  ``stride`` may be any integer, a numpy
     one included, but not a bool, and is held as an ``int``.
@@ -241,6 +243,7 @@ class FmIndex:
     stride: int = 1
     text: str = field(init=False, repr=False)
     matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
+    lf: np.ndarray = field(init=False, repr=False, compare=False)
     sampled_pos: np.ndarray = field(init=False, repr=False, compare=False)
     _sa: InitVar[np.ndarray | None] = field(default=None, kw_only=True)  # the suffix array: text position per row
 
@@ -254,7 +257,7 @@ class FmIndex:
         if self.bwt_codes.shape[0] < 2:
             raise PbwtIndexError("the BWT codes are not a BWT of a non-empty text")
         matrix = PbwtMatrix(self.bwt_codes[None, :], self.alphabet.sigma + 1)
-        bwt = matrix.cols[0]
+        bwt, lf = matrix.cols[0], matrix.lf[0]
         pos = _rank_cycle(matrix) if _sa is None else _sa
         # the row at text position p holds the code at p - 1
         ext = np.empty_like(bwt)
@@ -262,6 +265,7 @@ class FmIndex:
         object.__setattr__(self, "bwt_codes", bwt)
         object.__setattr__(self, "text", self.alphabet.decode(ext[:-1] - 1))
         object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "lf", lf)
         object.__setattr__(self, "sampled_pos", np.where(pos % self.stride == 0, pos, -1))
 
     @property
@@ -367,7 +371,7 @@ def locate_with_steps(index: FmIndex, interval: Interval) -> tuple[list[int], li
         return [], []
     f, l = index.matrix.check_interval(interval)
     rows = np.arange(f, l + 1, dtype=np.int64)
-    pos, steps = _lf_walk(rows, index.matrix.lf[0], index.sampled_pos)
+    pos, steps = _lf_walk(rows, index.lf, index.sampled_pos)
     return [int(p) for p in pos], [int(d) for d in steps]
 
 

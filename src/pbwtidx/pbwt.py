@@ -9,9 +9,10 @@ int32 ``lf`` array for walking a row with its own symbol (locate, inversion)
 and int32 checkpoints every 64 rows for any other symbol.  The backward step
 needs both: the first and last rows of the interval that hold the pattern's
 symbol map through ``lf`` to the new interval, and an end with no such row
-within 64 rows takes a checkpoint instead.  ``lf`` comes from the
-right-to-left sweep of :mod:`pbwtidx.permutations`, which the build and
-:func:`invert_pbwt` run anyway.  The BWT is the PBWT of a text's cyclic
+within 64 rows takes a checkpoint instead.  A column's ``lf`` is the inverse
+of its stable sort, filled when a search first reads the column: a query
+reads only the columns its pattern and its locate walk cross, and a build, a
+save or a load reads none.  The BWT is the PBWT of a text's cyclic
 shifts, whose columns are all equal, so :mod:`pbwtidx.fm` holds it as a
 one-column :class:`PbwtMatrix`, whose :meth:`~PbwtMatrix.backward` search in
 column 0 is the FM count.
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import as_int, check_codes
+from .alphabet import as_int, check_codes, handed_over
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError, PbwtIndexError
 from .permutations import radix_sweep
@@ -72,9 +73,12 @@ class PbwtMatrix:
 
     * ``lf[j, r]`` is the value for the row's own symbol: the inverse of the
       column's stable sort, so a walk of many rows costs one gather per column.
-      :func:`build_pbwt`, whose sweep has sorted the columns, hands it in
-      through the private ``_lf``, which is not checked; otherwise a sweep
-      over the columns derives it.
+      Column ``j`` is filled from ``cols[j]`` the first time something reads
+      it, and one flag per column, in the ``bytearray`` ``_filled``, says
+      which are.  Each reader fills the span it reads once per call
+      (:meth:`fill`), never per step, and a read of ``lf`` fills them all.
+      The array is allocated by the first fill, so a build, a save or a load
+      allocates none.
     * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
       ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
       totals; :meth:`step` gives the value for any symbol and row from one
@@ -95,7 +99,7 @@ class PbwtMatrix:
     answer.
     """
 
-    def __init__(self, cols: np.ndarray, sigma: int, *, _lf: np.ndarray | None = None):
+    def __init__(self, cols: np.ndarray, sigma: int):
         if not isinstance(cols, (np.ndarray, np.generic)):
             raise PbwtIndexError(f"codes must be a numpy array, not {type(cols).__name__}")
         if cols.ndim != 2:
@@ -103,20 +107,42 @@ class PbwtMatrix:
         width, n = cols.shape
         check_rows(n)
         check_codes(cols, sigma, "code matrix")
-        owner = cols
-        while isinstance(owner, np.ndarray):
-            owner = owner.base
-        if isinstance(owner, memoryview):  # np.frombuffer's base for a bytearray
-            owner = owner.obj
-        whole = (type(owner) is bytearray and len(owner) == cols.nbytes and type(cols) is np.ndarray
-                 and cols.dtype == np.uint8 and cols.flags.c_contiguous and not cols.flags.writeable)
-        self._bytes = owner if whole else np.asarray(cols, np.uint8).tobytes()
-        self.cols = cols if whole else np.frombuffer(self._bytes, np.uint8).reshape(width, n)
+        owner = handed_over(cols)
+        if owner is None:
+            owner = np.asarray(cols, np.uint8).tobytes()
+            cols = np.frombuffer(owner, np.uint8).reshape(width, n)
+        self._bytes, self.cols = owner, cols
         self.n = n
         self.sigma = sigma
-        self.lf = radix_sweep(n, width, lambda j, pi: self.cols[j])[0] if _lf is None else _lf
-        # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
-        self._flat_lf = memoryview(self.lf.reshape(-1))
+        self._filled = bytearray(width)
+
+    def fill(self, lo: int, hi: int) -> np.ndarray:
+        """The (width, n) LF mapping, with columns ``lo..hi-1`` filled; the
+        others hold what they held.  Once every column is filled, the flat
+        memoryview ``_flat_lf`` is bound, and :meth:`backward` reads it
+        without a check."""
+        try:
+            lf = self._lf
+        except AttributeError:  # the first fill allocates the array
+            lf = self._lf = np.empty(self.cols.shape, np.int32)
+        filled = self._filled
+        j = filled.find(0, lo, hi)
+        if j < 0:
+            return lf
+        rows = np.arange(self.n, dtype=np.int32)
+        while j >= 0:
+            lf[j][np.argsort(self.cols[j], kind="stable")] = rows
+            filled[j] = 1
+            j = filled.find(0, j + 1, hi)
+        if filled.find(0) < 0:
+            # lf flat, at the offsets of _bytes; a view of the C-contiguous array, read as Python ints
+            self._flat_lf = memoryview(lf.reshape(-1))
+        return lf
+
+    @property
+    def lf(self) -> np.ndarray:
+        """The (width, n) int32 LF mapping, every column filled."""
+        return self.fill(0, self.cols.shape[0])
 
     @property
     def base(self) -> np.ndarray:
@@ -174,8 +200,17 @@ class PbwtMatrix:
         look for them within ``BLOCK`` rows of each end; an end whose window
         holds no ``a`` takes :meth:`step`, so a step reads O(``BLOCK``) bytes
         at any n.
+
+        ``columns`` descend, as a ``range``, unless every column is filled:
+        the search then fills columns ``columns[-1]`` to ``columns[0]`` before
+        its first step.  The FM index fills its one column on construction,
+        so its search, stepping ``repeat(0)``, checks nothing.
         """
-        find, rfind, lf, step = self._bytes.find, self._bytes.rfind, self._flat_lf, self.step
+        try:
+            lf = self._flat_lf
+        except AttributeError:
+            lf = memoryview(self.fill(columns[-1], columns[0] + 1).reshape(-1)) if columns else None
+        find, rfind, step = self._bytes.find, self._bytes.rfind, self.step
         n = self.n
         f, l = 0, n - 1
         for j, a in zip(columns, ranks):
@@ -208,33 +243,38 @@ class PbwtMatrix:
 
     def walk(self, rows: np.ndarray, k: int, h: int) -> np.ndarray:
         """Map rows in column ``k``'s order to column ``h`` <= ``k``, one gather per column."""
+        lf = self.fill(h, k)
         for j in range(k - 1, h - 1, -1):
-            rows = self.lf[j].take(rows)
+            rows = lf[j].take(rows)
         return rows
 
 
-def build_pbwt(collection: StringCollection, cols: np.ndarray, lf: np.ndarray) -> PbwtMatrix:
-    """Assemble the PBWT from the columns and the LF mapping that their sweep derived.
+def build_pbwt(collection: StringCollection, cols: np.ndarray) -> PbwtMatrix:
+    """Assemble the PBWT from the columns that the build's sweep gathered.
 
-    No column is gathered or sorted again, and the checkpoints wait for the first step.
+    No column is gathered or sorted again: each LF column is filled when a
+    search first reads it, and the checkpoints wait for the first step.
     """
-    return PbwtMatrix(cols, collection.alphabet.sigma, _lf=lf)
+    return PbwtMatrix(cols, collection.alphabet.sigma)
 
 
-def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """The collection whose PBWT columns are ``cols``, their LF mapping, and pi_j for each ``j`` in ``keep``.
+def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The collection whose PBWT columns are ``cols``, and pi_j for each ``j`` in ``keep``.
 
     The build's sweep run on its own output: column ``j`` lists the
     column-``j`` codes in pi_{j+1} order, so they scatter back to their
-    strings.  Returns the (n, length) column-major codes, the (length, n)
-    int32 ``lf`` and the kept permutations.  Any code matrix is the PBWT of
-    its inverse.
+    strings.  Returns the (n, length) column-major codes, the transpose of
+    a read-only view of a whole ``bytearray``, which a
+    :class:`~pbwtidx.collection.StringCollection` keeps without a copy, and
+    the kept permutations.  Any code matrix is the PBWT of its inverse.
     """
     length, n = cols.shape
-    codes = np.empty((length, n), np.uint8)
+    codes = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
     def scatter(j, pi):
         codes[j][pi] = cols[j]
         return cols[j]
 
-    return codes.T, *radix_sweep(n, length, scatter, keep=keep)
+    perms = radix_sweep(n, length, scatter, keep=keep)
+    codes.setflags(write=False)
+    return codes.T, perms

@@ -7,13 +7,14 @@ every pass is stable and the sweep is seeded with the identity.
 :func:`radix_sweep` is the paper's construction and the only loop that sorts
 a PBWT column.  It runs from pi_length, the seed, down to pi_0; pass ``j``
 stably sorts PBWT column ``j`` (the column-``j`` codes in pi_{j+1} order)
-once, and that one sort yields the column's LF mapping (the sort's inverse)
-and pi_j = pi_{j+1}[order].  A permutation outlives its pass only where the
-caller keeps it.  The caller supplies the column: the build gathers it from
-the strings (:func:`build_permutations`), an index made from its columns
-scatters it back (:func:`~pbwtidx.pbwt.invert_pbwt`), a :class:`~pbwtidx.pbwt.PbwtMatrix`
-handed no LF mapping reads its own columns, and the cyclic-shift check in
-:mod:`pbwtidx.fm` reads the shifts of the text, whose PBWT is the BWT.
+once and takes pi_j = pi_{j+1}[order].  A permutation outlives its pass only
+where the caller keeps it.  The caller supplies the column: the build
+gathers it from the strings (:func:`build_permutations`), an index made from
+its columns scatters it back (:func:`~pbwtidx.pbwt.invert_pbwt`), and the
+cyclic-shift check in :mod:`pbwtidx.fm` reads the shifts of the text, whose
+PBWT is the BWT.  The sort's inverse is the column's LF mapping, which
+:class:`~pbwtidx.pbwt.PbwtMatrix` fills from the column when a search first
+reads it, so the sweep writes none.
 
 :func:`rebuild_column` needs only the last permutation, so its radix digit
 is as many columns as fit in a uint64 beside a row rank (McIlroy, Bostic &
@@ -36,13 +37,11 @@ from .collection import StringCollection
 def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarray], seed=None, keep=()):
     """The right-to-left sweep over ``width`` columns of ``n`` rows.
 
-    ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  Returns
-    ``(lf, perms)``: the (width, n) int32 LF mapping and a dict holding the
-    int32 pi_j for each ``j`` in ``keep``, in that order, where pi_width is
-    ``seed`` (the identity when None) and ties keep its order.
+    ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  Returns a
+    dict holding the int32 pi_j for each ``j`` in ``keep``, in that order,
+    where pi_width is ``seed`` (the identity when None) and ties keep its
+    order.
     """
-    lf = np.empty((width, n), np.int32)
-    rows = np.arange(n, dtype=np.int32)
     # pi is intp: numpy casts any other index array on every gather and
     # scatter, which made the loader's sweep 12% slower with int32 at
     # 20 000 x 200
@@ -50,29 +49,26 @@ def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarr
     wanted, perms = set(keep), {}
     for j in range(width, -1, -1):
         if j < width:
-            order = np.argsort(column(j, pi), kind="stable")
-            lf[j][order] = rows
-            pi = pi.take(order)
+            pi = pi.take(np.argsort(column(j, pi), kind="stable"))
         if j in wanted:
             perms[j] = pi.astype(np.int32)
-    return lf, {j: perms[j] for j in keep}
+    return {j: perms[j] for j in keep}
 
 
-def build_permutations(collection: StringCollection,
-                       keep) -> tuple[np.ndarray, np.ndarray, dict[int, np.ndarray]]:
-    """The collection's (length, n) uint8 PBWT columns, their LF mapping and
-    pi_j for each ``j`` in ``keep``, from one :func:`radix_sweep` that
-    gathers each column from the strings.  The columns are handed over
-    read-only, as :class:`~pbwtidx.pbwt.PbwtMatrix` states."""
+def build_permutations(collection: StringCollection, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The collection's (length, n) uint8 PBWT columns and pi_j for each
+    ``j`` in ``keep``, from one :func:`radix_sweep` that gathers each column
+    from the strings.  The columns are handed over read-only, as
+    :class:`~pbwtidx.pbwt.PbwtMatrix` states."""
     codes, length, n = collection.codes, collection.length, collection.n
     cols = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
     def gather(j, pi):
         return np.take(codes[:, j], pi, out=cols[j])
 
-    lf, perms = radix_sweep(n, length, gather, keep=keep)
+    perms = radix_sweep(n, length, gather, keep=keep)
     cols.setflags(write=False)  # a flags.writeable store keeps 57 B per array on numpy 2.4
-    return cols, lf, perms
+    return cols, perms
 
 
 def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:

@@ -88,10 +88,10 @@ def default_stride(n: int) -> int:
 class PositionalIndex:
     """The PBWT columns, with the collection and everything else derived from them.
 
-    One sweep inverts ``cols`` to ``collection``, the LF mapping that
-    ``matrix`` holds and ``stored_perms``, pi_j for each column of
-    ``policy.stored_columns(length)``; ``cols`` becomes ``matrix.cols``,
-    which is read-only.  The columns determine the collection, so equality
+    One sweep inverts ``cols`` to ``collection`` and ``stored_perms``, pi_j
+    for each column of ``policy.stored_columns(length)``; ``cols`` becomes
+    ``matrix.cols``, which is read-only, and ``matrix`` fills each LF
+    column when a query first reads it.  The columns determine the collection, so equality
     compares the alphabet, the policy and the collection.
     """
 
@@ -101,7 +101,7 @@ class PositionalIndex:
     collection: StringCollection = field(init=False, repr=False)
     matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
     stored_perms: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
-    _sweep: InitVar[tuple | None] = field(default=None, kw_only=True)  # (collection, lf, stored_perms)
+    _sweep: InitVar[tuple | None] = field(default=None, kw_only=True)  # (collection, stored_perms)
 
     def __post_init__(self, _sweep):
         # checked before the inversion, whose uint8 scatter would wrap a bad code
@@ -114,10 +114,10 @@ class PositionalIndex:
         check_rows(self.n)
         check_codes(self.cols, self.alphabet.sigma, "PBWT columns")
         if _sweep is None:
-            codes, lf, stored = invert_pbwt(self.cols, self.policy.stored_columns(self.length))
-            _sweep = StringCollection(alphabet=self.alphabet, codes=codes), lf, stored
-        collection, lf, stored = _sweep
-        matrix = build_pbwt(collection, self.cols, lf)
+            codes, stored = invert_pbwt(self.cols, self.policy.stored_columns(self.length))
+            _sweep = StringCollection(alphabet=self.alphabet, codes=codes), stored
+        collection, stored = _sweep
+        matrix = build_pbwt(collection, self.cols)
         object.__setattr__(self, "cols", matrix.cols)
         object.__setattr__(self, "collection", collection)
         object.__setattr__(self, "matrix", matrix)
@@ -136,8 +136,8 @@ def build_index(collection: StringCollection, policy: StoragePolicy | None = Non
     """Build the PBWT in one right-to-left sweep that keeps only the permutation columns the policy keeps."""
     if policy is None:
         policy = StoragePolicy.sampled(default_stride(collection.n))
-    cols, lf, stored = build_permutations(collection, policy.stored_columns(collection.length))
-    return PositionalIndex(collection.alphabet, cols, policy, _sweep=(collection, lf, stored))
+    cols, stored = build_permutations(collection, policy.stored_columns(collection.length))
+    return PositionalIndex(collection.alphabet, cols, policy, _sweep=(collection, stored))
 
 
 def _check_span(index: PositionalIndex, m: int, k) -> int:
@@ -185,7 +185,8 @@ def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: byte
     ``first`` and the interval normalizes to empty.
     """
     window = index.collection.codes[:, k : k + len(key)]
-    lf_rows = [memoryview(index.matrix.lf[j]) for j in range(k - 1, h - 1, -1)]
+    lf = index.matrix.fill(h, k)
+    lf_rows = [memoryview(lf[j]) for j in range(k - 1, h - 1, -1)]
     pi = memoryview(pi_h)
     above = index.n
 
@@ -269,7 +270,7 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     if h == k:
         return pi_h[f : l + 1].tolist()
     # the walk's first gather is a slice of lf: rows f..l of column k map to lf[k-1, f..l]
-    rows = index.matrix.walk(index.matrix.lf[k - 1, f : l + 1], k - 1, h)
+    rows = index.matrix.walk(index.matrix.fill(k - 1, k)[k - 1, f : l + 1], k - 1, h)
     return pi_h.take(rows).tolist()
 
 

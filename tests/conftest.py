@@ -88,14 +88,13 @@ def demo_fm(alphabet):
 
 def perm_table(col: px.StringCollection) -> np.ndarray:
     """The (length+1, n) int32 table whose row ``j`` is pi_j, from one sweep keeping every column."""
-    perms = px.build_permutations(col, range(col.length + 1))[2]
+    perms = px.build_permutations(col, range(col.length + 1))[1]
     return np.stack([perms[j] for j in range(col.length + 1)])
 
 
 def build_matrix(col: px.StringCollection) -> px.PbwtMatrix:
     """The collection's PBWT, assembled from one sweep as ``build_index`` does."""
-    cols, lf, _ = px.build_permutations(col, ())
-    return px.build_pbwt(col, cols, lf)
+    return px.build_pbwt(col, px.build_permutations(col, ())[0])
 
 
 def storage_policies(n: int, length: int) -> list[px.StoragePolicy]:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pbwtidx as px
+from pbwtidx.alphabet import handed_over
 from pbwtidx.errors import (
     EmptyInputError,
     IndexOutOfRangeError,
@@ -113,7 +114,14 @@ def test_codes_are_checked_and_stored_as_uint8(alphabet):
         assert col == fig1
         assert px.build_index(col).matrix.cols.tobytes() == px.build_index(fig1).matrix.cols.tobytes()
     assert fig1 != FIG1_STRINGS and fig1.__eq__(FIG1_STRINGS) is NotImplemented
-    assert px.StringCollection(alphabet=alphabet, codes=fig1.codes).codes is fig1.codes
+    # only the transpose of a read-only view of a whole bytearray, which the loader
+    # makes, is kept without a copy; a caller's array, column-major or not, is copied
+    assert px.StringCollection(alphabet=alphabet, codes=fig1.codes).codes is not fig1.codes
+    handed = np.frombuffer(bytearray(fig1.codes.T.tobytes()), np.uint8).reshape(fig1.length, fig1.n)
+    handed.flags.writeable = False
+    codes = handed.T
+    assert px.StringCollection(alphabet=alphabet, codes=codes).codes is codes
+    assert handed_over(px.from_bytes(px.to_bytes(px.build_index(fig1))).collection.codes.T) is not None
     for codes in (np.array([[0, -1]]), np.array([[0, 4]]), np.array([[0, 1]], np.float64)):
         with pytest.raises(RankOutOfRangeError):
             px.StringCollection(alphabet=alphabet, codes=codes)

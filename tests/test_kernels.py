@@ -49,9 +49,9 @@ def radix_sweep_loops(codes, seed, sigma):
 def two_argsort_index(collection, policy):
     """Reference for :func:`px.build_index`: the construction that sorted every column twice.
 
-    Every pi_j goes into an (L+1, n) table, the PBWT columns are gathered
-    from it, and :class:`px.PbwtMatrix`, handed no ``lf``, sorts each column
-    again to derive it.  Returns the matrix and the kept permutations.
+    Every pi_j goes into an (L+1, n) table and the PBWT columns are gathered
+    from it; :class:`px.PbwtMatrix` sorts each column again when its ``lf``
+    is read.  Returns the matrix and the kept permutations.
     """
     codes = collection.codes
     n, length = codes.shape
@@ -97,12 +97,14 @@ def test_radix_sweep_impls_agree():
                 return ref_cols[j]
 
             for column in (gather, scatter):
-                lf, perms = radix_sweep(n, width, column, s, keep)
-                assert np.array_equal(lf, ref_lf) and lf.dtype == np.int32
+                perms = radix_sweep(n, width, column, s, keep)
                 assert list(perms) == keep
                 for j in keep:
                     assert perms[j].dtype == np.int32 and np.array_equal(perms[j], table[j])
             assert np.array_equal(cols, ref_cols) and np.array_equal(back.T, codes)
+            # each column's LF mapping, the inverse of its stable sort, as the matrix fills it
+            lf = px.PbwtMatrix(cols, sigma).lf
+            assert np.array_equal(lf, ref_lf) and lf.dtype == np.int32
 
 
 def _sweep_collections():
@@ -191,7 +193,7 @@ def test_numpy_backend_env_flag():
         "import pbwtidx; "
         "assert pbwtidx.kernel_backend == 'numpy'; "
         "col = pbwtidx.from_strings(['GATTACAT', 'TAGAGATA']); "
-        "perms = pbwtidx.build_permutations(col, [0])[2]; "
+        "perms = pbwtidx.build_permutations(col, [0])[1]; "
         "print(perms[0].tolist())"
     )
     out = subprocess.run(

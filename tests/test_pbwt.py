@@ -8,6 +8,7 @@ from pbwtidx.errors import (EmptyInputError, IndexOutOfRangeError, PbwtIndexErro
                             UnknownCharacterError)
 from pbwtidx.fm import locate_with_steps
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
+from pbwtidx import positional
 from pbwtidx.positional import STRATEGIES
 
 from conftest import (EDGE_COLLECTIONS, FIG1_STRINGS, PBWT_MATRIX, all_patterns, build_matrix, occ, perm_table,
@@ -50,9 +51,12 @@ def test_column_content_property():
 
 def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
     keep = list(range(fig1.length + 1))
-    codes, lf, perms = invert_pbwt(fig1_matrix.cols, keep)
+    codes, perms = invert_pbwt(fig1_matrix.cols, keep)
     assert np.array_equal(codes, fig1.codes)
-    assert np.array_equal(lf, fig1_matrix.lf)
+    lf = px.PbwtMatrix(fig1_matrix.cols, fig1.alphabet.sigma).lf
+    for j in range(fig1.length):
+        # LF takes row r of pi_{j+1} order to the row of the same string in pi_j order
+        assert np.array_equal(fig1_perms[j][lf[j]], fig1_perms[j + 1])
     assert list(perms) == keep
     for j in keep:
         assert np.array_equal(perms[j], fig1_perms[j])
@@ -179,6 +183,64 @@ def test_checkpoints_are_built_on_the_first_step_and_kept():
     assert fm.matrix.base is vars(fm.matrix)["_base"]
 
 
+def _filled(matrix) -> list[int]:
+    return [j for j, flag in enumerate(matrix._filled) if flag]
+
+
+def test_lf_columns_are_filled_on_first_read_and_kept():
+    """A build, a save and a load fill no LF column and allocate no LF array;
+    a query fills the columns its search and its locate walk read, and no
+    other; a read of ``lf`` fills every column, and a filled column keeps
+    its values.  The FM index fills its one column on construction."""
+    col = px.from_strings(FIG1_STRINGS)
+    index = px.build_index(col, px.StoragePolicy.sampled(3))  # stores pi_0, pi_3, pi_6, pi_8
+    loaded = px.from_bytes(px.to_bytes(index))
+    for matrix in (index.matrix, loaded.matrix):
+        assert _filled(matrix) == [] and "_lf" not in vars(matrix) and "_flat_lf" not in vars(matrix)
+    fm = px.from_bytes(px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5)))
+    assert _filled(fm.matrix) == [0] and "_flat_lf" in vars(fm.matrix)
+    truth, blob = build_matrix(col).lf, px.to_bytes(index)
+    # backward fills columns [k, k + m), and locate's walk [h, k) down to the stored column h
+    for k, m, h in ((4, 2, 3), (1, 3, 0), (7, 1, 6), (0, 1, 0), (6, 2, 6)):
+        fresh = px.from_bytes(blob)
+        assert positional._pi_source(fresh, k)[0] == h
+        assert px.query(fresh, FIG1_STRINGS[0][k : k + m], k)[1]
+        assert _filled(fresh.matrix) == list(range(h, k + m)) and "_flat_lf" not in vars(fresh.matrix)
+        for j in range(h, k + m):
+            assert np.array_equal(fresh.matrix._lf[j], truth[j])
+    # binary's probes walk columns [h, k) and read the rest from the collection
+    binary = px.from_bytes(blob)
+    px.query(binary, "TA", 5, "binary")
+    assert _filled(binary.matrix) == [3, 4]
+    lf = loaded.matrix.lf
+    assert _filled(loaded.matrix) == list(range(8)) and np.array_equal(lf, truth)
+    assert lf is loaded.matrix.lf and "_flat_lf" in vars(loaded.matrix)
+
+
+def test_answers_after_a_load_in_any_query_order():
+    """Every strategy under every policy answers as the brute-force scan does
+    on a loaded index, whatever order the queries fill its LF columns in:
+    each position from k = 0 to k = L - m, n = 1, L = 1, a one-symbol
+    alphabet, and random collections."""
+    rng = random.Random(71)
+    cases = [(px.from_strings(strings, px.Alphabet(symbols)), symbols) for strings, symbols in EDGE_COLLECTIONS]
+    cases += [(random_collection(rng, max_n=20, max_len=10), None) for _ in range(6)]
+    for col, symbols in cases:
+        symbols = symbols or col.alphabet.symbols
+        queries = []
+        for pattern in all_patterns(symbols, min(2, col.length))[1:]:
+            for k in range(col.length - len(pattern) + 1):
+                queries += [(pattern, k, strategy) for strategy in STRATEGIES]
+        for policy in storage_policies(col.n, col.length):
+            blob = px.to_bytes(px.build_index(col, policy))
+            for _ in range(2):
+                loaded = px.from_bytes(blob)
+                rng.shuffle(queries)
+                for pattern, k, strategy in queries:
+                    assert sorted(px.query(loaded, pattern, k, strategy)[1]) == px.naive_positional(col, pattern, k)
+                assert _filled(loaded.matrix) == list(range(col.length))
+
+
 def test_only_a_read_only_view_of_a_whole_bytearray_is_kept_without_a_copy():
     """The hand-over rule: a read-only, C-ordered uint8 view of a whole
     ``bytearray`` becomes the matrix's ``cols`` as it is.  A writable view,
@@ -235,6 +297,21 @@ def test_indexes_made_from_a_callers_writable_codes_ignore_later_writes(fig1):
         interval = px.fm_count(fm, pattern)
         assert sorted(px.fm_locate(fm, interval)) == px.naive_substring(st.text, pattern)
     assert fm.bwt == "TTTCGGAA$AATA" and fm.text == st.text
+
+
+def test_collections_made_from_a_callers_writable_codes_ignore_later_writes(fig1):
+    """A collection copies a caller's column-major codes, so zeroing them after
+    the build changes no answer of any strategy under any policy."""
+    codes = np.array(fig1.codes, order="F")
+    col = px.StringCollection(alphabet=fig1.alphabet, codes=codes)
+    indexes = [px.build_index(col, policy) for policy in storage_policies(fig1.n, fig1.length)]
+    codes[:] = 0
+    for pattern in all_patterns("ACGT", 3)[1:]:
+        for k in range(fig1.length - len(pattern) + 1):
+            expected = px.naive_positional(fig1, pattern, k)
+            for index in indexes:
+                for strategy in STRATEGIES:
+                    assert sorted(px.query(index, pattern, k, strategy)[1]) == expected
 
 
 def test_built_and_loaded_columns_are_kept_without_a_copy(fig1):

@@ -381,7 +381,7 @@ def test_locate_reads_pi_k_in_rank_order_at_and_above_the_source():
 
 
 def test_build_sweeps_once(monkeypatch):
-    # build_index hands its sweep's collection, lf and kept permutations to
+    # build_index hands its sweep's collection and kept permutations to
     # the index, which would otherwise invert the columns it was just given
     def refuse(*_):
         raise AssertionError("the build inverted its own columns")
@@ -396,16 +396,39 @@ def test_build_sweeps_once(monkeypatch):
             assert sorted(px.query(index, pattern, k)[1]) == px.naive_positional(col, pattern, k)
 
 
+def _traced_peak(make):
+    """``make()`` and the peak bytes that tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        made = make()
+        return made, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _panel_20000x200() -> px.StringCollection:
+    codes = np.random.default_rng(20000).integers(0, 4, (20000, 200), dtype=np.uint8)
+    return px.StringCollection(alphabet=px.Alphabet(), codes=codes)
+
+
 def test_build_memory_keeps_only_the_stored_columns():
     # a byte count, not a timer: the build that held every pi_j in one
     # (L+1) x n int32 array and gathered the columns from it peaked at 41.6 MB
-    # here; one sweep needs lf (16 MB), the columns and the kept pi_j
-    codes = np.random.default_rng(20000).integers(0, 4, (20000, 200), dtype=np.uint8)
-    col = px.StringCollection(alphabet=px.Alphabet(), codes=codes)
-    tracemalloc.start()
-    try:
-        index = px.build_index(col)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * index.matrix.lf.nbytes
+    # here, and the sweep that also wrote the 16 MB lf at 21.7 MB.  One sweep
+    # that writes no lf needs the columns (4 MB) and the kept pi_j (1.2 MB):
+    # 5.6 MB measured with numpy 2.4, bounded with 25% headroom over the two
+    col = _panel_20000x200()
+    index, peak = _traced_peak(lambda: px.build_index(col))
+    assert "_lf" not in vars(index.matrix)
+    assert peak < 1.25 * (index.cols.nbytes + sum(pi.nbytes for pi in index.stored_perms.values()))
+
+
+def test_load_memory_holds_no_lf():
+    # a byte count, not a timer: the load that also wrote the 16 MB lf peaked
+    # at 25.7 MB.  Without it the peak is the unpack: the 4 MB columns, the
+    # 1 MB packed codes and the 8 MB index array one chunk's take casts to,
+    # 13.0 MB measured with numpy 2.4, bounded with 23% headroom
+    blob = px.to_bytes(px.build_index(_panel_20000x200()))
+    loaded, peak = _traced_peak(lambda: px.from_bytes(blob))
+    assert "_lf" not in vars(loaded.matrix)
+    assert peak < 16e6
