@@ -8,20 +8,22 @@ diagonals of the unsorted shift matrix), so every backward walk ends within
 one stride.
 
 Building takes O(n) memory and O(lg n) rounds of whole-array numpy
-operations: the shifts are sorted by prefix doubling over integer ranks (one
-O(n log n) sort per round), and the sorted order, the suffix array, gives
-every row its text position.  A loaded BWT has no suffix array, so the loader
-ranks each row by its distance along the LF cycle with a sparse ruling set
-(Helman & JaJa 2001), O(n) work: one ruler in each block of rows, at an
-offset hashed from the block so that no repeat in the text lines the rulers
-up, a lockstep walk from every ruler to the next, then pointer jumping over
-the rulers alone.  The index holds the BWT as a one-column
-:class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that class's PBWT backward
-search with every step in column 0: each step reads the LF values of the
-first and last rows of the interval that hold the symbol, found by a byte
-search of at most 64 rows from each end (a checkpoint lookup and a short
-byte count where that window holds none), and each locate step one read of
-the int32 LF mapping.
+operations: the shifts are sorted by prefix doubling over integer ranks, from
+a first key that packs the first s symbols of each shift into one int64 (s =
+32 at 1 bit per code, 16 for ACGT, at least 4) without sorting, then one
+O(n log n) sort per round, at most 1 + ceil(lg(n / s)) sorts.  The sorted
+order, the suffix array, gives every row its text position.  A loaded BWT
+has no suffix array, so the loader ranks each row by its distance along the
+LF cycle with a sparse ruling set (Helman & JaJa 2001), O(n) work: one ruler
+in each block of rows, at an offset hashed from the block so that no repeat
+in the text lines the rulers up, a lockstep walk from every ruler to the
+next, then pointer jumping over the rulers alone.  The index holds the BWT
+as a one-column :class:`~pbwtidx.pbwt.PbwtMatrix`, so counting is that
+class's PBWT backward search with every step in column 0: each step reads
+the LF values of the first and last rows of the interval that hold the
+symbol, found by a byte search of at most 64 rows from each end (a
+checkpoint lookup and a short byte count where that window holds none), and
+each locate step one read of the int32 LF mapping.
 
 Conventions: rank codes are uint8, the LF mapping is int32, and text
 positions are int64.
@@ -77,18 +79,30 @@ class SentinelText:
 def sorted_rotations(st: SentinelText) -> np.ndarray:
     """Start positions of the cyclic shifts of the terminated text, in lexicographic order.
 
-    Prefix doubling over integer ranks (Manber & Myers 1993): each round sorts
-    the shifts by the pair (rank of the first k symbols, rank of the next k)
-    and re-ranks them, so the ranks order ever longer prefixes.  The sentinel
-    is unique and smallest, so cyclic order equals suffix order, and the loop
-    stops once every rank is distinct: after the sort by single symbols, at
-    most ceil(lg(n+1)) doubling rounds (an all-equal text is the worst case).
-    The radix-based cyclic-shift PBWT in :func:`verify_column_collapse` is an
-    independent cross-check, and :func:`pbwtidx.oracle.naive_sorted_rotations`
-    the brute-force reference.
+    Prefix doubling over integer ranks (Manber & Myers 1993).  The first key
+    packs the codes of the first s symbols of each shift, b bits each, where
+    b is the bit width of the largest code and s the largest power of two
+    with s * b <= 62 (32 symbols at 1 bit, 16 of ACGT at 3 bits, 4 at 8
+    bits): doubling shifts and ORs in the key s shifts on, with no sort.
+    Each round then sorts the shifts by their key and re-ranks them, and the
+    next key is the pair (rank of the first k symbols, rank of the next k),
+    so the ranks order ever longer prefixes.  The sentinel is unique and
+    smallest, so cyclic order equals suffix order, and the loop stops once
+    every rank is distinct, which the first n symbols always make them: at
+    most 1 + ceil(lg(n / s)) sorts (one when s >= n; an all-equal text is
+    the worst case).  The radix-based cyclic-shift PBWT in
+    :func:`verify_column_collapse` is an independent cross-check, and
+    :func:`pbwtidx.oracle.naive_sorted_rotations` the brute-force reference.
     """
     key = st._ext.astype(np.int64)
     size, shift = key.shape[0], 1
+    bits = int(st._ext.max()).bit_length()  # at least 1: the text is not empty
+    # key holds the first shift codes of each shift, the first in the high
+    # bits, and stays below 2**62.  No temporary may outlive its doubling:
+    # one kept through the rank rounds adds 8 B/char to the build's peak.
+    while 2 * shift * bits <= 62 and shift < size:
+        key = key << shift * bits | np.roll(key, -shift)
+        shift *= 2
     while True:
         # ties may land in any order: they share a rank, and the last round has none
         order = np.argsort(key)

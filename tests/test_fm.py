@@ -54,18 +54,43 @@ def test_bwt_matches_brute_force_on_random_texts(alphabet):
 
 
 def _oracle_texts(rng):
-    """Random texts over 1-4 symbols, plus n=1, all-equal and periodic ones."""
+    """Random texts over 1-4 symbols, plus n=1, all-equal and periodic ones,
+    then texts of up to 70 characters whose codes take 1 to 7 bits.  Those
+    reach past the prefix that :func:`sorted_rotations` packs into its first
+    key: 32 characters at 1 bit, 16 at 2-3 bits, 8 at 4-7 bits."""
     texts = [("A", "A"), ("T", "ACGT"), ("AAAAAAAAAAAAAAAAA", "A"), ("CCCCCCCC", "ACGT"),
              ("GATAGATAGATA", "AGT"), ("ACACACACA", "AC")]
     for _ in range(120):
         st = random_text(rng, max_len=40, sigma=rng.randint(1, 4))
         texts.append((st.text, st.alphabet.symbols))
+    for sigma in (1, 2, 7, 20, 60, 70):
+        symbols = "".join(map(chr, range(37, 37 + sigma)))
+        for _ in range(12):
+            texts.append(("".join(rng.choices(symbols, k=rng.randint(1, 70))), symbols))
+        piece = "".join(rng.choices(symbols, k=rng.randint(1, 5)))
+        texts += [((piece * 70)[: rng.randint(30, 70)], symbols), (symbols[-1] * rng.randint(30, 70), symbols)]
     return [px.SentinelText(text, px.Alphabet(symbols)) for text, symbols in texts]
 
 
 def test_sorted_rotations_match_oracle():
     for st in _oracle_texts(random.Random(88)):
         assert sorted_rotations(st).tolist() == px.naive_sorted_rotations(st.terminated)
+
+
+def test_first_key_packs_without_sorting(monkeypatch):
+    # a sort per doubling round took 5 sorts for the uniform text and 15 for
+    # the all-equal one.  Packing 16 ACGT codes (3 bits each) tells apart
+    # every shift of the uniform text; the all-equal one packs 32 codes (1
+    # bit) and needs prefixes of n = 16 384 symbols: 9 doublings after that
+    sorts = []
+    argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kwargs: sorts.append(len(a)) or argsort(a, *args, **kwargs))
+    uniform = "".join(random.Random(33).choices("ACGT", k=1 << 14))
+    for text, symbols, want in [(uniform, "ACGT", 1), ("A" * (1 << 14), "A", 10)]:
+        sorts.clear()
+        sa = sorted_rotations(px.SentinelText(text, px.Alphabet(symbols)))
+        assert len(sorts) == want
+        assert np.array_equal(np.sort(sa), np.arange(len(text) + 1))
 
 
 def test_sa_samples_match_oracle_suffix_array():
