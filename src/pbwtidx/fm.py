@@ -107,8 +107,17 @@ def sorted_rotations(st: SentinelText) -> np.ndarray:
         # ties may land in any order: they share a rank, and the last round has none
         order = np.argsort(key)
         ordered = key[order]
+        del key
+        # each int64 array is dropped once the next exists, and the run
+        # starts stay bool: a round peaks at 33 B/char, not the 48 of an
+        # int64 mask and cumsum made while ``key`` and ``ordered`` lived
+        starts = np.empty(size, bool)
+        starts[0] = False
+        np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+        del ordered
         rank = np.empty(size, np.int64)
-        rank[order] = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+        rank[order] = np.cumsum(starts, out=np.empty(size, np.int64))
+        del starts
         if rank[order[-1]] == size - 1:
             return order
         # ranks are below size, so the pair key stays below size**2, which fits

@@ -21,7 +21,11 @@ is as many columns as fit in a uint64 beside a row rank (McIlroy, Bostic &
 McIlroy 1993, "Engineering radix sort"): a span of g columns costs
 ceil(g / w) sorts instead of g, with w at least 4 for ASCII alphabets.  Its
 columns are grouped into bytes before they enter the wide key, and a pass
-whose digit and rank fit in 32 bits sorts uint32 keys.
+whose digit and rank fit in 32 bits sorts uint32 keys.  The first pass from
+a stored column c reads *rebuild digits*: the columns that pass can cross,
+packed and gathered into pi_c order once (:func:`pass_digits`), so a
+caller that keeps them rebuilds from c with one mask, one sort and one
+gather.
 
 Conventions: string matrices are (n, L) uint8 rank codes, kept permutations
 int32.
@@ -94,29 +98,57 @@ def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.
     return packed
 
 
-def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int, j_target: int) -> np.ndarray:
+def _pass_shape(collection: StringCollection) -> tuple[int, int, int]:
+    """``(sym_bits, pos_bits, width)``: bits per code, bits per row rank, and the
+    columns one uint64 key holds above the rank."""
+    sym_bits = max(1, (collection.alphabet.sigma - 1).bit_length())
+    pos_bits = max(1, (collection.n - 1).bit_length())
+    return sym_bits, pos_bits, (64 - pos_bits) // sym_bits
+
+
+def pass_digits(collection: StringCollection, pi: np.ndarray, hi: int, lo: int) -> np.ndarray:
+    """The digits of a :func:`rebuild_column` pass from pi_{``hi``} down to
+    column ``lo``, and so of every first pass from pi_{``hi``} to a column at or
+    above ``lo``: columns ``max(lo, hi - w)..hi-1``, w the pass width, packed
+    (:func:`_packed_span`) with column ``hi - 1`` in the low bits, gathered
+    into ``pi`` order, and held as uint32 when they fit in 32 bits, else as
+    uint64."""
+    sym_bits, _, width = _pass_shape(collection)
+    lo = max(lo, hi - width)
+    key = np.uint32 if (hi - lo) * sym_bits <= 32 else np.uint64
+    return _packed_span(collection.codes, lo, hi, sym_bits, key).take(pi)
+
+
+def rebuild_column(collection: StringCollection, start: np.ndarray, j_start: int, j_target: int,
+                   digits: np.ndarray | None = None) -> np.ndarray:
     """Recompute pi_{j_target} from a known pi_{j_start}, j_target <= j_start.
 
     Right-to-left radix passes over the column span, each taking as many
     columns as one uint64 key holds above the low ``pos_bits`` bits.  A pass
-    packs its columns a byte at a time (:func:`_packed_span`), gathers the
-    packed keys in the current pi order and ORs each row's rank into the low
-    bits.  The keys are then unique, so one plain sort is stable, and the low
-    bits of the sorted keys say where each row came from.  A pass whose
-    columns and rank fit in 32 bits uses uint32 keys, which sort in about
-    half the time of uint64 ones.
+    reads its columns as :func:`pass_digits`: the first pass the ``digits``
+    handed over, which may span more columns to the left, or else those of
+    ``start`` down to ``j_target``; each later pass those of the current pi.
+    The pass masks the digits down to its span and ORs each row's rank into
+    the low bits.  The keys are then unique, so one
+    plain sort is stable, and the low bits of the sorted keys say where each
+    row came from.  A pass whose columns and rank fit in 32 bits uses uint32
+    keys, which sort in about half the time of uint64 ones.
     """
     if j_target == j_start:
         return start
-    n, codes = collection.n, collection.codes
-    sym_bits = max(1, (collection.alphabet.sigma - 1).bit_length())
-    pos_bits = max(1, (n - 1).bit_length())
-    width = (64 - pos_bits) // sym_bits
+    n = collection.n
+    sym_bits, pos_bits, width = _pass_shape(collection)
     pi = np.asarray(start, dtype=np.int32)
+    if digits is None:
+        digits = pass_digits(collection, pi, j_start, j_target)
     for hi in range(j_start, j_target, -width):
         lo = max(j_target, hi - width)
+        if hi < j_start:
+            digits = pass_digits(collection, pi, hi, lo)
         key = np.uint32 if (hi - lo) * sym_bits + pos_bits <= 32 else np.uint64
-        keys = _packed_span(codes, lo, hi, sym_bits, key).take(pi)
+        # a uint64 digit cast to a uint32 key keeps its low 32 bits, which
+        # hold every bit of a span that fits that key
+        keys = np.bitwise_and(digits, key((1 << (hi - lo) * sym_bits) - 1), dtype=key, casting="unsafe")
         keys <<= key(pos_bits)
         keys |= np.arange(n, dtype=key)
         keys.sort()

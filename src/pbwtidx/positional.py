@@ -30,7 +30,7 @@ from .collection import StringCollection
 from .errors import (EmptyInputError, IndexOutOfRangeError, PatternOverrunError, PbwtIndexError,
                      PermutationNotStoredError)
 from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt, check_rows, invert_pbwt
-from .permutations import build_permutations, rebuild_column
+from .permutations import build_permutations, pass_digits, rebuild_column
 
 STRATEGIES = ("binary", "backward", "rebuild")
 PiSource = tuple[int, np.ndarray]  # (h, pi_h), h <= k: pi_k at rank i is pi_h at row i walked back to h
@@ -91,7 +91,10 @@ class PositionalIndex:
     One sweep inverts ``cols`` to ``collection`` and ``stored_perms``, pi_j
     for each column of ``policy.stored_columns(length)``; ``cols`` becomes
     ``matrix.cols``, which is read-only, and ``matrix`` fills each LF
-    column when a query first reads it.  The columns determine the collection, so equality
+    column when a query first reads it.  ``rebuild_digits`` holds, for each
+    stored column c that a ``rebuild`` query has rebuilt from, the digits of
+    every first radix pass from c (:func:`~pbwtidx.permutations.pass_digits`),
+    derived by the first such query.  The columns determine the collection, so equality
     compares the alphabet, the policy and the collection.
     """
 
@@ -101,6 +104,7 @@ class PositionalIndex:
     collection: StringCollection = field(init=False, repr=False)
     matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
     stored_perms: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
+    rebuild_digits: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
     _sweep: InitVar[tuple | None] = field(default=None, kw_only=True)  # (collection, stored_perms)
 
     def __post_init__(self, _sweep):
@@ -161,8 +165,11 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
 
     ``(k, pi_k)`` when it is stored, else the greatest stored column below
     ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
-    rebuilt from the nearest stored column to the right.  Only a miss lists
+    rebuilt from the nearest stored column c to the right.  Only a miss lists
     and bisects the keys, which ascend to ``length`` (:meth:`StoragePolicy.stored_columns`).
+    A ``rebuild`` reads c's digits from ``index.rebuild_digits``, deriving
+    them for every column between c and the stored column below it on the
+    first rebuild from c; any other rebuild keeps none.
     """
     stored = index.stored_perms
     if k in stored:
@@ -171,7 +178,14 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
     i = bisect_left(columns, k)
     if i and not rebuild:
         return columns[i - 1], stored[columns[i - 1]]
-    return k, rebuild_column(index.collection, stored[columns[i]], columns[i], k)
+    c = columns[i]
+    digits = None
+    if rebuild:
+        digits = index.rebuild_digits.get(c)
+        if digits is None:
+            lo = columns[i - 1] + 1 if i else 0
+            digits = index.rebuild_digits[c] = pass_digits(index.collection, stored[c], c, lo)
+    return k, rebuild_column(index.collection, stored[c], c, k, digits)
 
 
 def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:

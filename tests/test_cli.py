@@ -62,6 +62,18 @@ def test_build_missing_file_is_io_failure(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("message, line", [("", "error: out of memory\n"),
+                                           ("Unable to allocate 8.00 GiB", "error: out of memory: Unable to allocate 8.00 GiB\n")])
+def test_memory_error_is_one_line_and_exit_code_1(message, line, fig1_idx, monkeypatch, capsys):
+    def exhausted(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "cmd_query_positional", exhausted)
+    assert main(["query", "positional", "--index", fig1_idx, "--pattern", "A", "--position", "0"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line)
+
+
 def test_build_stride_rejected_outside_sampled(fig1_file, tmp_path):
     code = main(["build", "--mode", "positional", "--input", fig1_file,
                  "--policy", "full", "--stride", "2", "--output", str(tmp_path / "x.idx")])

@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pbwtidx as px
+from pbwtidx import permutations, positional
+from pbwtidx.permutations import pass_digits, rebuild_column
 
 from conftest import PI_MATRIX, build_matrix, perm_table, random_collection
 
@@ -124,8 +126,6 @@ def _edge_collections():
 
 
 def test_rebuild_column_matches_full_table():
-    from pbwtidx.permutations import rebuild_column
-
     rng = random.Random(404)
     collections = [random_collection(rng) for _ in range(20)] + list(_edge_collections())
     for col in collections:
@@ -135,3 +135,100 @@ def test_rebuild_column_matches_full_table():
                 got = rebuild_column(col, perms[j_start], j_start, j_target)
                 assert got.dtype == np.int32
                 assert np.array_equal(got, perms[j_target]), (col.n, col.length, j_start, j_target)
+
+
+def test_rebuild_column_reads_digits_wider_than_its_pass():
+    # digits from column 0 up span every column a first pass can cross, so
+    # each rebuild masks them down to its own span, and uint64 digits meet
+    # uint32 keys where the target lies close to the start
+    rng = random.Random(405)
+    collections = [random_collection(rng) for _ in range(20)] + list(_edge_collections())
+    for col in collections:
+        perms = perm_table(col)
+        sym_bits, _, width = permutations._pass_shape(col)
+        for j_start in range(1, col.length + 1):
+            digits = pass_digits(col, perms[j_start], j_start, 0)
+            wide = min(j_start, width) * sym_bits > 32
+            assert digits.shape == (col.n,) and digits.dtype == (np.uint64 if wide else np.uint32)
+            for j_target in range(j_start):
+                got = rebuild_column(col, perms[j_start], j_start, j_target, digits)
+                assert np.array_equal(got, perms[j_target]), (col.n, col.length, j_start, j_target)
+
+
+def _digit_policies():
+    return [px.StoragePolicy.full(), *map(px.StoragePolicy.sampled, range(1, 6)), px.StoragePolicy.no_perms()]
+
+
+def test_rebuild_queries_keep_one_block_of_digits_per_stored_column():
+    # in shuffled order, cold and warm, built and loaded: every rebuild
+    # answers as the oracle and rebuilds pi_k, and the digits kept are one
+    # block for each stored column with an unstored column just below it
+    rng = random.Random(606)
+    collections = [random_collection(rng) for _ in range(8)] + list(_edge_collections())
+    for col in collections:
+        perms = perm_table(col)
+        cases = []
+        for k in range(col.length):
+            pattern = col.strings[rng.randrange(col.n)][k : k + rng.randint(1, min(3, col.length - k))]
+            cases.append((k, pattern, px.naive_positional(col, pattern, k)))
+        for policy in _digit_policies():
+            stored = policy.stored_columns(col.length)
+            kept = {c for c in stored if c and c - 1 not in stored}
+            built = px.build_index(col, policy)
+            for index in (built, px.from_bytes(px.to_bytes(built))):
+                for _ in ("cold", "warm"):
+                    rng.shuffle(cases)
+                    for k, pattern, expected in cases:
+                        h, pi_k = positional._pi_source(index, k, rebuild=True)
+                        assert h == k and np.array_equal(pi_k, perms[k]), (policy, k)
+                        assert sorted(px.query(index, pattern, k, "rebuild")[1]) == expected, (policy, k)
+                    assert set(index.rebuild_digits) == kept, policy
+            assert built == px.from_bytes(px.to_bytes(built))  # equality compares no digits
+
+
+def test_only_rebuild_queries_keep_digits(tmp_path):
+    # a build, a save, a load and backward or binary queries at every
+    # position keep none, under `none` too, where binary rebuilds from pi_L
+    rng = random.Random(707)
+    for col in [random_collection(rng) for _ in range(6)] + list(_edge_collections())[:3]:
+        for policy in _digit_policies():
+            built = px.build_index(col, policy)
+            px.save_index(built, tmp_path / "x.idx")
+            for index in (built, px.load_index(tmp_path / "x.idx")):
+                for k in range(col.length):
+                    pattern = col.strings[0][k : k + 1]
+                    for strategy in ("backward", "binary"):
+                        assert sorted(px.query(index, pattern, k, strategy)[1]) == px.naive_positional(col, pattern, k)
+                    positional.backward_trace(index, pattern, k)
+                assert index.rebuild_digits == {}, policy
+
+
+def test_a_second_rebuild_from_a_column_packs_no_first_pass(monkeypatch):
+    spans = []
+    packed_span = permutations._packed_span
+
+    def record(codes, lo, hi, sym_bits, key):
+        spans.append((lo, hi))
+        return packed_span(codes, lo, hi, sym_bits, key)
+
+    monkeypatch.setattr(permutations, "_packed_span", record)
+    np_rng = np.random.default_rng(808)
+    hundred = "".join(chr(c) for c in range(28, 128))
+    # ACGT at stride 9: one pass per rebuild; sigma = 100 at stride 20: 7
+    # columns per pass, so packed passes follow the one from digits
+    for symbols, stride in (("ACGT", 9), (hundred, 20)):
+        alphabet = px.Alphabet(symbols=symbols, sentinel="\x1b")
+        col = px.StringCollection(alphabet=alphabet, codes=np_rng.integers(0, alphabet.sigma, (300, 45), np.uint8))
+        index = px.build_index(col, px.StoragePolicy.sampled(stride))
+        width = permutations._pass_shape(col)[2]
+        lo, c = stride + 1, 2 * stride
+        spans.clear()
+        positional._pi_source(index, lo + 1, rebuild=True)
+        assert list(index.rebuild_digits) == [c]
+        assert [span for span in spans if span[1] == c] == [(max(lo, c - width), c)]
+        spans.clear()
+        perms = perm_table(col)
+        for k in range(lo, c):
+            assert np.array_equal(positional._pi_source(index, k, rebuild=True)[1], perms[k])
+        assert all(hi < c for _, hi in spans) and bool(spans) == (c - lo > width), spans
+        assert list(index.rebuild_digits) == [c]

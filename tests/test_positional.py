@@ -292,9 +292,9 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
     calls = []
     rebuild_column = positional.rebuild_column
 
-    def record(col, start, j_start, j_target):
+    def record(col, start, j_start, j_target, *digits):
         calls.append((j_start, j_target))
-        return rebuild_column(col, start, j_start, j_target)
+        return rebuild_column(col, start, j_start, j_target, *digits)
 
     monkeypatch.setattr(positional, "rebuild_column", record)
     sampled = px.build_index(fig1, px.StoragePolicy.sampled(3))
