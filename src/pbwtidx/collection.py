@@ -20,7 +20,7 @@ class StringCollection:
     one contiguous read for the radix passes, which gather whole columns.
     It is kept without a copy only under :class:`~pbwtidx.pbwt.PbwtMatrix`'s
     hand-over rule, as the transpose of a read-only view of a whole
-    ``bytearray`` (:func:`~pbwtidx.pbwt.invert_pbwt` makes its codes so);
+    ``bytearray`` (:class:`~pbwtidx.pbwt.PbwtInversion` makes its codes so);
     any other matrix is copied into a read-only array, so a caller who
     writes to it later changes no answer.
     """

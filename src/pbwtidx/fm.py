@@ -150,8 +150,10 @@ def verify_column_collapse(st: SentinelText) -> bool:
             differ.append(j)
         return col
 
-    first = radix_sweep(size, size, shifted, keep=[0])[0]
-    radix_sweep(size, size, compared, first)
+    for _, first in radix_sweep(size, size, shifted):
+        pass  # the last pair is pi_0, the full cyclic order
+    for _ in radix_sweep(size, size, compared, first):
+        pass
     return not differ
 
 

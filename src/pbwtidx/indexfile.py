@@ -34,11 +34,13 @@ build may write other valid deflate bytes for the same codes; what they
 inflate to is fixed.
 
 A file holds only the transform, and the loader hands it to the index's
-constructor, which derives the rest: :class:`PositionalIndex` inverts the PBWT
-columns in one right-to-left pass, sorting each once, to the collection and
-the kept permutations, and fills a column's LF mapping when a query first
-reads it; :class:`FmIndex` ranks the BWT's LF cycle to the text and the
-suffix-array samples.  No section can contradict
+constructor, which derives the rest: :class:`PositionalIndex` keeps the PBWT
+columns and inverts them on demand, in one right-to-left pass that sorts
+each column at most once and runs only as far down as its queries read: a
+backward query to the stored column at or below its position, and a read of
+the collection or of the kept permutations to column 0.  It fills a
+column's LF mapping when a query first reads it.  :class:`FmIndex` ranks the
+BWT's LF cycle to the text and the suffix-array samples.  No section can contradict
 another, so the checksum is what catches an edit that decodes to another valid
 index.  Loading checks the magic, the checksum, section sizes, tags, that the
 row count fits the int32 LF mapping, the alphabet, the sentinel row, that the

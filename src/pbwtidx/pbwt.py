@@ -15,14 +15,15 @@ reads only the columns its pattern and its locate walk cross, and a build, a
 save or a load reads none.  The BWT is the PBWT of a text's cyclic
 shifts, whose columns are all equal, so :mod:`pbwtidx.fm` holds it as a
 one-column :class:`PbwtMatrix`, whose :meth:`~PbwtMatrix.backward` search in
-column 0 is the FM count.
+column 0 is the FM count.  :class:`PbwtInversion` turns the columns back
+into the strings and their sorted orders, as far down as a reader asks.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import as_int, check_codes, handed_over
+from .alphabet import Alphabet, as_int, check_codes, handed_over
 from .collection import StringCollection
 from .errors import IndexOutOfRangeError, PbwtIndexError
 from .permutations import radix_sweep
@@ -258,23 +259,73 @@ def build_pbwt(collection: StringCollection, cols: np.ndarray) -> PbwtMatrix:
     return PbwtMatrix(cols, collection.alphabet.sigma)
 
 
-def invert_pbwt(cols: np.ndarray, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The collection whose PBWT columns are ``cols``, and pi_j for each ``j`` in ``keep``.
+class PbwtInversion:
+    """The collection whose PBWT columns are ``cols``, and pi_j for each ``j``
+    in ``keep``, swept only as far as a reader asks.
 
     The build's sweep run on its own output: column ``j`` lists the
-    column-``j`` codes in pi_{j+1} order, so they scatter back to their
-    strings.  Returns the (n, length) column-major codes, the transpose of
-    a read-only view of a whole ``bytearray``, which a
-    :class:`~pbwtidx.collection.StringCollection` keeps without a copy, and
-    the kept permutations.  Any code matrix is the PBWT of its inverse.
+    column-``j`` codes in pi_{j+1} order, so one :func:`radix_sweep` pass
+    sorts it to pi_j and scatters it back to its strings.  :meth:`perm`
+    sweeps down to the column it returns and :meth:`finish` down to column
+    0, each resuming where the last one stopped, so no column is sorted
+    twice.  The state, ``next``, the next column to sort, and the pi_{next+1} that
+    seeds its pass, advances only once a column's pass, scatter and kept
+    copy are complete, so a pass that raises leaves the sweep resumable.
+
+    The first pass allocates the (length, n) collection buffer.  The last
+    one hands it to ``collection`` as the transpose of a read-only view of a
+    whole ``bytearray``, which a :class:`~pbwtidx.collection.StringCollection`
+    keeps without a copy, and orders ``perms`` by column.  A build hands its
+    own sweep over as ``swept``, ``(collection, perms)``, and inverts
+    nothing.  Any code matrix is the PBWT of its inverse.
     """
-    length, n = cols.shape
-    codes = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
-    def scatter(j, pi):
-        codes[j][pi] = cols[j]
-        return cols[j]
+    def __init__(self, cols: np.ndarray, alphabet: Alphabet, keep, swept: tuple | None = None):
+        self.cols, self.alphabet, self.keep = cols, alphabet, frozenset(keep)
+        if swept is None:
+            self.collection, self.perms, self.next = None, {}, cols.shape[0]
+        else:
+            (self.collection, self.perms), self.next = swept, -1
+        self._pi = self._codes = None
 
-    perms = radix_sweep(n, length, scatter, keep=keep)
-    codes.setflags(write=False)
-    return codes.T, perms
+    def perm(self, j: int) -> np.ndarray:
+        """The int32 pi_j for a kept ``j``, sweeping down to column ``j`` first if need be."""
+        try:
+            return self.perms[j]
+        except KeyError:
+            self._sweep_to(j)
+            return self.perms[j]
+
+    def finish(self) -> StringCollection:
+        """The collection, once the sweep has run down to column 0."""
+        if self.collection is None:
+            self._sweep_to(0)
+        return self.collection
+
+    def _sweep_to(self, h: int):
+        at = self.next
+        if h > at:
+            return
+        length, n = self.cols.shape
+        if self._codes is None:
+            self._codes = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
+        codes, cols = self._codes, self.cols
+
+        def scatter(j, pi):
+            codes[j][pi] = cols[j]
+            return cols[j]
+
+        # a resumed sweep first yields its seed, pi_{at+1}, which the last call kept
+        for j, pi in radix_sweep(n, min(at + 1, length), scatter, self._pi):
+            if j > at:
+                continue
+            if j in self.keep:
+                self.perms[j] = pi.astype(np.int32)
+            self.next, self._pi = j - 1, pi
+            if j == h:
+                break
+        if self.next < 0:
+            codes.setflags(write=False)
+            self.collection = StringCollection(alphabet=self.alphabet, codes=codes.T)
+            self.perms = dict(sorted(self.perms.items()))
+            self._pi = self._codes = None

@@ -7,10 +7,12 @@ every pass is stable and the sweep is seeded with the identity.
 :func:`radix_sweep` is the paper's construction and the only loop that sorts
 a PBWT column.  It runs from pi_length, the seed, down to pi_0; pass ``j``
 stably sorts PBWT column ``j`` (the column-``j`` codes in pi_{j+1} order)
-once and takes pi_j = pi_{j+1}[order].  A permutation outlives its pass only
-where the caller keeps it.  The caller supplies the column: the build
-gathers it from the strings (:func:`build_permutations`), an index made from
-its columns scatters it back (:func:`~pbwtidx.pbwt.invert_pbwt`), and the
+once and takes pi_j = pi_{j+1}[order].  It is a generator of ``(j, pi_j)``:
+a permutation outlives its pass only where the caller keeps it, and a
+caller that stops early sorts no further column.  The caller supplies the
+column: the build gathers it from the strings (:func:`build_permutations`),
+an index made from its columns scatters it back, sweeping only as far as
+its queries read (:class:`~pbwtidx.pbwt.PbwtInversion`), and the
 cyclic-shift check in :mod:`pbwtidx.fm` reads the shifts of the text, whose
 PBWT is the BWT.  The sort's inverse is the column's LF mapping, which
 :class:`~pbwtidx.pbwt.PbwtMatrix` fills from the column when a search first
@@ -38,41 +40,41 @@ import numpy as np
 from .collection import StringCollection
 
 
-def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarray], seed=None, keep=()):
-    """The right-to-left sweep over ``width`` columns of ``n`` rows.
+def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarray], seed=None):
+    """The right-to-left sweep over ``width`` columns of ``n`` rows, as a
+    generator of ``(j, pi_j)`` from ``j = width`` down to 0.
 
-    ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  Returns a
-    dict holding the int32 pi_j for each ``j`` in ``keep``, in that order,
-    where pi_width is ``seed`` (the identity when None) and ties keep its
-    order.
+    ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  pi_width is
+    ``seed`` (the identity when None), and ties keep its order.  Each pi_j
+    is a new intp array that the sweep never writes to, so a caller keeps
+    one by holding it; the pass for column ``j`` runs only when the caller
+    asks for the next pair, so a caller that stops early sorts no further.
     """
     # pi is intp: numpy casts any other index array on every gather and
     # scatter, which made the loader's sweep 12% slower with int32 at
     # 20 000 x 200
     pi = np.arange(n, dtype=np.intp) if seed is None else np.asarray(seed, np.intp)
-    wanted, perms = set(keep), {}
-    for j in range(width, -1, -1):
-        if j < width:
-            pi = pi.take(np.argsort(column(j, pi), kind="stable"))
-        if j in wanted:
-            perms[j] = pi.astype(np.int32)
-    return {j: perms[j] for j in keep}
+    yield width, pi
+    for j in range(width - 1, -1, -1):
+        pi = pi.take(np.argsort(column(j, pi), kind="stable"))
+        yield j, pi
 
 
 def build_permutations(collection: StringCollection, keep) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The collection's (length, n) uint8 PBWT columns and pi_j for each
-    ``j`` in ``keep``, from one :func:`radix_sweep` that gathers each column
-    from the strings.  The columns are handed over read-only, as
-    :class:`~pbwtidx.pbwt.PbwtMatrix` states."""
+    """The collection's (length, n) uint8 PBWT columns and pi_j, as int32, for
+    each ``j`` in ``keep``, in that order, from one :func:`radix_sweep` that
+    gathers each column from the strings.  The columns are handed over
+    read-only, as :class:`~pbwtidx.pbwt.PbwtMatrix` states."""
     codes, length, n = collection.codes, collection.length, collection.n
     cols = np.frombuffer(bytearray(length * n), np.uint8).reshape(length, n)
 
     def gather(j, pi):
         return np.take(codes[:, j], pi, out=cols[j])
 
-    perms = radix_sweep(n, length, gather, keep=keep)
+    wanted = set(keep)
+    perms = {j: pi.astype(np.int32) for j, pi in radix_sweep(n, length, gather) if j in wanted}
     cols.setflags(write=False)  # a flags.writeable store keeps 57 B per array on numpy 2.4
-    return cols, perms
+    return cols, {j: perms[j] for j in keep}
 
 
 def _packed_span(codes: np.ndarray, lo: int, hi: int, sym_bits: int, key) -> np.ndarray:

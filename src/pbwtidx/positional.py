@@ -29,7 +29,7 @@ from .alphabet import Alphabet, as_int, check_codes
 from .collection import StringCollection
 from .errors import (EmptyInputError, IndexOutOfRangeError, PatternOverrunError, PbwtIndexError,
                      PermutationNotStoredError)
-from .pbwt import EMPTY, Interval, PbwtMatrix, build_pbwt, check_rows, invert_pbwt
+from .pbwt import EMPTY, Interval, PbwtInversion, PbwtMatrix, build_pbwt, check_rows
 from .permutations import build_permutations, pass_digits, rebuild_column
 
 STRATEGIES = ("binary", "backward", "rebuild")
@@ -84,27 +84,32 @@ def default_stride(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositionalIndex:
     """The PBWT columns, with the collection and everything else derived from them.
 
-    One sweep inverts ``cols`` to ``collection`` and ``stored_perms``, pi_j
-    for each column of ``policy.stored_columns(length)``; ``cols`` becomes
-    ``matrix.cols``, which is read-only, and ``matrix`` fills each LF
-    column when a query first reads it.  ``rebuild_digits`` holds, for each
-    stored column c that a ``rebuild`` query has rebuilt from, the digits of
-    every first radix pass from c (:func:`~pbwtidx.permutations.pass_digits`),
-    derived by the first such query.  The columns determine the collection, so equality
-    compares the alphabet, the policy and the collection.
+    ``cols`` becomes ``matrix.cols``, which is read-only, and ``matrix``
+    fills each LF column when a query first reads it.  ``stored_columns``
+    is :meth:`StoragePolicy.stored_columns`, made once.  An index made from
+    its columns inverts them on demand (:class:`~pbwtidx.pbwt.PbwtInversion`):
+    a query sweeps only down to the stored column it reads, and reading
+    ``collection`` or ``stored_perms``, pi_j for each stored column in
+    ascending order, finishes the sweep; :func:`build_index` hands its own
+    sweep over, so a built index never inverts.  ``rebuild_digits`` holds,
+    for each stored column c that a ``rebuild`` query has rebuilt from, the
+    digits of every first radix pass from c
+    (:func:`~pbwtidx.permutations.pass_digits`), derived by the first such
+    query.  The columns determine the collection, so equality compares the
+    alphabet, the policy and the columns, and sweeps nothing.
     """
 
     alphabet: Alphabet
-    cols: np.ndarray = field(repr=False, compare=False)
+    cols: np.ndarray = field(repr=False)
     policy: StoragePolicy
-    collection: StringCollection = field(init=False, repr=False)
-    matrix: PbwtMatrix = field(init=False, repr=False, compare=False)
-    stored_perms: dict[int, np.ndarray] = field(init=False, repr=False, compare=False)
-    rebuild_digits: dict[int, np.ndarray] = field(init=False, repr=False, compare=False, default_factory=dict)
+    matrix: PbwtMatrix = field(init=False, repr=False)
+    stored_columns: tuple[int, ...] = field(init=False, repr=False)
+    rebuild_digits: dict[int, np.ndarray] = field(init=False, repr=False, default_factory=dict)
+    _inversion: PbwtInversion = field(init=False, repr=False)
     _sweep: InitVar[tuple | None] = field(default=None, kw_only=True)  # (collection, stored_perms)
 
     def __post_init__(self, _sweep):
@@ -118,14 +123,29 @@ class PositionalIndex:
         check_rows(self.n)
         check_codes(self.cols, self.alphabet.sigma, "PBWT columns")
         if _sweep is None:
-            codes, stored = invert_pbwt(self.cols, self.policy.stored_columns(self.length))
-            _sweep = StringCollection(alphabet=self.alphabet, codes=codes), stored
-        collection, stored = _sweep
-        matrix = build_pbwt(collection, self.cols)
+            matrix = PbwtMatrix(self.cols, self.alphabet.sigma)
+        else:
+            matrix = build_pbwt(_sweep[0], self.cols)
+        stored = tuple(self.policy.stored_columns(self.length))
         object.__setattr__(self, "cols", matrix.cols)
-        object.__setattr__(self, "collection", collection)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "stored_perms", stored)
+        object.__setattr__(self, "stored_columns", stored)
+        object.__setattr__(self, "_inversion", PbwtInversion(matrix.cols, self.alphabet, stored, _sweep))
+
+    def __eq__(self, other):
+        if not isinstance(other, PositionalIndex):
+            return NotImplemented
+        return (self.alphabet == other.alphabet and self.policy == other.policy
+                and np.array_equal(self.cols, other.cols))
+
+    @property
+    def collection(self) -> StringCollection:
+        return self._inversion.finish()
+
+    @property
+    def stored_perms(self) -> dict[int, np.ndarray]:
+        self._inversion.finish()
+        return self._inversion.perms
 
     @property
     def n(self) -> int:
@@ -165,27 +185,25 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
 
     ``(k, pi_k)`` when it is stored, else the greatest stored column below
     ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
-    rebuilt from the nearest stored column c to the right.  Only a miss lists
-    and bisects the keys, which ascend to ``length`` (:meth:`StoragePolicy.stored_columns`).
-    A ``rebuild`` reads c's digits from ``index.rebuild_digits``, deriving
-    them for every column between c and the stored column below it on the
-    first rebuild from c; any other rebuild keeps none.
+    rebuilt from the nearest stored column c to the right.  A loaded index
+    sweeps down to h, or to column 0 for a rebuild, which reads the
+    collection.  A ``rebuild`` reads c's digits from ``index.rebuild_digits``,
+    deriving them for every column between c and the stored column below it
+    on the first rebuild from c; any other rebuild keeps none.
     """
-    stored = index.stored_perms
-    if k in stored:
-        return k, stored[k]
-    columns = list(stored)
-    i = bisect_left(columns, k)
-    if i and not rebuild:
-        return columns[i - 1], stored[columns[i - 1]]
+    columns, inversion = index.stored_columns, index._inversion
+    i = bisect_right(columns, k)  # columns[i - 1] <= k < columns[i]
+    if i and (columns[i - 1] == k or not rebuild):
+        return columns[i - 1], inversion.perm(columns[i - 1])
     c = columns[i]
+    collection, pi_c = index.collection, inversion.perm(c)
     digits = None
     if rebuild:
         digits = index.rebuild_digits.get(c)
         if digits is None:
             lo = columns[i - 1] + 1 if i else 0
-            digits = index.rebuild_digits[c] = pass_digits(index.collection, stored[c], c, lo)
-    return k, rebuild_column(index.collection, stored[c], c, k, digits)
+            digits = index.rebuild_digits[c] = pass_digits(collection, pi_c, c, lo)
+    return k, rebuild_column(collection, pi_c, c, k, digits)
 
 
 def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
@@ -226,7 +244,7 @@ def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSou
     the handed-over ``source`` or else through the greatest stored column at
     or below ``k``; without a source, raises when there is no such column."""
     key, k = _check_query(index, pattern, k)
-    if source is None and next(iter(index.stored_perms)) > k:  # the least stored column
+    if source is None and index.stored_columns[0] > k:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
     return _bisect_interval(index, *(source or _pi_source(index, k)), key, k)
 

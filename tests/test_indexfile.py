@@ -49,7 +49,7 @@ def test_positional_round_trip(tmp_path):
             _same_positional_answers(index, loaded, rng)
 
 
-def test_positional_equality_compares_collection_and_policy(fig1):
+def test_positional_equality_compares_columns_and_policy(fig1):
     index = px.build_index(fig1)
     assert index == px.from_bytes(px.to_bytes(index))
     assert index != px.build_index(fig1, px.StoragePolicy.full())

@@ -12,7 +12,7 @@ from pbwtidx.fm import _lf_walk
 from pbwtidx.permutations import radix_sweep
 from pbwtidx.positional import STRATEGIES
 
-from conftest import child_env, random_collection, random_text
+from conftest import child_env, random_collection, random_text, storage_policies
 
 
 def radix_sweep_loops(codes, seed, sigma):
@@ -97,10 +97,10 @@ def test_radix_sweep_impls_agree():
                 return ref_cols[j]
 
             for column in (gather, scatter):
-                perms = radix_sweep(n, width, column, s, keep)
-                assert list(perms) == keep
+                perms = dict(radix_sweep(n, width, column, s))
+                assert list(perms) == list(range(width, -1, -1))
                 for j in keep:
-                    assert perms[j].dtype == np.int32 and np.array_equal(perms[j], table[j])
+                    assert perms[j].dtype == np.intp and np.array_equal(perms[j], table[j])
             assert np.array_equal(cols, ref_cols) and np.array_equal(back.T, codes)
             # each column's LF mapping, the inverse of its stable sort, as the matrix fills it
             lf = px.PbwtMatrix(cols, sigma).lf
@@ -172,6 +172,32 @@ def test_sweeps_match_the_oracle():
             for strategy in STRATEGIES:
                 matches = px.query(index, pattern, k, strategy)[1]
                 assert sorted(matches) == px.naive_positional(col, pattern, k)
+
+
+def test_loaded_indexes_answer_as_the_oracle_in_any_query_order():
+    """A loaded index sweeps its columns as queries read them, so the order
+    of the queries decides where each one finds the sweep: every policy and
+    strategy, in a shuffled order that starts with each strategy in turn,
+    answers as the brute-force scan does."""
+    rng = random.Random(14)
+    for col in _sweep_collections():
+        queries = []
+        for _ in range(6):
+            m = rng.randint(0, col.length)
+            k = rng.choice((0, col.length - m, rng.randint(0, col.length - m)))
+            pattern = (col.strings[rng.randrange(col.n)][k : k + m] if rng.random() < 0.7
+                       else "".join(rng.choices(col.alphabet.symbols, k=m)))
+            queries += [(pattern, k, strategy) for strategy in STRATEGIES]
+        for policy in storage_policies(col.n, col.length):
+            blob = px.to_bytes(px.build_index(col, policy))
+            for first in STRATEGIES:
+                rng.shuffle(queries)
+                lead = next(i for i, q in enumerate(queries) if q[2] == first)
+                queries[0], queries[lead] = queries[lead], queries[0]
+                loaded = px.from_bytes(blob)
+                for pattern, k, strategy in queries:
+                    matches = px.query(loaded, pattern, k, strategy)[1]
+                    assert sorted(matches) == px.naive_positional(col, pattern, k), (policy, pattern, k, strategy)
 
 
 def test_lf_walk_reaches_the_oracle_positions():

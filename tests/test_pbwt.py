@@ -7,7 +7,7 @@ import pbwtidx as px
 from pbwtidx.errors import (EmptyInputError, IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError,
                             UnknownCharacterError)
 from pbwtidx.fm import locate_with_steps
-from pbwtidx.pbwt import BLOCK, EMPTY, Interval, invert_pbwt
+from pbwtidx.pbwt import BLOCK, EMPTY, Interval, PbwtInversion
 from pbwtidx import positional
 from pbwtidx.positional import STRATEGIES
 
@@ -51,8 +51,9 @@ def test_column_content_property():
 
 def test_invert_fig4(fig1, fig1_perms, fig1_matrix):
     keep = list(range(fig1.length + 1))
-    codes, perms = invert_pbwt(fig1_matrix.cols, keep)
-    assert np.array_equal(codes, fig1.codes)
+    inversion = PbwtInversion(fig1_matrix.cols, fig1.alphabet, keep)
+    assert inversion.finish() == fig1
+    perms = inversion.perms
     lf = px.PbwtMatrix(fig1_matrix.cols, fig1.alphabet.sigma).lf
     for j in range(fig1.length):
         # LF takes row r of pi_{j+1} order to the row of the same string in pi_j order

@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -13,8 +14,9 @@ from pbwtidx.errors import (
     UnknownCharacterError,
 )
 from pbwtidx.pbwt import EMPTY, Interval
-from pbwtidx import positional
-from pbwtidx.positional import backward_trace
+from pbwtidx import pbwt, positional
+from pbwtidx.permutations import radix_sweep
+from pbwtidx.positional import STRATEGIES, backward_trace
 
 from conftest import DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection, storage_policies
 
@@ -386,7 +388,7 @@ def test_build_sweeps_once(monkeypatch):
     def refuse(*_):
         raise AssertionError("the build inverted its own columns")
 
-    monkeypatch.setattr(positional, "invert_pbwt", refuse)
+    monkeypatch.setattr(pbwt.PbwtInversion, "_sweep_to", refuse)
     for col, queries in _search_cases():
         for policy in storage_policies(col.n, col.length):
             index = px.build_index(col, policy)
@@ -394,6 +396,99 @@ def test_build_sweeps_once(monkeypatch):
             assert list(index.stored_perms) == policy.stored_columns(col.length)
             pattern, k = queries[-1]
             assert sorted(px.query(index, pattern, k)[1]) == px.naive_positional(col, pattern, k)
+
+
+def _count_sweep_passes(monkeypatch, fail_at=None):
+    """The columns that :func:`radix_sweep` has sorted, in order, as ``np.argsort``
+    sees them: a sort called from any other frame, such as an LF fill, is not
+    counted.  The pass for column ``fail_at`` raises ``MemoryError`` once,
+    before it sorts."""
+    swept = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is radix_sweep.__code__:
+            j = caller.f_locals["j"]
+            if j == fail_at and None not in swept:
+                swept.append(None)  # the pass that raised, marked so it raises once
+                raise MemoryError
+            swept.append(j)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return swept
+
+
+def _sweep_panel() -> px.StringCollection:
+    rng = random.Random(3535)
+    founders = ["".join(rng.choices("ACGT", k=60)) for _ in range(6)]
+    return px.from_strings(["".join(c if rng.random() > 0.05 else rng.choice("ACGT") for c in rng.choice(founders))
+                            for _ in range(200)])
+
+
+def test_a_loaded_index_sweeps_each_column_once_and_only_as_far_as_read(monkeypatch):
+    col = _sweep_panel()
+    length = col.length
+    for policy in (px.StoragePolicy.sampled(7), px.StoragePolicy.full()):
+        built = px.build_index(col, policy)
+        blob = px.to_bytes(built)
+        swept = _count_sweep_passes(monkeypatch)
+        loaded = px.from_bytes(blob)
+        assert swept == [] and loaded == built and built == loaded and swept == []
+        k, m = 40, 8
+        pattern = col.strings[0][k : k + m]
+        px.search_backward(loaded, pattern, k)
+        assert swept == []
+        h = max(c for c in policy.stored_columns(length) if c <= k)
+        assert sorted(px.query(loaded, pattern, k, "backward")[1]) == px.naive_positional(col, pattern, k)
+        assert swept == list(range(length - 1, h - 1, -1))
+        for later in range(h, length - m + 1):
+            pattern = col.strings[later % col.n][later : later + m]
+            assert sorted(px.query(loaded, pattern, later)[1]) == px.naive_positional(col, pattern, later)
+        assert swept == list(range(length - 1, h - 1, -1))
+        # the collection, read by binary, rebuild and --verify, finishes the sweep where it stopped
+        assert loaded.collection == col
+        assert swept == list(range(length - 1, -1, -1))
+        for j, pi in built.stored_perms.items():
+            assert np.array_equal(loaded.stored_perms[j], pi)
+        assert list(loaded.stored_perms) == policy.stored_columns(length)
+        for later in range(length - m + 1):
+            pattern = col.strings[later % col.n][later : later + m]
+            for strategy in STRATEGIES:
+                assert sorted(px.query(loaded, pattern, later, strategy)[1]) == px.naive_positional(col, pattern, later)
+        # stored_perms alone finishes the sweep too; no column is sorted twice in either session
+        swept.clear()
+        again = px.from_bytes(blob)
+        assert list(again.stored_perms) == policy.stored_columns(length)
+        assert swept == list(range(length - 1, -1, -1))
+        assert again.collection == col and swept == list(range(length - 1, -1, -1))
+        monkeypatch.undo()
+
+
+def test_an_interrupted_sweep_resumes():
+    # a pass that raises part of the way down leaves the sweep where it was:
+    # the next query sweeps on from there, and every answer matches the scan
+    col = _sweep_panel()
+    rng = random.Random(3536)
+    for policy in storage_policies(col.n, col.length):
+        blob = px.to_bytes(px.build_index(col, policy))
+        for strategy in STRATEGIES:
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                swept = _count_sweep_passes(monkeypatch, fail_at=col.length // 2)
+                loaded = px.from_bytes(blob)
+                with pytest.raises(MemoryError):
+                    px.query(loaded, col.strings[1][:5], 0, strategy)
+                assert swept[-1] is None and len(swept) == col.length - col.length // 2
+                for _ in range(6):
+                    k = rng.randrange(col.length - 4)
+                    pattern = col.strings[rng.randrange(col.n)][k : k + 4]
+                    for strategy_after in rng.sample(STRATEGIES, len(STRATEGIES)):
+                        matches = px.query(loaded, pattern, k, strategy_after)[1]
+                        assert sorted(matches) == px.naive_positional(col, pattern, k)
+                assert loaded.collection == col
+                done = [j for j in swept if j is not None]
+                assert sorted(done, reverse=True) == done == list(range(col.length - 1, -1, -1))
 
 
 def _traced_peak(make):
@@ -426,10 +521,13 @@ def test_build_memory_keeps_only_the_stored_columns():
 def test_load_memory_holds_no_lf():
     # a byte count, not a timer: the load that also wrote the 16 MB lf peaked
     # at 25.7 MB, and unpacking 2**20 bytes per take, whose uint8 index numpy
-    # casts to an 8 MB intp array, at 13.0 MB.  Unpacking 2**16 at a time
-    # casts 512 KB: the peak, 9.6 MB measured with numpy 2.4, is 0.4 MB over
-    # the 9.2 MB that the loaded index keeps.  Bounded with 20% headroom
+    # casts to an 8 MB intp array, at 13.0 MB.  The load that also swept the
+    # columns to the 4 MB collection and the 1.2 MB kept pi_j peaked at
+    # 9.6 MB.  A load keeps only the 4 MB of columns: the peak, 5.57 MB
+    # measured with numpy 2.4, adds the 1 MB packed section and a 512 KB
+    # unpacking chunk.  Bounded with 20% headroom
     blob = px.to_bytes(px.build_index(_panel_20000x200()))
     loaded, peak = _traced_peak(lambda: px.from_bytes(blob))
     assert "_lf" not in vars(loaded.matrix)
-    assert peak < 11.5e6
+    assert loaded._inversion.collection is None and not loaded._inversion.perms
+    assert peak < 6.7e6
