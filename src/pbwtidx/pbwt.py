@@ -268,9 +268,10 @@ class PbwtInversion:
     sorts it to pi_j and scatters it back to its strings.  :meth:`perm`
     sweeps down to the column it returns and :meth:`finish` down to column
     0, each resuming where the last one stopped, so no column is sorted
-    twice.  The state, ``next``, the next column to sort, and the pi_{next+1} that
-    seeds its pass, advances only once a column's pass, scatter and kept
-    copy are complete, so a pass that raises leaves the sweep resumable.
+    twice.  The state, ``next``, the next column to sort, and the
+    pi_{next+1} that seeds its pass, advances only once a column's pass,
+    scatter and kept copy are complete, so a pass that raises leaves the
+    sweep resumable.
 
     The first pass allocates the (length, n) collection buffer.  The last
     one hands it to ``collection`` as the transpose of a read-only view of a

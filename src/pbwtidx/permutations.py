@@ -47,8 +47,8 @@ def radix_sweep(n: int, width: int, column: Callable[[int, np.ndarray], np.ndarr
     ``column(j, pi)`` returns PBWT column ``j`` given pi_{j+1}.  pi_width is
     ``seed`` (the identity when None), and ties keep its order.  Each pi_j
     is a new intp array that the sweep never writes to, so a caller keeps
-    one by holding it; the pass for column ``j`` runs only when the caller
-    asks for the next pair, so a caller that stops early sorts no further.
+    one by holding it.  The pass for column ``j`` runs when the caller asks
+    for its pair.
     """
     # pi is intp: numpy casts any other index array on every gather and
     # scatter, which made the loader's sweep 12% slower with int32 at
