@@ -9,6 +9,7 @@ from pbwtidx import cli, positional
 from pbwtidx.cli import main
 
 from conftest import DEMO_BWT, DEMO_TEXT, FIG1_STRINGS, PBWT_MATRIX, PI_MATRIX, child_env
+import make_corpus
 
 
 @pytest.fixture()
@@ -450,3 +451,10 @@ def test_installed_console_script():
     proc = subprocess.run(["pbwtidx", "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "build" in proc.stdout
+
+
+def test_cli_corpus_replays():
+    """Every call in the committed behaviour corpus (``tests/make_corpus.py``)
+    gives its recorded stdout, stderr, exit code and index-file digests."""
+    mismatch = make_corpus.replay(make_corpus.CORPUS)
+    assert mismatch is None, mismatch
