@@ -201,7 +201,7 @@ def cmd_dump(args) -> int:
         return 0
     if args.what == "pi":
         for j in range(index.length):
-            if j not in index.stored_perms:
+            if j not in index.stored_columns:  # reading stored_perms sorts every column
                 raise PermutationNotStoredError(
                     f"pi_{j} is not retained under policy {index.policy.kind!r}; rebuild with --policy full")
         columns = [index.stored_perms[j].tolist() for j in range(index.length)]

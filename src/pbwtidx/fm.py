@@ -90,9 +90,9 @@ def sorted_rotations(st: SentinelText) -> np.ndarray:
     smallest, so cyclic order equals suffix order, and the loop stops once
     every rank is distinct, which the first n symbols always make them: at
     most 1 + ceil(lg(n / s)) sorts (one when s >= n; an all-equal text is
-    the worst case).  The radix-based cyclic-shift PBWT in
-    :func:`verify_column_collapse` is an independent cross-check, and
-    :func:`pbwtidx.oracle.naive_sorted_rotations` the brute-force reference.
+    the worst case).  :func:`verify_column_collapse` cross-checks the order
+    with one radix sweep, and :func:`pbwtidx.oracle.naive_sorted_rotations`
+    is the brute-force reference.
     """
     key = st._ext.astype(np.int64)
     size, shift = key.shape[0], 1
@@ -130,31 +130,27 @@ def verify_column_collapse(st: SentinelText) -> bool:
     """Check that every column of the cyclic-shift PBWT equals the BWT.
 
     Column ``j`` of the shift starting at ``p`` is ``ext[(p + j) % size]``.
-    The shifts are sorted with two radix sweeps: the first, seeded with the
-    identity, yields the full cyclic order at column 0; the second, seeded
-    with that order, breaks every truncated-suffix tie by the wrapped-around
-    context, which is what makes the columns collapse, and compares each of
-    its PBWT columns with the BWT as the sweep reaches it.
+    One radix sweep, seeded with the order of :func:`sorted_rotations`, which
+    the BWT is read from, breaks every truncated-suffix tie by the
+    wrapped-around context, which makes the columns collapse, and compares
+    each PBWT column with the BWT as it reaches it.  The shifts are distinct,
+    so its pi_0 is their order whatever the seed, and must equal the seed.
     """
     ext = st._ext
     size = ext.shape[0]
-    bwt = ext[(sorted_rotations(st) - 1) % size]
+    order = sorted_rotations(st)
+    bwt = ext[(order - 1) % size]
     differ = []
 
-    def shifted(j, pi):
-        return ext.take((pi + j) % size)
-
     def compared(j, pi):
-        col = shifted(j, pi)
+        col = ext.take((pi + j) % size)
         if not np.array_equal(col, bwt):
             differ.append(j)
         return col
 
-    for _, first in radix_sweep(size, size, shifted):
-        pass  # the last pair is pi_0, the full cyclic order
-    for _ in radix_sweep(size, size, compared, first):
-        pass
-    return not differ
+    for _, pi in radix_sweep(size, size, compared, order):
+        pass  # the last pair is pi_0
+    return not differ and np.array_equal(pi, order)
 
 
 def _ruler_spacing(rows: int) -> int:

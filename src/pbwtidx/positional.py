@@ -96,8 +96,8 @@ class PositionalIndex:
     ``collection`` or ``stored_perms``, pi_j for each stored column in
     ascending order, finishes the sweep; :func:`build_index` hands its own
     sweep over, so a built index never inverts.  ``rebuild_digits`` holds,
-    for each stored column c that a ``rebuild`` query has rebuilt from, the
-    digits of every first radix pass from c
+    for each stored column c that a query of any strategy has rebuilt pi_k
+    from, the digits of every first radix pass from c
     (:func:`~pbwtidx.permutations.pass_digits`), derived by the first such
     query.  The columns determine the collection, so equality compares the
     alphabet, the policy and the columns, and sweeps nothing.
@@ -187,9 +187,9 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
     ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
     rebuilt from the nearest stored column c to the right.  A loaded index
     sweeps down to h, or to column 0 for a rebuild, which reads the
-    collection.  A ``rebuild`` reads c's digits from ``index.rebuild_digits``,
-    deriving them for every column between c and the stored column below it
-    on the first rebuild from c; any other rebuild keeps none.
+    collection.  Every rebuild reads c's digits from ``index.rebuild_digits``,
+    and the first rebuild from c, whatever the strategy, derives them for
+    every column between c and the stored column below it.
     """
     columns, inversion = index.stored_columns, index._inversion
     i = bisect_right(columns, k)  # columns[i - 1] <= k < columns[i]
@@ -197,12 +197,10 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
         return columns[i - 1], inversion.perm(columns[i - 1])
     c = columns[i]
     collection, pi_c = index.collection, inversion.perm(c)
-    digits = None
-    if rebuild:
-        digits = index.rebuild_digits.get(c)
-        if digits is None:
-            lo = columns[i - 1] + 1 if i else 0
-            digits = index.rebuild_digits[c] = pass_digits(collection, pi_c, c, lo)
+    digits = index.rebuild_digits.get(c)
+    if digits is None:
+        lo = columns[i - 1] + 1 if i else 0
+        digits = index.rebuild_digits[c] = pass_digits(collection, pi_c, c, lo)
     return k, rebuild_column(collection, pi_c, c, k, digits)
 
 

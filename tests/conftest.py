@@ -1,11 +1,13 @@
 import os
 import random
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pbwtidx as px
+from pbwtidx.permutations import radix_sweep
 
 # the running 8x8 example collection
 FIG1_STRINGS = [
@@ -150,3 +152,25 @@ def child_env(**extra):
     directory holding the imported package) and ``extra`` are set.
     """
     return {"PATH": os.defpath, "PYTHONPATH": str(Path(px.__file__).parents[1]), **extra}
+
+
+def count_sweep_passes(monkeypatch, fail_at=None):
+    """The columns that :func:`radix_sweep` has sorted, in order, as ``np.argsort``
+    sees them: a sort called from any other frame, such as an LF fill, is not
+    counted.  The pass for column ``fail_at`` raises ``MemoryError`` once,
+    before it sorts."""
+    swept = []
+    argsort = np.argsort
+
+    def counted(a, *args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_code is radix_sweep.__code__:
+            j = caller.f_locals["j"]
+            if j == fail_at and None not in swept:
+                swept.append(None)  # the pass that raised, marked so it raises once
+                raise MemoryError
+            swept.append(j)
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", counted)
+    return swept

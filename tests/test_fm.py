@@ -10,7 +10,7 @@ from pbwtidx.errors import EmptyInputError, IndexOutOfRangeError, PbwtIndexError
 from pbwtidx.fm import count_trace, locate_with_steps, sorted_rotations
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval
 
-from conftest import DEMO_BWT, DEMO_TEXT, all_patterns, random_text, sa_samples
+from conftest import DEMO_BWT, DEMO_TEXT, all_patterns, count_sweep_passes, random_text, sa_samples
 
 
 def brute_bwt(text: str, sentinel: str = "$") -> str:
@@ -338,17 +338,30 @@ def test_column_collapse_random():
 
 
 def test_column_collapse_fails_against_a_wrong_bwt(alphabet, monkeypatch):
-    # the comparison runs: two swapped rows of the sorted order give a BWT no column equals
+    # the comparison runs: two swapped rows of the sorted order give a BWT no
+    # column equals.  Two swapped rows that hold the same BWT symbol leave the
+    # BWT right but not the order, which the sweep's pi_0 does not equal
     right = sorted_rotations(px.SentinelText(DEMO_TEXT, alphabet))
+    for a, b in ((2, 3), (0, 1)):
 
-    def swapped(st):
-        order = right.copy()
-        order[[2, 3]] = order[[3, 2]]
-        return order
+        def swapped(st):
+            order = right.copy()
+            order[[a, b]] = order[[b, a]]
+            return order
 
-    assert DEMO_BWT[2] != DEMO_BWT[3]
-    monkeypatch.setattr(fm, "sorted_rotations", swapped)
-    assert not px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
+        assert (DEMO_BWT[a] == DEMO_BWT[b]) == (a == 0)
+        monkeypatch.setattr(fm, "sorted_rotations", swapped)
+        assert not px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
+
+
+def test_column_collapse_sweeps_each_column_once(alphabet, monkeypatch):
+    # one sweep, seeded with sorted_rotations' order, sorts each of the
+    # size = n + 1 columns once; the check that first swept the shifts from
+    # the identity to find that order sorted 2 * size columns
+    st = px.SentinelText(DEMO_TEXT, alphabet)
+    swept = count_sweep_passes(monkeypatch)
+    assert px.verify_column_collapse(st)
+    assert swept == list(range(st.n, -1, -1))
 
 
 def test_positional_search_over_the_cyclic_shifts_is_the_fm_search():

@@ -4,6 +4,7 @@ import numpy as np
 import pbwtidx as px
 from pbwtidx import permutations, positional
 from pbwtidx.permutations import pass_digits, rebuild_column
+from pbwtidx.positional import STRATEGIES
 
 from conftest import PI_MATRIX, build_matrix, perm_table, random_collection
 
@@ -132,7 +133,9 @@ def test_rebuild_column_matches_full_table():
         perms = perm_table(col)
         for j_start in range(col.length + 1):
             for j_target in range(j_start + 1):
-                got = rebuild_column(col, perms[j_start], j_start, j_target)
+                # a rebuild to its own start reads no digits, and an empty span has none
+                digits = pass_digits(col, perms[j_start], j_start, j_target) if j_target < j_start else None
+                got = rebuild_column(col, perms[j_start], j_start, j_target, digits)
                 assert got.dtype == np.int32
                 assert np.array_equal(got, perms[j_target]), (col.n, col.length, j_start, j_target)
 
@@ -188,10 +191,13 @@ def test_rebuild_queries_keep_one_block_of_digits_per_stored_column():
 
 def test_only_rebuild_queries_keep_digits(tmp_path):
     # a build, a save, a load and backward or binary queries at every
-    # position keep none, under `none` too, where binary rebuilds from pi_L
+    # position keep none while column 0 is stored.  Under `none` no column
+    # lies at or below any position, so the first query of any strategy
+    # rebuilds pi_k from pi_L and keeps the digits of pi_L alone
     rng = random.Random(707)
     for col in [random_collection(rng) for _ in range(6)] + list(_edge_collections())[:3]:
         for policy in _digit_policies():
+            kept = {col.length} if policy.kind == "none" else set()
             built = px.build_index(col, policy)
             px.save_index(built, tmp_path / "x.idx")
             for index in (built, px.load_index(tmp_path / "x.idx")):
@@ -199,8 +205,15 @@ def test_only_rebuild_queries_keep_digits(tmp_path):
                     pattern = col.strings[0][k : k + 1]
                     for strategy in ("backward", "binary"):
                         assert sorted(px.query(index, pattern, k, strategy)[1]) == px.naive_positional(col, pattern, k)
+                        assert set(index.rebuild_digits) == kept, (policy, strategy)
                     positional.backward_trace(index, pattern, k)
-                assert index.rebuild_digits == {}, policy
+            if policy.kind == "none":
+                for strategy in STRATEGIES:
+                    index = px.load_index(tmp_path / "x.idx")
+                    k = rng.randrange(col.length)
+                    pattern = col.strings[rng.randrange(col.n)][k : k + 1]
+                    assert sorted(px.query(index, pattern, k, strategy)[1]) == px.naive_positional(col, pattern, k)
+                    assert set(index.rebuild_digits) == kept, strategy
 
 
 def test_a_second_rebuild_from_a_column_packs_no_first_pass(monkeypatch):
@@ -232,3 +245,19 @@ def test_a_second_rebuild_from_a_column_packs_no_first_pass(monkeypatch):
             assert np.array_equal(positional._pi_source(index, k, rebuild=True)[1], perms[k])
         assert all(hi < c for _, hi in spans) and bool(spans) == (c - lo > width), spans
         assert list(index.rebuild_digits) == [c]
+        # under `none` every query that reads pi_k rebuilds it from pi_L: the
+        # first, of any strategy, packs the first pass, and no later one does
+        length = col.length
+        for first in STRATEGIES:
+            index = px.build_index(col, px.StoragePolicy.no_perms())
+            spans.clear()
+            px.query(index, col.strings[0][lo : lo + 3], lo, first)
+            assert list(index.rebuild_digits) == [length]
+            assert [span for span in spans if span[1] == length] == [(length - width, length)], first
+            spans.clear()
+            for k in range(0, length - 2, 5):
+                pattern = col.strings[k][k : k + 3]
+                for strategy in STRATEGIES:
+                    assert sorted(px.query(index, pattern, k, strategy)[1]) == px.naive_positional(col, pattern, k)
+            assert all(hi < length for _, hi in spans), (first, spans)
+            assert list(index.rebuild_digits) == [length]

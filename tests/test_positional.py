@@ -1,6 +1,5 @@
 import random
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -15,10 +14,10 @@ from pbwtidx.errors import (
 )
 from pbwtidx.pbwt import EMPTY, Interval
 from pbwtidx import pbwt, positional
-from pbwtidx.permutations import radix_sweep
 from pbwtidx.positional import STRATEGIES, backward_trace
 
-from conftest import DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, random_collection, storage_policies
+from conftest import (DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, count_sweep_passes, random_collection,
+                      storage_policies)
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +26,8 @@ def bare_index(fig1):
 
 
 def test_policy_stored_columns(fig1):
-    # in order, not sorted: _pi_source bisects the keys as they come, ascending to length
+    # in order, not sorted: stored_perms lists pi_j in the order of stored_columns, which
+    # _pi_source bisects, ascending to length
     for policy, columns in ((px.StoragePolicy.full(), list(range(9))), (px.StoragePolicy.sampled(3), [0, 3, 6, 8]),
                             (px.StoragePolicy.no_perms(), [8])):
         built = px.build_index(fig1, policy)
@@ -398,28 +398,6 @@ def test_build_sweeps_once(monkeypatch):
             assert sorted(px.query(index, pattern, k)[1]) == px.naive_positional(col, pattern, k)
 
 
-def _count_sweep_passes(monkeypatch, fail_at=None):
-    """The columns that :func:`radix_sweep` has sorted, in order, as ``np.argsort``
-    sees them: a sort called from any other frame, such as an LF fill, is not
-    counted.  The pass for column ``fail_at`` raises ``MemoryError`` once,
-    before it sorts."""
-    swept = []
-    argsort = np.argsort
-
-    def counted(a, *args, **kwargs):
-        caller = sys._getframe(1)
-        if caller.f_code is radix_sweep.__code__:
-            j = caller.f_locals["j"]
-            if j == fail_at and None not in swept:
-                swept.append(None)  # the pass that raised, marked so it raises once
-                raise MemoryError
-            swept.append(j)
-        return argsort(a, *args, **kwargs)
-
-    monkeypatch.setattr(np, "argsort", counted)
-    return swept
-
-
 def _sweep_panel() -> px.StringCollection:
     rng = random.Random(3535)
     founders = ["".join(rng.choices("ACGT", k=60)) for _ in range(6)]
@@ -433,7 +411,7 @@ def test_a_loaded_index_sweeps_each_column_once_and_only_as_far_as_read(monkeypa
     for policy in (px.StoragePolicy.sampled(7), px.StoragePolicy.full()):
         built = px.build_index(col, policy)
         blob = px.to_bytes(built)
-        swept = _count_sweep_passes(monkeypatch)
+        swept = count_sweep_passes(monkeypatch)
         loaded = px.from_bytes(blob)
         assert swept == [] and loaded == built and built == loaded and swept == []
         k, m = 40, 8
@@ -475,7 +453,7 @@ def test_an_interrupted_sweep_resumes():
         blob = px.to_bytes(px.build_index(col, policy))
         for strategy in STRATEGIES:
             with pytest.MonkeyPatch.context() as monkeypatch:
-                swept = _count_sweep_passes(monkeypatch, fail_at=col.length // 2)
+                swept = count_sweep_passes(monkeypatch, fail_at=col.length // 2)
                 loaded = px.from_bytes(blob)
                 with pytest.raises(MemoryError):
                     px.query(loaded, col.strings[1][:5], 0, strategy)
