@@ -100,7 +100,6 @@ class _Writer:
 
     def __init__(self, seed: int):
         self.rng = random.Random(seed)
-        self.seed = seed
         self.inputs: dict[str, str] = {}
         self.calls: list[dict] = []
 
@@ -109,10 +108,8 @@ class _Writer:
         self.inputs[name] = data.decode("latin-1")
         Path(name).write_bytes(data)
 
-    def call(self, *argv, stdin: bytes | None = None) -> dict:
-        got = run_call([str(a) for a in argv], None if stdin is None else stdin.decode("latin-1"))
-        self.calls.append(got)
-        return got
+    def call(self, *argv, stdin: bytes | None = None):
+        self.calls.append(run_call([str(a) for a in argv], None if stdin is None else stdin.decode("latin-1")))
 
 
 def _strings_file(strings) -> bytes:

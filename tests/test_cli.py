@@ -144,24 +144,18 @@ def test_dump_pi_golden(fig1_idx, capsys):
     assert got == expected
 
 
-def test_dump_pi_needs_full_policy(fig1_file, tmp_path, capsys):
-    out = str(tmp_path / "sampled.idx")
-    assert main(["build", "--mode", "positional", "--input", fig1_file, "--output", out]) == 0
-    capsys.readouterr()
-    assert main(["dump", "pi", "--index", out]) == 2
-
-
-@pytest.mark.parametrize("policy", [[], ["--policy", "sampled", "--stride", "2"], ["--policy", "none"]])
-def test_dump_pi_refuses_before_it_sweeps(policy, fig1_file, tmp_path, monkeypatch, capsys):
-    # the refusal reads the policy's stored columns, so a loaded index sorts
+def test_dump_pi_needs_full_policy(fig1_file, tmp_path, monkeypatch, capsys):
+    # the refusal reads the policy's stored columns, so the loaded index sorts
     # no column first: reading stored_perms finished the inversion, one sort per column
-    out = str(tmp_path / "x.idx")
-    assert main(["build", "--mode", "positional", "--input", fig1_file, *policy, "--output", out]) == 0
-    swept = count_sweep_passes(monkeypatch)
-    capsys.readouterr()
-    assert main(["dump", "pi", "--index", out]) == 2
-    assert "rebuild with --policy full" in capsys.readouterr().err
-    assert swept == []
+    for policy in ([], ["--policy", "sampled", "--stride", "2"], ["--policy", "none"]):
+        out = str(tmp_path / "x.idx")
+        assert main(["build", "--mode", "positional", "--input", fig1_file, *policy, "--output", out]) == 0
+        swept = count_sweep_passes(monkeypatch)
+        capsys.readouterr()
+        assert main(["dump", "pi", "--index", out]) == 2
+        assert "rebuild with --policy full" in capsys.readouterr().err
+        assert swept == [], policy
+        monkeypatch.undo()
 
 
 def test_dump_pbwt_golden(fig1_idx, capsys):

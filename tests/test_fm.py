@@ -319,8 +319,14 @@ def test_sorted_rotations_ranks_in_place(alphabet):
     assert peak < 40 * (2**14 + 1)
 
 
-def test_column_collapse_demo(alphabet):
-    assert px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
+def test_column_collapse_demo(alphabet, monkeypatch):
+    # one sweep, seeded with sorted_rotations' order, sorts each of the
+    # size = n + 1 columns once; the check that first swept the shifts from
+    # the identity to find that order sorted 2 * size columns
+    st = px.SentinelText(DEMO_TEXT, alphabet)
+    swept = count_sweep_passes(monkeypatch)
+    assert px.verify_column_collapse(st)
+    assert swept == list(range(st.n, -1, -1))
 
 
 def test_column_collapse_single_character(alphabet):
@@ -352,16 +358,6 @@ def test_column_collapse_fails_against_a_wrong_bwt(alphabet, monkeypatch):
         assert (DEMO_BWT[a] == DEMO_BWT[b]) == (a == 0)
         monkeypatch.setattr(fm, "sorted_rotations", swapped)
         assert not px.verify_column_collapse(px.SentinelText(DEMO_TEXT, alphabet))
-
-
-def test_column_collapse_sweeps_each_column_once(alphabet, monkeypatch):
-    # one sweep, seeded with sorted_rotations' order, sorts each of the
-    # size = n + 1 columns once; the check that first swept the shifts from
-    # the identity to find that order sorted 2 * size columns
-    st = px.SentinelText(DEMO_TEXT, alphabet)
-    swept = count_sweep_passes(monkeypatch)
-    assert px.verify_column_collapse(st)
-    assert swept == list(range(st.n, -1, -1))
 
 
 def test_positional_search_over_the_cyclic_shifts_is_the_fm_search():
