@@ -14,7 +14,7 @@ from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError
 from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_count, fm_locate
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
-from .positional import PositionalIndex, StoragePolicy, build_index, default_stride, query
+from .positional import STRATEGIES, PositionalIndex, StoragePolicy, build_index, default_stride, query
 
 _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     qpos.add_argument("--index", required=True)
     qpos.add_argument("--pattern", required=True)
     qpos.add_argument("--position", type=int, required=True)
-    qpos.add_argument("--strategy", choices=["binary", "backward", "rebuild"], default="backward")
+    qpos.add_argument("--strategy", choices=STRATEGIES, default="backward")
     qpos.add_argument("--trace", action="store_true", help="print j f_j l_j per backward step")
     qpos.add_argument("--verify", action="store_true", help="cross-check against the brute-force scan")
     qpos.add_argument("--count-only", action="store_true", dest="count_only")
@@ -163,6 +163,8 @@ def _answer(args, trace, interval, matches, oracle) -> int:
 
 
 def cmd_query_positional(args) -> int:
+    if args.trace and args.strategy != "backward":  # only the backward search steps
+        raise PbwtIndexError(f"--trace does not apply to --strategy {args.strategy}")
     index = _load(args.index, PositionalIndex)
     interval, matches, trace = query(index, args.pattern, args.position,
                                      strategy=args.strategy, with_trace=args.trace)

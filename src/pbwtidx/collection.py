@@ -70,7 +70,8 @@ def from_strings(strings, alphabet: Alphabet | None = None) -> StringCollection:
         raise EmptyInputError("strings must be non-empty")
     ragged = next((i for i, s in enumerate(strings) if len(s) != width), len(strings))
     try:
-        codes = alphabet.encode("".join(strings[:ragged]))
+        # the first ragged line's characters too: a foreign one that changed its length is named as a character
+        codes = alphabet.encode("".join(strings[: ragged + 1]))
     except UnknownCharacterError:
         # the first line that fails alone names the line and column
         for lineno, s in enumerate(strings, start=1):

@@ -10,9 +10,10 @@ and int32 checkpoints every 64 rows for any other symbol.  The backward step
 needs both: the first and last rows of the interval that hold the pattern's
 symbol map through ``lf`` to the new interval, and an end with no such row
 within 64 rows takes a checkpoint instead.  A column's ``lf`` is the inverse
-of its stable sort, filled when a search first reads the column: a query
-reads only the columns its pattern and its locate walk cross, and a build, a
-save or a load reads none.  The BWT is the PBWT of a text's cyclic
+of its stable sort, filled when a search first reads the column, and its
+checkpoints are counted by the first step in it: a query reads only the
+columns its pattern and its locate walk cross, and a build, a save or a load
+reads none.  The BWT is the PBWT of a text's cyclic
 shifts, whose columns are all equal, so :mod:`pbwtidx.fm` holds it as a
 one-column :class:`PbwtMatrix`, whose :meth:`~PbwtMatrix.backward` search in
 column 0 is the FM count.  :class:`PbwtInversion` turns the columns back
@@ -80,13 +81,15 @@ class PbwtMatrix:
       (:meth:`fill`), never per step, and a read of ``lf`` fills them all.
       The array is allocated by the first fill, so a build, a save or a load
       allocates none.
-    * ``base[j, a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``, so
-      ``base[..., 0]`` holds the C-arrays and the last checkpoint the column
-      totals; :meth:`step` gives the value for any symbol and row from one
+    * ``checkpoints(j)[a, b]`` is ``C_j[a] + occ_j(a, min(BLOCK * b, n))``,
+      so its first column holds the C-array and its last the column totals;
+      :meth:`step` gives the value for any symbol and row from one
       checkpoint and a count over at most ``BLOCK - 1`` bytes of the column.
-      The checkpoints are counted on the first :meth:`step` or read of
-      ``base``: a build, a save or a search whose windows find every symbol
-      never reads them.
+      Column ``j``'s checkpoints are counted from ``cols[j]`` alone by the
+      first :meth:`step` in that column, or the first call of
+      :meth:`checkpoints`, and kept in the list ``_base``, None until then: a
+      build, a save, a load or a search whose windows find every symbol
+      counts none, and a traced search only the columns it steps through.
 
     The columns are kept as one ``bytes`` or ``bytearray`` object, whose
     ``count`` is the in-block scan and whose ``find`` and ``rfind`` give
@@ -116,6 +119,7 @@ class PbwtMatrix:
         self.n = n
         self.sigma = sigma
         self._filled = bytearray(width)
+        self._base = [None] * width
 
     def fill(self, lo: int, hi: int) -> np.ndarray:
         """The (width, n) LF mapping, with columns ``lo..hi-1`` filled; the
@@ -145,40 +149,33 @@ class PbwtMatrix:
         """The (width, n) int32 LF mapping, every column filled."""
         return self.fill(0, self.cols.shape[0])
 
-    @property
-    def base(self) -> np.ndarray:
-        """The checkpoints, counted from the columns when first read and then kept."""
-        try:
-            return self._base
-        except AttributeError:
-            pass
-        width, n, sigma = self.cols.shape[0], self.n, self.sigma
-        blocks = n // BLOCK + 2
-        base = np.empty((width, sigma, blocks), np.int32)
-        # row r's symbol counts towards every checkpoint after its block
-        slot = (np.arange(n) // BLOCK + 1) * sigma
-        for j, col in enumerate(self.cols):
-            base[j] = np.bincount(slot + col, minlength=blocks * sigma).reshape(blocks, sigma).T
-        np.cumsum(base, axis=2, out=base)
-        totals = base[:, :, -1]
-        base += (np.cumsum(totals, axis=1) - totals)[:, :, None]
-        self._base = base
+    def checkpoints(self, j: int) -> np.ndarray:
+        """Column ``j``'s (sigma, n // BLOCK + 2) int32 checkpoints, counted from
+        ``cols[j]`` alone when first asked for and then kept."""
+        base = self._base[j]
+        if base is None:
+            n, sigma = self.n, self.sigma
+            blocks = n // BLOCK + 2
+            # row r's symbol counts towards every checkpoint after its block
+            slot = np.repeat(np.arange(sigma, blocks * sigma, sigma), BLOCK)[:n] + self.cols[j]
+            base = np.bincount(slot, minlength=blocks * sigma).reshape(blocks, sigma).T.cumsum(1, np.int32)
+            totals = base[:, -1]
+            base += (np.cumsum(totals) - totals)[:, None]
+            self._base[j] = base
         return base
 
     def step(self, j: int, a: int, i: int) -> int:
-        """``C_j[a] + occ_j(a, i)`` for a Python int ``a``, unchecked.
+        """``C_j[a] + occ_j(a, i)`` for a Python int ``a``, unchecked; column
+        ``j``'s checkpoints are counted by its first step.
 
         A numpy integer ``a`` would be read by ``bytes.count`` as a byte
-        string of its own width, hence the int.  Steps read the checkpoints
-        from the plain attribute ``_base``: a property read, or a class
-        ``__getattr__``, would slow every step.
+        string of its own width, hence the int.
         """
+        base = self._base[j]
+        if base is None:
+            base = self.checkpoints(j)
         at = j * self.n
-        try:
-            base = self._base
-        except AttributeError:  # the first step builds them
-            base = self.base
-        return base.item(j, a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
+        return base.item(a, i // BLOCK) + self._bytes.count(a, at + i // BLOCK * BLOCK, at + i)
 
     def check_interval(self, interval: Interval) -> tuple[int, int]:
         """The ends ``(f, l)`` of a non-empty ``interval`` as ints, in which ``l + 1`` cannot wrap
@@ -254,7 +251,7 @@ def build_pbwt(collection: StringCollection, cols: np.ndarray) -> PbwtMatrix:
     """Assemble the PBWT from the columns that the build's sweep gathered.
 
     No column is gathered or sorted again: each LF column is filled when a
-    search first reads it, and the checkpoints wait for the first step.
+    search first reads it, and each column's checkpoints wait for its first step.
     """
     return PbwtMatrix(cols, collection.alphabet.sigma)
 

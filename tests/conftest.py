@@ -135,7 +135,12 @@ def all_patterns(symbols: str, max_len: int):
 
 def occ(matrix: px.PbwtMatrix, j: int, a: int, i: int) -> int:
     """Occurrences of rank code ``a`` among the first ``i`` rows of column ``j``."""
-    return matrix.step(j, a, i) - int(matrix.base[j, a, 0])
+    return matrix.step(j, a, i) - int(matrix.checkpoints(j)[a, 0])
+
+
+def all_checkpoints(matrix: px.PbwtMatrix) -> np.ndarray:
+    """Every column's checkpoints, stacked as one (width, sigma, n // BLOCK + 2) array."""
+    return np.stack([matrix.checkpoints(j) for j in range(matrix.cols.shape[0])])
 
 
 def sa_samples(index: px.FmIndex) -> dict[int, int]:

@@ -205,6 +205,14 @@ def test_query_positional_trace_and_results(fig1_idx, capsys):
     assert out[4:] == ["5", "1", "4"]
 
 
+@pytest.mark.parametrize("strategy", ["binary", "rebuild"])
+def test_query_positional_trace_needs_the_backward_strategy(strategy, fig1_idx, capsys):
+    # only the backward search steps, so no other strategy has a trace to print
+    assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AGA", "--position", "3",
+                 "--strategy", strategy, "--trace"]) == 2
+    assert capsys.readouterr() == ("", f"error: --trace does not apply to --strategy {strategy}\n")
+
+
 def test_query_positional_sorted(fig1_idx, capsys):
     assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AGA",
                  "--position", "3", "--sorted"]) == 0

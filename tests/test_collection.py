@@ -32,6 +32,9 @@ def test_parse_minimal(alphabet):
 def test_parse_ragged(alphabet):
     with pytest.raises(RaggedCollectionError):
         px.parse_collection("AC\nACG\n", alphabet)
+    # characters are checked up to the first ragged line, and no further
+    with pytest.raises(RaggedCollectionError, match="line 2: length 5 differs from length 4 of line 1"):
+        px.parse_collection("ACGT\nACGTT\nANGT\n", alphabet)
 
 
 def test_parse_empty(alphabet):
@@ -54,7 +57,9 @@ def test_parse_unknown_character_reports_line_and_column(alphabet):
     for text, message in ((b"GA\x0cTT\n", r"line 1: character '\\x0c' at column 3"),
                           (b"GATT\x0bACGT\nCCCC\n", r"line 1: character '\\x0b' at column 5"),
                           ("AC\nG\x85\n", r"line 2: character '\\x85' at column 2"),
-                          ("AC\u2028GT\n", r"line 1: character '\\u2028' at column 3")):
+                          ("AC\u2028GT\n", r"line 1: character '\\u2028' at column 3"),
+                          # a foreign character that makes its line ragged is named as a character
+                          (b"ACGT\nAC\xc3\xa9T\n", r"line 2: character '\\udcc3' at column 3")):
         with pytest.raises(UnknownCharacterError, match=message):
             px.parse_collection(text, alphabet)
 

@@ -6,13 +6,13 @@ import pytest
 import pbwtidx as px
 from pbwtidx.errors import (EmptyInputError, IndexOutOfRangeError, PbwtIndexError, RankOutOfRangeError,
                             UnknownCharacterError)
-from pbwtidx.fm import locate_with_steps
+from pbwtidx.fm import count_trace, locate_with_steps
 from pbwtidx.pbwt import BLOCK, EMPTY, Interval, PbwtInversion
 from pbwtidx import positional
 from pbwtidx.positional import STRATEGIES
 
-from conftest import (EDGE_COLLECTIONS, FIG1_STRINGS, PBWT_MATRIX, all_patterns, build_matrix, occ, perm_table,
-                      random_collection, storage_policies)
+from conftest import (EDGE_COLLECTIONS, FIG1_STRINGS, PBWT_MATRIX, all_checkpoints, all_patterns, build_matrix, occ,
+                      perm_table, random_collection, storage_policies)
 
 
 def test_fig4_matrix(fig1_matrix, alphabet):
@@ -92,7 +92,7 @@ def test_every_column_matrix_inverts_to_its_collection():
             assert index == built and np.array_equal(index.cols, cols)
             assert np.array_equal(index.cols, built.cols)
             assert np.array_equal(index.matrix.lf, built.matrix.lf) and index.matrix.lf.dtype == np.int32
-            assert np.array_equal(index.matrix.base, built.matrix.base)
+            assert np.array_equal(all_checkpoints(index.matrix), all_checkpoints(built.matrix))
             assert list(index.stored_perms) == list(built.stored_perms)
             for j, pi in built.stored_perms.items():
                 assert index.stored_perms[j].dtype == np.int32 and np.array_equal(index.stored_perms[j], pi)
@@ -146,11 +146,12 @@ def _lf_rank_cases():
 
 def test_lf_rank_matches_brute_force():
     for cols, sigma in _lf_rank_cases():
-        width, n = cols.shape
+        n = cols.shape[1]
         matrix = px.PbwtMatrix(cols, sigma)
-        assert matrix.lf.dtype == matrix.base.dtype == np.int32
-        assert matrix.base.shape == (width, sigma, n // BLOCK + 2)
+        assert matrix.lf.dtype == np.int32
         for j, column in enumerate(cols.tolist()):
+            base = matrix.checkpoints(j)
+            assert base.dtype == np.int32 and base.shape == (sigma, n // BLOCK + 2)
             # counts[a][i] = #a among the first i characters, counted one row at a time
             counts = [[0] * (n + 1) for _ in range(sigma)]
             for i, c in enumerate(column):
@@ -161,27 +162,56 @@ def test_lf_rank_matches_brute_force():
             assert sorted(matrix.lf[j].tolist()) == list(range(n))
             for a in range(sigma):
                 checkpoints = [c_array[a] + counts[a][min(b * BLOCK, n)] for b in range(n // BLOCK + 2)]
-                assert matrix.base[j, a].tolist() == checkpoints
+                assert base[a].tolist() == checkpoints
                 assert [matrix.step(j, a, i) for i in range(n + 1)] == [c_array[a] + x for x in counts[a]]
                 assert [occ(matrix, j, a, i) for i in range(n + 1)] == counts[a]
 
 
-def test_checkpoints_are_built_on_the_first_step_and_kept():
-    """A build, a save and a load leave the checkpoints unbuilt; the first
-    step or read of ``base`` builds them as a plain attribute, which later
-    steps and reads find."""
-    index = px.build_index(px.from_strings(FIG1_STRINGS))
-    loaded = px.from_bytes(px.to_bytes(index))
+def _counted(matrix) -> list[int]:
+    return [j for j, base in enumerate(matrix._base) if base is not None]
+
+
+def test_checkpoints_are_counted_per_column_on_the_first_step_there():
+    """Column ``j``'s checkpoints are counted by the first step in column
+    ``j`` and kept.  A build, a save, a load, a locate and an FM count whose
+    windows all hold the symbol count none; ``backward_step`` in column ``j``
+    counts column ``j``; a traced query at ``k`` with an ``m``-character
+    pattern counts exactly columns ``k..k+m-1``.  The steps answer the same
+    whatever order the columns are counted in."""
+    rng = np.random.default_rng(37)
+    founders = rng.integers(0, 4, (4, 40))
+    codes = founders[rng.integers(0, 4, 150)]
+    codes[rng.random(codes.shape) < 0.05] = 2
+    col = px.StringCollection(px.Alphabet(), codes)
+    index = px.build_index(col)
+    blob = px.to_bytes(index)
+    loaded = px.from_bytes(blob)
+    px.locate(loaded, Interval(0, col.n - 1), 20)
     fm = px.from_bytes(px.to_bytes(px.fm_build(px.SentinelText("GATTAGATACAT", px.Alphabet()), 5)))
-    for matrix in (index.matrix, loaded.matrix, fm.matrix):
-        assert "_base" not in vars(matrix)
     px.fm_count(fm, "TA")  # every window holds the symbol: no step
-    assert "_base" not in vars(fm.matrix)
-    expected = [index.matrix.step(j, a, i) for j in range(8) for a in range(4) for i in range(9)]
-    base = vars(index.matrix)["_base"]
-    assert [loaded.matrix.step(j, a, i) for j in range(8) for a in range(4) for i in range(9)] == expected
-    assert index.matrix.base is base and np.array_equal(vars(loaded.matrix)["_base"], base)
-    assert fm.matrix.base is vars(fm.matrix)["_base"]
+    for matrix in (index.matrix, loaded.matrix, fm.matrix):
+        assert _counted(matrix) == []
+    count_trace(fm, "TA")
+    assert _counted(fm.matrix) == [0]
+    for j in (0, 17, 39):
+        fresh = px.from_bytes(blob)
+        px.backward_step(fresh, j, Interval(0, col.n - 1), "G")
+        assert _counted(fresh.matrix) == [j]
+    for k, m in ((0, 6), (11, 6), (34, 6), (20, 1), (0, 40)):
+        fresh = px.from_bytes(blob)
+        pattern = col.strings[0][k : k + m]
+        _, matches, trace = px.query(fresh, pattern, k, with_trace=True)
+        assert 0 in matches and not trace[-1][1].is_empty
+        assert _counted(fresh.matrix) == list(range(k, k + m))
+    steps = [(j, a, i) for j in range(col.length) for a in range(4) for i in range(0, col.n + 1, 7)]
+    expected = [index.matrix.step(*s) for s in steps]
+    for order in (range(col.length - 1, -1, -1), rng.permutation(col.length).tolist()):
+        fresh = px.from_bytes(blob)
+        for j in order:
+            fresh.matrix.checkpoints(j)
+        assert [fresh.matrix.step(*s) for s in steps] == expected
+    for j in range(col.length):
+        assert index.matrix.checkpoints(j) is index.matrix._base[j]
 
 
 def _filled(matrix) -> list[int]:

@@ -38,19 +38,19 @@ def test_columns_are_handed_over_read_only(fig1):
 
 
 def test_column_counts_fig1(fig1, fig1_matrix):
-    # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T; the C-arrays are
-    # the first checkpoint of PbwtMatrix.base and the column totals its last
-    base = fig1_matrix.base
-    assert (base[4, :, -1] - base[4, :, 0]).tolist() == [2, 1, 3, 2]
-    assert base[4, :, 0].tolist() == [0, 2, 3, 6]
-    assert base[2, fig1.alphabet.rank("T"), 0] == 4
+    # PBWT column 4 is TTGGGAAC, i.e. 2 A, 1 C, 3 G, 2 T; the C-array is the
+    # first checkpoint of PbwtMatrix.checkpoints(4) and the column totals its last
+    base = fig1_matrix.checkpoints(4)
+    assert (base[:, -1] - base[:, 0]).tolist() == [2, 1, 3, 2]
+    assert base[:, 0].tolist() == [0, 2, 3, 6]
+    assert fig1_matrix.checkpoints(2)[fig1.alphabet.rank("T"), 0] == 4
 
 
 def test_column_counts_unary(alphabet):
     col = px.from_strings(["AAAA"] * 6, alphabet)
-    base = build_matrix(col).base
-    assert base[2, :, 0].tolist() == [0, 6, 6, 6]
-    assert (base[2, :, -1] - base[2, :, 0]).tolist() == [6, 0, 0, 0]
+    base = build_matrix(col).checkpoints(2)
+    assert base[:, 0].tolist() == [0, 6, 6, 6]
+    assert (base[:, -1] - base[:, 0]).tolist() == [6, 0, 0, 0]
 
 
 def _comparison_sorted(col, j):
