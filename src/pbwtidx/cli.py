@@ -14,7 +14,7 @@ from .errors import ModeMismatchError, PbwtIndexError, PermutationNotStoredError
 from .fm import FmIndex, SentinelText, count_trace, fm_build, fm_count, fm_locate
 from .indexfile import U32_MAX, load_index, save_index
 from .oracle import naive_positional, naive_substring
-from .positional import STRATEGIES, PositionalIndex, StoragePolicy, build_index, default_stride, query
+from .positional import STRATEGIES, PositionalIndex, StoragePolicy, build_index, default_stride, locate, search
 
 _RED = "\x1b[31m"
 _RESET = "\x1b[0m"
@@ -71,13 +71,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read(path: str) -> str:
-    """The file at ``path``, or stdin for ``-``, one character per byte: a byte above
-    127 decodes to a lone surrogate, which the alphabet refuses with its column."""
+def _read(path: str) -> bytes:
+    """The bytes of the file at ``path``, or of stdin for ``-``."""
     if path == "-":
-        return sys.stdin.buffer.read().decode("ascii", "surrogateescape")
+        return sys.stdin.buffer.read()
     with open(path, "rb") as fh:
-        return fh.read().decode("ascii", "surrogateescape")
+        return fh.read()
 
 
 def cmd_build(args) -> int:
@@ -114,8 +113,10 @@ def cmd_build(args) -> int:
               f"policy={policy_desc} bytes={written}")
         return 0
     if args.text_file is not None:
-        # only CR and LF, where parse_collection breaks lines: any other space reaches the alphabet
-        text = _read(args.text_file).strip("\r\n")
+        # one character per byte: a byte above 127 decodes to a lone surrogate, which the
+        # alphabet refuses with its column; only CR and LF, where parse_collection breaks
+        # lines, are stripped, so any other space reaches the alphabet
+        text = _read(args.text_file).decode("ascii", "surrogateescape").strip("\r\n")
     elif args.text is not None:
         text = args.text
     else:
@@ -143,9 +144,11 @@ def _interval_fields(interval) -> str:
     return f"{interval.f} {interval.l}"
 
 
-def _answer(args, trace, interval, matches, oracle) -> int:
-    """Print the trace, then the count or the matches in the order given;
-    with --verify, compare the matches with ``oracle()``'s ascending list."""
+def _answer(args, trace, interval, find_matches, oracle) -> int:
+    """Print the trace, then the count or the matches in the order
+    ``find_matches()`` gives them; with --verify, compare the matches with
+    ``oracle()``'s ascending list.  Only a count without --verify locates nothing."""
+    matches = None if args.count_only and not args.verify else find_matches()
     if args.trace and trace:
         for j, step in trace:
             print(f"{j} {_interval_fields(step)}")
@@ -166,9 +169,14 @@ def cmd_query_positional(args) -> int:
     if args.trace and args.strategy != "backward":  # only the backward search steps
         raise PbwtIndexError(f"--trace does not apply to --strategy {args.strategy}")
     index = _load(args.index, PositionalIndex)
-    interval, matches, trace = query(index, args.pattern, args.position,
+    interval, source, trace = search(index, args.pattern, args.position,
                                      strategy=args.strategy, with_trace=args.trace)
-    return _answer(args, trace, interval, sorted(matches) if args.sorted_output else matches,
+
+    def matches():
+        found = locate(index, interval, args.position, source=source)
+        return sorted(found) if args.sorted_output else found
+
+    return _answer(args, trace, interval, matches,
                    lambda: naive_positional(index.collection, args.pattern, args.position))
 
 
@@ -179,7 +187,7 @@ def cmd_query_substring(args) -> int:
         interval = trace[-1][1]
     else:
         trace, interval = None, fm_count(index, args.pattern)
-    return _answer(args, trace, interval, sorted(fm_locate(index, interval)),
+    return _answer(args, trace, interval, lambda: sorted(fm_locate(index, interval)),
                    lambda: naive_substring(index.text, args.pattern))
 
 

@@ -14,10 +14,13 @@ runs :meth:`PbwtMatrix.backward`, as the FM index does; :func:`query` runs
 A query reads pi_k from one source, a pair ``(h, pi_h)`` with h <= k: the
 greatest stored column at or below ``k``, reached by walking rows back
 through the PBWT, the counterpart of the FM-index's sampled suffix array;
-or ``(k, pi_k)`` rebuilt once, for ``rebuild`` and where no column at or
-below ``k`` is stored.  The bisect walks only the rows it probes, about
-2 lg n walks instead of a rebuild of all n entries, and :func:`locate`
-reads the matches from the source the search read.
+or ``(k, pi_k)``, for ``rebuild`` and where no column at or below ``k`` is
+stored, rebuilt once or read from a loaded index's inversion sweep on its
+way down.  The bisect walks only the rows it probes, about 2 lg n walks
+instead of a rebuild of all n entries, and :func:`locate` reads the
+matches from the source the search read.  :func:`query` is :func:`search`
+followed by :func:`locate`; a caller that prints only the count runs the
+search alone.
 """
 
 from bisect import bisect_left, bisect_right
@@ -187,14 +190,21 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
     ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
     rebuilt from the nearest stored column c to the right.  A loaded index
     sweeps down to h, or to column 0 for a rebuild, which reads the
-    collection.  Every rebuild reads c's digits from ``index.rebuild_digits``,
-    and the first rebuild from c, whatever the strategy, derives them for
-    every column between c and the stored column below it.
+    collection.  Where no column at or below ``k`` is stored (``none``), a
+    query that is not a ``rebuild`` reads ``(k, pi_k)`` from a loaded index's
+    sweep, run down to ``k`` and not kept, until that sweep has sorted a
+    column below ``k``; then it rebuilds.  Every rebuild reads c's digits from
+    ``index.rebuild_digits``, and the first rebuild from c, whatever the
+    strategy, derives them for every column between c and the stored column
+    below it.
     """
     columns, inversion = index.stored_columns, index._inversion
     i = bisect_right(columns, k)  # columns[i - 1] <= k < columns[i]
     if i and (columns[i - 1] == k or not rebuild):
         return columns[i - 1], inversion.perm(columns[i - 1])
+    pi_k = None if rebuild else inversion.sweep_pi(k)
+    if pi_k is not None:
+        return k, pi_k
     c = columns[i]
     collection, pi_c = index.collection, inversion.perm(c)
     digits = index.rebuild_digits.get(c)
@@ -304,29 +314,34 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     return pi_h.take(rows).tolist()
 
 
-def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",
-          with_trace: bool = False):
-    """Search + locate pipeline used by the CLI.
+def search(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",
+           with_trace: bool = False) -> tuple[Interval, PiSource | None, list | None]:
+    """The search half of :func:`query`: ``(interval, source, trace)``.
 
     Strategies ``binary`` and ``rebuild`` build one pi_k source
-    (:func:`_pi_source`) and hand it to the search and to :func:`locate`, so
-    every strategy answers under every storage policy with at most one
-    rebuild; a backward query's :func:`locate` finds its own.  The backward
-    strategy runs :func:`search_backward`, or :func:`backward_trace` when
-    ``with_trace`` is set.  Returns ``(interval, matches, trace)``;
-    ``trace`` is None unless requested with the backward strategy.
+    (:func:`_pi_source`), search with it and return it for :func:`locate`,
+    so every strategy answers under every storage policy with at most one
+    rebuild; the backward strategy returns no source, and its
+    :func:`locate` finds its own.  The backward strategy runs
+    :func:`search_backward`, or :func:`backward_trace` when ``with_trace``
+    is set.  ``trace`` is None unless requested with the backward strategy.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     k = _check_span(index, len(pattern), k)
-    trace = source = None
     if strategy == "backward" and with_trace:
         trace = backward_trace(index, pattern, k)
-        interval = trace[-1][1]
-    elif strategy == "backward":
-        interval = search_backward(index, pattern, k)
-    else:
-        source = _pi_source(index, k, rebuild=strategy == "rebuild")
-        search = search_binary if strategy == "binary" else search_rebuild
-        interval = search(index, pattern, k, source=source)
+        return trace[-1][1], None, trace
+    if strategy == "backward":
+        return search_backward(index, pattern, k), None, None
+    source = _pi_source(index, k, rebuild=strategy == "rebuild")
+    searcher = search_binary if strategy == "binary" else search_rebuild
+    return searcher(index, pattern, k, source=source), source, None
+
+
+def query(index: PositionalIndex, pattern: str, k: int, strategy: str = "backward",
+          with_trace: bool = False):
+    """Search + locate pipeline: :func:`search`, then :func:`locate` from the
+    source the search read.  Returns ``(interval, matches, trace)``."""
+    interval, source, trace = search(index, pattern, k, strategy, with_trace)
     return interval, locate(index, interval, k, source=source), trace

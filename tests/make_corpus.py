@@ -319,6 +319,35 @@ def _crafted_files(w: _Writer):
         w.call("dump", "pbwt" if positional else "bwt", "--index", name)
 
 
+def _line_endings_and_strides(w: _Writer):
+    """The founders panel under other line endings, which the parser's line path
+    reads, and sampled builds at strides 1, 2 and 5 queried on and off their grids."""
+    rng = w.rng
+    panel = Path("founders.txt").read_bytes()
+    codes = _digests(Path("founders-full.idx").read_bytes())["codes_sha256"]
+    variants = {"founders-crlf.txt": panel.replace(b"\n", b"\r\n"), "founders-cr.txt": panel.replace(b"\n", b"\r"),
+                "founders-unended.txt": panel[:-1], "founders-blank.txt": panel + b"\n"}
+    for name, data in variants.items():
+        w.add_input(name, data)
+        index = name.replace(".txt", ".idx")
+        w.call("build", "--mode", "positional", "--input", name, "--policy", "full", "--output", index)
+        if w.calls[-1]["files"][index]["codes_sha256"] != codes:
+            raise SystemExit(f"{name} built other codes than founders.txt")
+    w.add_input("ragged-rows.txt", b"ACG\n\nAC\n")  # 8 bytes, every 4th a newline, yet ragged
+    w.call("build", "--mode", "positional", "--input", "ragged-rows.txt", "--output", "ragged-rows.idx")
+    strings = panel.decode("ascii").split()
+    length = len(strings[0])
+    for stride in (1, 2, 5):
+        index = f"founders-stride{stride}.idx"
+        w.call("build", "--mode", "positional", "--input", "founders.txt", "--stride", stride, "--output", index)
+        for k in sorted({0, stride, stride + 1, 3 * stride - 1, length - 4}):
+            pattern = strings[rng.randrange(len(strings))][k : k + 4]
+            for strategy in STRATEGIES:
+                w.call("query", "positional", "--index", index, "--pattern", pattern, "--position", k,
+                       "--strategy", strategy, "--verify")
+            w.call("query", "positional", "--index", index, "--pattern", pattern, "--position", k, "--count-only")
+
+
 def write(seed: int, output: Path):
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -330,6 +359,7 @@ def write(seed: int, output: Path):
             _mode_mismatches(w)
             _refused_inputs(w)
             _crafted_files(w)
+            _line_endings_and_strides(w)
         finally:
             os.chdir(here)
     output.parent.mkdir(parents=True, exist_ok=True)

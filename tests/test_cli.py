@@ -232,6 +232,29 @@ def test_query_positional_count_only(fig1_idx, capsys):
     assert capsys.readouterr().out.strip() == "3"
 
 
+def test_count_only_locates_nothing_unless_verified(fig1_idx, demo_idx, capsys, monkeypatch):
+    located = []
+
+    def record(locate):
+        return lambda *args, **kwargs: located.append(locate.__name__) or locate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "locate", record(cli.locate))
+    monkeypatch.setattr(cli, "fm_locate", record(cli.fm_locate))
+    positional_query = ["query", "positional", "--index", fig1_idx, "--pattern", "AGA", "--position", "3"]
+    for strategy in positional.STRATEGIES:
+        assert main([*positional_query, "--strategy", strategy, "--count-only", "--sorted"]) == 0
+        assert capsys.readouterr().out == "3\n"
+    assert main([*positional_query, "--count-only", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["6 0 7", "5 0 4", "4 3 5", "3 1 3", "3"]
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TA", "--count-only", "--trace"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2"
+    assert located == []
+    # --verify compares the matches, so it locates them
+    assert main([*positional_query, "--count-only", "--verify"]) == 0
+    assert main(["query", "substring", "--index", demo_idx, "--pattern", "TA", "--count-only", "--verify"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["3", "2"] and located == ["locate", "fm_locate"]
+
+
 def test_query_positional_empty_result_exits_zero(fig1_idx, capsys):
     assert main(["query", "positional", "--index", fig1_idx, "--pattern", "AAAA",
                  "--position", "0"]) == 0

@@ -444,6 +444,29 @@ def test_a_loaded_index_sweeps_each_column_once_and_only_as_far_as_read(monkeypa
         monkeypatch.undo()
 
 
+def test_under_none_a_query_reads_pi_k_from_the_loads_sweep_until_it_has_passed_k(monkeypatch):
+    # no column at or below k is stored, so a query that is not a rebuild
+    # sweeps down to k and reads pi_k there, keeping neither pi_k nor digits;
+    # once the sweep has sorted a column below k, pi_k is rebuilt from pi_L as
+    # before, which reads the collection and so finishes the sweep
+    col = _sweep_panel()
+    length = col.length
+    blob = px.to_bytes(px.build_index(col, px.StoragePolicy.no_perms()))
+    swept = count_sweep_passes(monkeypatch)
+    loaded = px.from_bytes(blob)
+    for k, sorted_to, digits in ((45, 45, set()), (45, 45, set()), (20, 20, set()), (50, 0, {length})):
+        pattern = col.strings[k % col.n][k : k + 6]
+        assert sorted(px.query(loaded, pattern, k)[1]) == px.naive_positional(col, pattern, k)
+        assert swept == list(range(length - 1, sorted_to - 1, -1)), k
+        assert set(loaded.rebuild_digits) == digits and list(loaded._inversion.perms) == [length], k
+    # a binary query reads pi_k from the sweep too, then finishes it for the collection
+    swept.clear()
+    loaded = px.from_bytes(blob)
+    pattern = col.strings[7][45:51]
+    assert sorted(px.query(loaded, pattern, 45, "binary")[1]) == px.naive_positional(col, pattern, 45)
+    assert swept == list(range(length - 1, -1, -1)) and loaded.rebuild_digits == {}
+
+
 def test_an_interrupted_sweep_resumes():
     # a pass that raises part of the way down leaves the sweep where it was:
     # the next query sweeps on from there, and every answer matches the scan
