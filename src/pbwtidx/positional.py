@@ -5,22 +5,28 @@ position ``k``.  Strategy ``binary`` runs ``bisect.bisect_left`` and
 ``bisect_right`` over the ranks of the suffixes sorted by pi_k;
 ``backward`` starts from the full interval at column ``k+m`` and applies
 one backward step per pattern character, two LF reads at the interval's
-ends; ``rebuild`` recomputes
-pi_k from the nearest stored column to its right and then bisects.  All three
-return the same interval of lexicographic ranks.  :func:`search_backward`
+ends; ``rebuild`` runs the radix passes that recompute pi_k from the
+nearest stored column c to its right, all but the last over every row, and
+reads the last pass as counts (:class:`LastPass`): the pattern's interval
+starts after the rows whose digit sorts below the pattern's and holds those
+whose digit starts with it, in the order of the permutation the pass sorts,
+so no n-entry pi_k is made.  All three return the same interval of
+lexicographic ranks.  :func:`search_backward`
 runs :meth:`PbwtMatrix.backward`, as the FM index does; :func:`query` runs
 :func:`backward_trace`, one :class:`Interval` per column, only for a trace.
 
 A query reads pi_k from one source, a pair ``(h, pi_h)`` with h <= k: the
 greatest stored column at or below ``k``, reached by walking rows back
 through the PBWT, the counterpart of the FM-index's sampled suffix array;
-or ``(k, pi_k)``, for ``rebuild`` and where no column at or below ``k`` is
-stored, rebuilt once or read from a loaded index's inversion sweep on its
-way down.  The bisect walks only the rows it probes, about 2 lg n walks
-instead of a rebuild of all n entries, and :func:`locate` reads the
-matches from the source the search read.  :func:`query` is :func:`search`
-followed by :func:`locate`; a caller that prints only the count runs the
-search alone.
+or ``(k, pi_k)``, where no column at or below ``k`` is stored, rebuilt
+once or read from a loaded index's inversion sweep on its way down; or
+``(k, LastPass)`` for ``rebuild``.  The bisect walks only the rows it
+probes, about 2 lg n walks instead of a rebuild of all n entries, and
+:func:`locate` reads the matches from the source the search read: a
+``rebuild`` locate gathers pi_c, or the permutation the passes before the
+last made, at the rows its search selected.  :func:`query` is
+:func:`search` followed by :func:`locate`; a caller that prints only the
+count runs the search alone and gathers nothing.
 """
 
 from bisect import bisect_left, bisect_right
@@ -33,10 +39,34 @@ from .collection import StringCollection
 from .errors import (EmptyInputError, IndexOutOfRangeError, PatternOverrunError, PbwtIndexError,
                      PermutationNotStoredError)
 from .pbwt import EMPTY, Interval, PbwtInversion, PbwtMatrix, build_pbwt, check_rows
-from .permutations import build_permutations, pass_digits, rebuild_column
+from .permutations import build_permutations, last_pass, pass_digits, rebuild_column, select_pass
 
 STRATEGIES = ("binary", "backward", "rebuild")
-PiSource = tuple[int, np.ndarray]  # (h, pi_h), h <= k: pi_k at rank i is pi_h at row i walked back to h
+
+
+@dataclass(eq=False)
+class LastPass:
+    """pi_k short of its last radix pass: ``pi``, pi_hi for the pass's top
+    column ``hi`` > ``k``, and ``digits``, the pass's digits in pi_hi order
+    (:func:`~pbwtidx.permutations.pass_digits`).
+
+    :func:`search_rebuild` counts the pass for the rows its pattern selects
+    (:func:`~pbwtidx.permutations.select_pass`) and keeps what that showed
+    of pi_k: ranks ``first`` onwards hold ``pi`` at ``rows``.  :func:`locate`
+    gathers ``pi`` at the rows of its interval, and runs the pass over every
+    row only for an interval those ranks do not cover.
+    """
+
+    k: int
+    hi: int
+    pi: np.ndarray
+    digits: np.ndarray
+    first: int = 0
+    rows: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
+
+
+# (h, pi_h), h <= k: pi_k at rank i is pi_h at row i walked back to h; or (k, LastPass)
+PiSource = tuple[int, np.ndarray | LastPass]
 
 
 @dataclass(frozen=True)
@@ -187,16 +217,17 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
     """The pair ``(h, pi_h)``, h <= k, that a query reads pi_k from.
 
     ``(k, pi_k)`` when it is stored, else the greatest stored column below
-    ``k``; or, for ``rebuild`` and where there is no such column, ``(k, pi_k)``
-    rebuilt from the nearest stored column c to the right.  A loaded index
-    sweeps down to h, or to column 0 for a rebuild, which reads the
-    collection.  Where no column at or below ``k`` is stored (``none``), a
-    query that is not a ``rebuild`` reads ``(k, pi_k)`` from a loaded index's
-    sweep, run down to ``k`` and not kept, until that sweep has sorted a
-    column below ``k``; then it rebuilds.  Every rebuild reads c's digits from
-    ``index.rebuild_digits``, and the first rebuild from c, whatever the
-    strategy, derives them for every column between c and the stored column
-    below it.
+    ``k``; or, for ``rebuild`` and where there is no such column, pi_k from
+    the nearest stored column c to the right: ``(k, LastPass)`` for a
+    ``rebuild``, whose passes from c all run but the last, and ``(k, pi_k)``
+    otherwise.  A loaded index sweeps down to h, or to column 0 for a
+    rebuild, which reads the collection.  Where no column at or below ``k``
+    is stored (``none``), a query that is not a ``rebuild`` reads ``(k,
+    pi_k)`` from a loaded index's sweep, run down to ``k`` and not kept,
+    until that sweep has sorted a column below ``k``; then it rebuilds.
+    Every rebuild reads c's digits from ``index.rebuild_digits``, and the
+    first rebuild from c, whatever the strategy, derives them for every
+    column between c and the stored column below it.
     """
     columns, inversion = index.stored_columns, index._inversion
     i = bisect_right(columns, k)  # columns[i - 1] <= k < columns[i]
@@ -206,55 +237,93 @@ def _pi_source(index: PositionalIndex, k: int, rebuild: bool = False) -> PiSourc
     if pi_k is not None:
         return k, pi_k
     c = columns[i]
-    collection, pi_c = index.collection, inversion.perm(c)
+    collection, pi = index.collection, inversion.perm(c)
     digits = index.rebuild_digits.get(c)
     if digits is None:
         lo = columns[i - 1] + 1 if i else 0
-        digits = index.rebuild_digits[c] = pass_digits(collection, pi_c, c, lo)
-    return k, rebuild_column(collection, pi_c, c, k, digits)
+        digits = index.rebuild_digits[c] = pass_digits(collection, pi, c, lo)
+    if not rebuild:
+        return k, rebuild_column(collection, pi, c, k, digits)
+    hi = last_pass(collection, c, k)
+    if hi < c:
+        pi = rebuild_column(collection, pi, c, hi, digits)
+        digits = pass_digits(collection, pi, hi, k)
+    return k, LastPass(k, hi, pi, digits)
 
 
-def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
-    """``bisect_left`` and ``bisect_right`` over the suffixes starting at ``k``, in pi_k order.
+def _bisect(window: np.ndarray, pi, key: bytes, rows, lf_rows=()) -> tuple[int, int]:
+    """``bisect_left`` and ``bisect_right`` of ``key`` over the probes
+    ``window[pi[row]]``, where ``row`` is ``rows[i]`` walked back through
+    each LF column of ``lf_rows``, for i in ``range(len(rows))``.
 
-    Only the probed ranks are read from the source ``(h, pi_h)``, each
-    walked back to ``h`` as in :func:`locate`, through memoryviews, which
-    cost a third of ``ndarray.item``.  Compares the rank-code bytes against
-    ``key``, the pattern's: symbols are strictly increasing, so rank order
-    is string order.  When nothing matches, the second search returns
-    ``first`` and the interval normalizes to empty.
+    ``pi`` and each LF column are memoryviews, which cost a third of
+    ``ndarray.item``, and are read only at the probes.  The probes are
+    rank-code bytes, which sort as their strings do: symbols are strictly
+    increasing.  When nothing matches, the second search returns the first's
+    answer.
     """
-    window = index.collection.codes[:, k : k + len(key)]
-    lf = index.matrix.fill(h, k)
-    lf_rows = [memoryview(lf[j]) for j in range(k - 1, h - 1, -1)]
-    pi = memoryview(pi_h)
-    above = index.n
+    above = len(rows)
 
-    def prefix(rank: int) -> bytes:
+    def prefix(i: int) -> bytes:
         nonlocal above
-        row = rank
+        row = rows[i]
         for lf_j in lf_rows:
             row = lf_j[row]
         probe = window[pi[row]].tobytes()
         if probe > key:  # each probe after the pattern lies below the last one
-            above = rank
+            above = i
         return probe
 
-    ranks = range(index.n)
+    ranks = range(len(rows))
     first = bisect_left(ranks, key, key=prefix)
     # the first search saw every rank from `above` on sort after the pattern,
     # so bounding the second by it skips probes the unbounded search would make
-    return Interval(first, bisect_right(ranks, key, first, above, key=prefix) - 1)
+    return first, bisect_right(ranks, key, first, above, key=prefix)
+
+
+def _bisect_interval(index: PositionalIndex, h: int, pi_h: np.ndarray, key: bytes, k: int) -> Interval:
+    """The interval of the suffixes starting at ``k`` that begin with ``key``,
+    the pattern's codes, by bisecting pi_k read from the source ``(h, pi_h)``:
+    each probed rank is walked back to ``h`` as in :func:`locate`."""
+    lf = index.matrix.fill(h, k)
+    first, end = _bisect(index.collection.codes[:, k : k + len(key)], memoryview(pi_h), key, range(index.n),
+                         [memoryview(lf[j]) for j in range(k - 1, h - 1, -1)])
+    return Interval(first, end - 1)
+
+
+def _select_interval(index: PositionalIndex, last: LastPass, key: bytes) -> Interval:
+    """The interval of the pattern whose codes are ``key`` from pi_k short of its last
+    pass, which is counted and not run: the pass's rows whose digit starts with the
+    pattern, bisected on the suffix at ``hi`` where the pattern reaches past it."""
+    span = last.hi - last.k
+    f, rows = select_pass(index.collection, last.digits, span, key[:span])
+    first, end = 0, len(rows)
+    if len(key) > span:
+        # rows of one digit keep pi_hi's order, which sorts their suffixes at hi
+        window = index.collection.codes[:, last.hi : last.k + len(key)]
+        first, end = _bisect(window, memoryview(last.pi), key[span:], memoryview(rows))
+    last.first, last.rows = f, rows
+    return Interval(f + first, f + end - 1)
+
+
+def _source_interval(index: PositionalIndex, source: PiSource, key: bytes, k: int) -> Interval:
+    """The interval of the pattern whose codes are ``key`` at column ``k``, from
+    ``source``: counted from a :class:`LastPass`, else bisected."""
+    h, pi = source
+    if isinstance(pi, LastPass):
+        return _select_interval(index, pi, key)
+    return _bisect_interval(index, h, pi, key, k)
 
 
 def search_binary(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
     """Match interval at column ``k`` via binary search on pi_k, read from
     the handed-over ``source`` or else through the greatest stored column at
-    or below ``k``; without a source, raises when there is no such column."""
+    or below ``k``; without a source, raises when there is no such column.
+    A ``rebuild`` search's source is counted as :func:`search_rebuild` counts it."""
     key, k = _check_query(index, pattern, k)
     if source is None and index.stored_columns[0] > k:
         raise PermutationNotStoredError(f"pi_{k} is not retained under policy {index.policy.kind!r}")
-    return _bisect_interval(index, *(source or _pi_source(index, k)), key, k)
+    return _source_interval(index, source or _pi_source(index, k), key, k)
 
 
 def backward_step(index: PositionalIndex, j: int, interval: Interval, c: str) -> Interval:
@@ -287,10 +356,12 @@ def search_backward(index: PositionalIndex, pattern: str, k: int) -> Interval:
 
 
 def search_rebuild(index: PositionalIndex, pattern: str, k: int, *, source: PiSource | None = None) -> Interval:
-    """Match interval at column ``k`` by bisecting pi_k, rebuilt in wide-digit
-    radix passes unless the handed-over ``source`` holds it."""
+    """Match interval at column ``k`` from the wide-digit radix passes that
+    rebuild pi_k: all but the last run, and the last is counted for the
+    pattern's rows (:class:`LastPass`).  A handed-over ``source`` holding pi_k,
+    or a stored pi_k, is bisected instead."""
     key, k = _check_query(index, pattern, k)
-    return _bisect_interval(index, *(source or _pi_source(index, k, rebuild=True)), key, k)
+    return _source_interval(index, source or _pi_source(index, k, rebuild=True), key, k)
 
 
 def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSource | None = None) -> list[int]:
@@ -299,14 +370,20 @@ def locate(index: PositionalIndex, interval: Interval, k: int, *, source: PiSour
     Walks each row backwards through the PBWT from column ``k`` to column
     ``h`` of the pi_k source ``(h, pi_h)`` and reads ``pi_h`` there: the
     source the search read, when handed over, or else :func:`_pi_source`'s.
-    When ``h == k`` the matches are a slice of ``pi_k``.  Output order
-    follows rows f..l, i.e. lexicographic rank.
+    When ``h == k`` the matches are a slice of ``pi_k``; from a
+    :class:`LastPass`, pi_hi gathered at the rows its search selected.
+    Output order follows rows f..l, i.e. lexicographic rank.
     """
     if interval.is_empty:
         return []
     k = _check_span(index, 0, k)
     f, l = index.matrix.check_interval(interval)
     h, pi_h = source or _pi_source(index, k)
+    if isinstance(pi_h, LastPass):
+        at, end = f - pi_h.first, l + 1 - pi_h.first
+        if at >= 0 and end <= len(pi_h.rows):
+            return pi_h.pi.take(pi_h.rows[at:end]).tolist()
+        pi_h = rebuild_column(index.collection, pi_h.pi, pi_h.hi, k, pi_h.digits)
     if h == k:
         return pi_h[f : l + 1].tolist()
     # the walk's first gather is a slice of lf: rows f..l of column k map to lf[k-1, f..l]

@@ -348,6 +348,33 @@ def _line_endings_and_strides(w: _Writer):
             w.call("query", "positional", "--index", index, "--pattern", pattern, "--position", k, "--count-only")
 
 
+def _multi_pass_rebuilds(w: _Writer):
+    """`rebuild` queries whose gap takes more than one radix pass: a founder panel
+    over 20 symbols, whose codes pack 8 bits each in the file and leave 11 columns
+    to a pass beside 40 row ranks, under a sampled stride of 30 and under `none`.
+    The last pass spans 6 and 1 columns at positions 2 and 18 from pi_30, and 11
+    and 6 at positions 5 and 43 from pi_60; each is queried with patterns shorter
+    than, as long as and longer than that span, present and absent."""
+    rng = w.rng
+    founders = ["".join(rng.choices(AMINO, k=60)) for _ in range(3)]
+    strings = ["".join(c if rng.random() > 0.03 else rng.choice(AMINO) for c in rng.choice(founders))
+               for _ in range(40)]
+    w.add_input("amino-founders.txt", _strings_file(strings))
+    builds = (("stride30", ["--stride", "30"], (2, 18)), ("none", ["--policy", "none"], (5, 43)))
+    for policy, flags, positions in builds:
+        index = f"amino-founders-{policy}.idx"
+        w.call("build", "--mode", "positional", "--input", "amino-founders.txt", "--alphabet", AMINO, *flags,
+               "--output", index)
+        for k in positions:
+            for m in (1, 6, 11, 16):
+                present = strings[rng.randrange(len(strings))][k : k + m]
+                absent = present[:-1] + AMINO[(AMINO.index(present[-1]) + 1) % len(AMINO)]
+                for pattern in (present, absent):
+                    for extra in ([], ["--verify"], ["--count-only"]):
+                        w.call("query", "positional", "--index", index, "--pattern", pattern, "--position", k,
+                               "--strategy", "rebuild", *extra)
+
+
 def write(seed: int, output: Path):
     here = Path.cwd()
     with tempfile.TemporaryDirectory() as scratch:
@@ -360,6 +387,7 @@ def write(seed: int, output: Path):
             _refused_inputs(w)
             _crafted_files(w)
             _line_endings_and_strides(w)
+            _multi_pass_rebuilds(w)
         finally:
             os.chdir(here)
     output.parent.mkdir(parents=True, exist_ok=True)

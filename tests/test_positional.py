@@ -13,11 +13,12 @@ from pbwtidx.errors import (
     UnknownCharacterError,
 )
 from pbwtidx.pbwt import EMPTY, Interval
-from pbwtidx import pbwt, positional
+from pbwtidx import pbwt, permutations, positional
+from pbwtidx.permutations import pass_digits
 from pbwtidx.positional import STRATEGIES, backward_trace
 
-from conftest import (DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, count_sweep_passes, random_collection,
-                      storage_policies)
+from conftest import (DEMO_TEXT, EDGE_COLLECTIONS, PI_MATRIX, all_patterns, count_sweep_passes, perm_table,
+                      random_collection, storage_policies)
 
 
 @pytest.fixture(scope="module")
@@ -290,7 +291,8 @@ def test_sampled_binary_agrees_on_edge_shapes():
 
 
 def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
-    # each query builds one pi_k source, which search and locate share
+    # each query builds one pi_k source, which search and locate share; a
+    # rebuild whose span one pass covers counts that pass and calls no rebuild
     calls = []
     rebuild_column = positional.rebuild_column
 
@@ -301,8 +303,7 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
     monkeypatch.setattr(positional, "rebuild_column", record)
     sampled = px.build_index(fig1, px.StoragePolicy.sampled(3))
     bare = px.build_index(fig1, px.StoragePolicy.no_perms())
-    cases = [(sampled, "binary", []), (sampled, "rebuild", [(3, 1)]),
-             (bare, "binary", [(8, 1)]), (bare, "rebuild", [(8, 1)])]
+    cases = [(sampled, "binary", []), (sampled, "rebuild", []), (bare, "binary", [(8, 1)]), (bare, "rebuild", [])]
     for index, strategy, rebuilds in cases:
         for pattern in ("AGA", "TTT"):
             calls.clear()
@@ -315,6 +316,120 @@ def test_sampled_binary_never_rebuilds(fig1, monkeypatch):
         interval, matches, _ = px.query(sampled, "AGA", k, strategy="binary")
         assert sorted(matches) == px.naive_positional(fig1, "AGA", k)
         assert px.search_binary(sampled, "AGA", k) == interval
+    assert calls == []
+
+
+class _GatherCount(np.ndarray):
+    """A kept pi that counts the gathers made from it: ``take`` and an index array."""
+
+    gathers = 0
+
+    def take(self, *args, **kwargs):
+        _GatherCount.gathers += 1
+        return super().take(*args, **kwargs)
+
+    def __getitem__(self, item):
+        if isinstance(item, (np.ndarray, list)):
+            _GatherCount.gathers += 1
+        return super().__getitem__(item)
+
+
+def _rebuild_panels():
+    """The edge shapes, and founder mosaics over alphabets whose codes pack
+    8, 4, 2 and 1 to a byte (2, 4, 9 and 20 symbols) and over 100 symbols,
+    whose 7-bit codes leave 7 columns to a pass beside 600 row ranks: the
+    default stride, 10, leaves a gap of 9 columns below pi_11."""
+    cols = [px.from_strings(strings, px.Alphabet(symbols)) for strings, symbols in EDGE_COLLECTIONS]
+    np_rng = np.random.default_rng(3939)
+    for sigma, n in ((2, 70), (4, 90), (9, 60), (20, 70), (100, 600)):
+        symbols = "".join(chr(c) for c in range(28, 28 + sigma)) if sigma > 20 else "ACDEFGHIKLMNPQRSTVWY"[:sigma]
+        founders = np_rng.integers(0, sigma, (5, 40), dtype=np.uint8)
+        codes = founders[np_rng.integers(0, 5, (n, 4)).repeat(10, axis=1), np.arange(40)]
+        mutated = np_rng.random(codes.shape) < 0.03
+        codes[mutated] = np_rng.integers(0, sigma, int(mutated.sum()))
+        cols.append(px.StringCollection(alphabet=px.Alphabet(symbols=symbols, sentinel="\x1b"), codes=codes))
+    return cols
+
+
+def test_rebuild_counts_its_last_pass_as_the_rebuilt_pi_k_would_bisect(monkeypatch):
+    # every rebuild query against the oracle and against pi_k rebuilt by
+    # rebuild_column and bisected, interval and rank order alike, built and
+    # loaded, for patterns shorter than, as long as and longer than the last
+    # pass's span, and absent ones; a query runs rebuild_column only for the
+    # passes before its last, and its search gathers nothing from pi_c
+    rng = random.Random(3940)
+    calls = []
+    rebuild_column = positional.rebuild_column
+
+    def record(col, start, j_start, j_target, digits):
+        calls.append((j_start, j_target))
+        return rebuild_column(col, start, j_start, j_target, digits)
+
+    monkeypatch.setattr(positional, "rebuild_column", record)
+    seen = set()
+    for col in _rebuild_panels():
+        perms = perm_table(col)
+        length = col.length
+        policies = [px.StoragePolicy.full(), *map(px.StoragePolicy.sampled, (1, 2, 3, 5)),
+                    px.StoragePolicy.sampled(px.default_stride(col.n)), px.StoragePolicy.no_perms()]
+        for policy in policies:
+            stored = policy.stored_columns(length)
+            built = px.build_index(col, policy)
+            for loaded, index in enumerate((built, px.from_bytes(px.to_bytes(built)))):
+                index.stored_perms.update((c, pi.view(_GatherCount)) for c, pi in index.stored_perms.items())
+                for k in sorted({min(1, length), *rng.sample(range(length + 1), min(length + 1, 8))}):
+                    c = min(j for j in stored if j >= k)
+                    hi = permutations.last_pass(col, c, k) if c > k else k
+                    for m in {0, 1, hi - k - 1, hi - k, hi - k + 1, hi - k + 5, length - k}:
+                        if not 0 <= m <= length - k:
+                            continue
+                        present = col.strings[rng.randrange(col.n)][k : k + m]
+                        symbols = col.alphabet.symbols
+                        absent = present[:-1] + symbols[(symbols.index(present[-1]) + 1) % len(symbols)] if m else ""
+                        for pattern in (present, absent):
+                            key = col.alphabet._code_bytes(pattern)
+                            pi_k = perms[k]
+                            if c > k:
+                                pi_k = rebuild_column(col, perms[c], c, k, pass_digits(col, perms[c], c, k))
+                            want = positional._bisect_interval(index, k, pi_k, key, k)
+                            calls.clear()
+                            _GatherCount.gathers = 0
+                            interval, source, _ = positional.search(index, pattern, k, "rebuild")
+                            assert interval == want, (policy, loaded, pattern, k)
+                            assert _GatherCount.gathers == 0, (policy, pattern, k)
+                            assert calls == ([(c, hi)] if hi < c else []), (policy, pattern, k)
+                            matches = px.locate(index, interval, k, source=source)
+                            assert matches == pi_k[want.f : want.l + 1].tolist()
+                            assert sorted(matches) == px.naive_positional(col, pattern, k)
+                            assert px.search_rebuild(index, pattern, k) == interval
+                            assert px.search_binary(index, pattern, k, source=source) == interval
+                            if c > k:
+                                assert _GatherCount.gathers == (interval.width > 0 and hi == c)
+                                seen.add((policy.kind, hi < c, (m > hi - k) - (m < hi - k), interval.is_empty))
+                            # ranks the search did not select: the source runs its last pass
+                            for f, l in ((0, col.n - 1), (want.l + 1, col.n - 1), (want.f, want.f)):
+                                if 0 <= f <= l < col.n:
+                                    got = px.locate(index, Interval(f, l), k, source=source)
+                                    assert got == pi_k[f : l + 1].tolist(), (policy, pattern, k, f, l)
+    # every case of the count: one pass or more, and a pattern shorter than
+    # the last pass, as long or longer, matched and absent, under sampled and
+    # none, where a pattern outruns the last pass only if passes precede it
+    cases = {(kind, wide, side, empty) for kind in ("sampled", "none") for wide in (False, True)
+             for side in (-1, 0, 1) for empty in (False, True)}
+    assert cases - {("none", False, 1, False), ("none", False, 1, True)} == seen
+
+
+def test_under_the_default_policy_a_rebuild_query_sorts_no_pass_of_every_row(monkeypatch):
+    # under the default policy, with codes that leave a pass room for every
+    # column of the gap, a rebuild query counts its one pass
+    calls = []
+    monkeypatch.setattr(positional, "rebuild_column", lambda *args: calls.append(args[2:4]))
+    for col in _rebuild_panels()[:-1]:
+        index = px.from_bytes(px.to_bytes(px.build_index(col)))
+        for k in range(col.length + 1):
+            for m in range(min(4, col.length - k) + 1):
+                pattern = col.strings[k % col.n][k : k + m]
+                assert sorted(px.query(index, pattern, k, "rebuild")[1]) == px.naive_positional(col, pattern, k)
     assert calls == []
 
 
